@@ -97,6 +97,10 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
     for key in ("n_particles", "dt", "t_end", "seed"):
         if key not in sim:
             raise ConfigError(f"sim block missing required key {key!r}")
+    for key in ("n_particles", "dt", "t_end", "t_start", "seed"):
+        if key in sim and (isinstance(sim[key], bool)
+                           or not isinstance(sim[key], (int, float))):
+            raise ConfigError(f"sim.{key} must be a number, got {sim[key]!r}")
     if sim["dt"] <= 0 or sim["t_end"] <= sim.get("t_start", 0.0):
         raise ConfigError("sim block needs dt > 0 and t_end > t_start")
     if "init" in sim:
@@ -110,6 +114,11 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
         raise ConfigError(f"unknown experiment type {etype!r}{suggestion}")
     _reject_unknown({k: v for k, v in exp.items() if k != "type"},
                     EXPERIMENT_KEYS[etype], f"experiment block for {etype!r}")
+    if "f" in exp:
+        table = harnack.IBP_FUNCTIONS if etype == "ibp" else harnack.TEST_FUNCTIONS
+        if not isinstance(exp["f"], str) or exp["f"] not in table:
+            raise ConfigError(f"unknown test function {exp['f']!r} for {etype!r}; "
+                              f"available: {sorted(table)}")
 
     out = cfg.get("output", {})
     _reject_unknown(out, OUTPUT_KEYS, "output block")
@@ -164,7 +173,7 @@ class RunReport:
 # Builders
 # ---------------------------------------------------------------------------
 
-def build_model(model_cfg: dict, threads: int = 1) -> models.CoefficientModel:
+def build_model(model_cfg: dict) -> models.CoefficientModel:
     name = model_cfg["name"]
     if name == "landau":
         return models.landau_model(
@@ -172,7 +181,6 @@ def build_model(model_cfg: dict, threads: int = 1) -> models.CoefficientModel:
             alpha=float(model_cfg.get("alpha", 1.0)),
             beta=float(model_cfg.get("beta", 1.0)),
             state_radius=model_cfg.get("state_radius"),
-            threads=threads,
         )
     if name == "linear_meanfield":
         return models.linear_meanfield_model(
@@ -242,7 +250,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
     sim = cfg.sim
     exp = cfg.experiment
     etype = exp["type"]
-    model = build_model(cfg.model, threads)
+    model = build_model(cfg.model)
     n = int(sim["n_particles"])
     dt = float(sim["dt"])
     t0 = float(sim.get("t_start", 0.0))
@@ -561,7 +569,8 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config")
     p_run.add_argument("--threads", type=int, default=1,
-                       help="worker cap; never affects results")
+                       help="workers for the contract experiment's per-node W2; "
+                            "never affects results")
     p_run.add_argument("--refine", action="store_true",
                        help="also run a dt/2 companion and report both")
 

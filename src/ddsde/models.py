@@ -14,17 +14,12 @@ as metadata in ModelBounds; they are inputs, never inferred from the code.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .measure import EmpiricalMeasure
-
-# Rows per chunk in the pairwise convolution kernels.  Fixed regardless of
-# thread count so results are bit-identical under any parallel schedule.
-PAIRWISE_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -133,47 +128,42 @@ def landau_a(x: np.ndarray, gamma: float) -> np.ndarray:
     return (r2 ** (gamma / 2.0))[..., None, None] * core
 
 
-def _chunk_apply(fn, x: np.ndarray, threads: int) -> np.ndarray:
-    """Apply fn to fixed-size row chunks of x; chunking never depends on threads."""
-    m = x.shape[0]
-    if m <= PAIRWISE_CHUNK:
-        return fn(x)
-    chunks = [x[i:i + PAIRWISE_CHUNK] for i in range(0, m, PAIRWISE_CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, chunks))
-    else:
-        parts = [fn(c) for c in chunks]
-    return np.concatenate(parts, axis=0)
+def _pair_weights(x: np.ndarray, z: np.ndarray, scale: float,
+                  power: float) -> np.ndarray:
+    """(M, N) matrix of |x_i - scale z_j|^power, built one coordinate at a time."""
+    sz = scale * z
+    r2 = (x[:, 0, None] - sz[:, 0]) ** 2
+    for k in range(1, x.shape[1]):
+        r2 += (x[:, k, None] - sz[:, k]) ** 2
+    return r2 ** (power / 2.0)
 
 
 def _landau_drift_pairwise(x: np.ndarray, z: np.ndarray, alpha: float,
-                           gamma: float, threads: int = 1) -> np.ndarray:
-    def one_chunk(xc):
-        w = xc[:, None, :] - alpha * z[None, :, :]
-        return landau_b0(w, gamma).mean(axis=1)
-    return _chunk_apply(one_chunk, x, threads)
+                           gamma: float) -> np.ndarray:
+    w = _pair_weights(x, z, alpha, gamma)
+    return -2.0 * (x * w.mean(axis=1)[:, None] - alpha * (w @ z) / z.shape[0])
 
 
 def _landau_sigma_pairwise(x: np.ndarray, z: np.ndarray, beta: float,
-                           gamma: float, threads: int = 1) -> np.ndarray:
-    def one_chunk(xc):
-        w = xc[:, None, :] - beta * z[None, :, :]
-        return landau_sigma0(w, gamma).mean(axis=1)
-    return _chunk_apply(one_chunk, x, threads)
+                           gamma: float) -> np.ndarray:
+    v = _pair_weights(x, z, beta, gamma / 2.0)
+    return landau_sigma0(x * v.mean(axis=1)[:, None] - beta * (v @ z) / z.shape[0], 0.0)
 
 
 def landau_model(gamma: float, alpha: float, beta: float,
-                 state_radius: float | None = None, threads: int = 1) -> CoefficientModel:
+                 state_radius: float | None = None) -> CoefficientModel:
     """Landau-type model: drift and diffusion are kernel convolutions.
 
     drift(t, x, mu)     = (1/N) sum_i b0(x - alpha z_i)
     diffusion(t, x, mu) = (1/N) sum_i sigma0(x - beta z_i)
 
     At gamma = 0 both kernels are linear in x, so the convolution collapses
-    to a single kernel evaluation at the mean-shifted point; for gamma > 0
-    the full pairwise sum is used and a state-radius guard applies (the
-    drift is only locally Lipschitz, so no rate claims are made there).
+    to a single kernel evaluation at the mean-shifted point.  For gamma > 0
+    each kernel is |w|^p times a map linear in w, so the convolution is that
+    map applied to x * rowmean(W) - s W z / N, with the (M, N) weight matrix
+    W_ij = |x_i - s z_j|^p and s = alpha (p = gamma) for the drift, s = beta
+    (p = gamma / 2) for the diffusion.  A state-radius guard applies there
+    (the drift is only locally Lipschitz, so no rate claims are made).
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
@@ -191,10 +181,10 @@ def landau_model(gamma: float, alpha: float, beta: float,
             return np.broadcast_to(-2.0 * np.asarray(v, dtype=np.float64), x.shape).copy()
     else:
         def drift(t, x, mu):
-            return _landau_drift_pairwise(x, mu.points, alpha, gamma, threads)
+            return _landau_drift_pairwise(x, mu.points, alpha, gamma)
 
         def diffusion(t, x, mu):
-            return _landau_sigma_pairwise(x, mu.points, beta, gamma, threads)
+            return _landau_sigma_pairwise(x, mu.points, beta, gamma)
 
         grad_b = None
 

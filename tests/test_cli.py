@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -133,6 +134,53 @@ def test_threads_flag_reproduces_outputs_bitwise(tmp_path):
     for node in ("node_00000.csv", "node_00100.csv"):
         assert (tmp_path / "a" / "law_curve" / node).read_bytes() == \
             (tmp_path / "b" / "law_curve" / node).read_bytes()
+
+
+def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
+    # N = 512 puts the (N, N) @ (N, 3) weight product above OpenBLAS's
+    # single-thread size cutoff, so the default BLAS thread count is exercised.
+    cfg = {
+        "model": {"name": "landau", "gamma": 0.5, "alpha": 1.0, "beta": 1.0},
+        "sim": {"n_particles": 512, "dt": 0.01, "t_end": 0.05, "seed": 9,
+                "init": {"kind": "gaussian", "std": 1.0}},
+        "experiment": {"type": "simulate", "moment_p": 2.0},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    base_env = {k: v for k, v in os.environ.items()
+                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    runs = {"blas1": ({"OPENBLAS_NUM_THREADS": "1"}, "1"),
+            "blas_default": ({}, "1"),
+            "threads4": ({}, "4")}
+    outputs = {}
+    for label, (extra_env, threads) in runs.items():
+        out = tmp_path / label
+        result = subprocess.run(
+            [sys.executable, "-m", "ddsde", "run", cfg_path, "--threads", threads],
+            env={**base_env, **extra_env, "DDSDE_OUTPUT_DIR": str(out)},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        report = json.loads((out / "report.json").read_text())
+        outputs[label] = ((out / "simulate.csv").read_bytes(), report["metrics"])
+    assert outputs["blas1"] == outputs["blas_default"] == outputs["threads4"]
+
+
+@pytest.mark.parametrize("experiment, sim_update", [
+    ({"type": "log_harnack", "shift": 1.0, "f": "tanh"}, {}),
+    ({"type": "shift_harnack", "f": "tanh"}, {}),
+    ({"type": "ibp", "f": "tanh"}, {}),
+    ({"type": "simulate"}, {"dt": "0.01"}),
+], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string"])
+def test_malformed_config_exits_one_without_traceback(tmp_path, capsys,
+                                                      experiment, sim_update):
+    cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
+    cfg["sim"].update(sim_update)
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["run", cfg_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_refine_attaches_companion(tmp_path):

@@ -79,17 +79,20 @@ class TestLandauModel:
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0])
     def test_pairwise_convolution_matches_direct_sum(self, gamma):
-        model = landau_model(gamma, 0.8, 0.6)
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(7, 3))
-        zs = rng.normal(size=(5, 3))
-        mu = EmpiricalMeasure(zs)
-        drift = model.drift(0.0, x, mu)
-        want = np.mean([landau_b0(x - 0.8 * z, gamma) for z in zs], axis=0)
-        assert np.allclose(drift, want, atol=1e-12)
-        sig = model.diffusion(0.0, x, mu)
-        want_s = np.mean([landau_sigma0(x - 0.6 * z, gamma) for z in zs], axis=0)
-        assert np.allclose(sig, want_s, atol=1e-12)
+        small = (rng.normal(size=(7, 3)), rng.normal(size=(5, 3)), 0.8, 0.6)
+        # Self-interaction, M = 300 and N = 200: the law's points are the
+        # first 200 evaluation points, so alpha = 1 puts r = 0 on the diagonal.
+        x_big = rng.normal(size=(300, 3))
+        for x, zs, alpha, beta in (small, (x_big, x_big[:200], 1.0, 0.5)):
+            model = landau_model(gamma, alpha, beta)
+            mu = EmpiricalMeasure(zs)
+            drift = model.drift(0.0, x, mu)
+            want = np.mean([landau_b0(x - alpha * z, gamma) for z in zs], axis=0)
+            assert np.allclose(drift, want, atol=1e-12)
+            sig = model.diffusion(0.0, x, mu)
+            want_s = np.mean([landau_sigma0(x - beta * z, gamma) for z in zs], axis=0)
+            assert np.allclose(sig, want_s, atol=1e-12)
 
     def test_linear_fast_path_matches_generic_pairwise(self):
         rng = np.random.default_rng(5)
@@ -101,14 +104,6 @@ class TestLandauModel:
                            _landau_drift_pairwise(x, z, 1.0, 0.0), atol=1e-12)
         assert np.allclose(model.diffusion(0.0, x, mu),
                            _landau_sigma_pairwise(x, z, 1.0, 0.0), atol=1e-12)
-
-    def test_chunked_evaluation_matches_unchunked(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(300, 3))  # above the chunk size
-        z = rng.normal(size=(10, 3))
-        a = _landau_drift_pairwise(x, z, 1.0, 0.5, threads=1)
-        b = _landau_drift_pairwise(x, z, 1.0, 0.5, threads=4)
-        assert np.array_equal(a, b)
 
     def test_drift_lipschitz_probe(self):
         # gamma = 0 drift has observed Lipschitz constant <= 2 (1 + |alpha|).
