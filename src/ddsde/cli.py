@@ -66,6 +66,18 @@ EXPERIMENT_KEYS = {
     "bounds": {"quantity", "params"},
 }
 
+# Keys of ``params`` each bounds quantity reads without a default.
+BOUNDS_PARAMS = {
+    "cc": ("alpha", "beta"),
+    "tn": ("K0", "B0", "C0", "alpha", "beta"),
+    "phi": ("lambda", "kappa1", "kappa2"),
+    "power": ("p", "lambda", "kappa1", "kappa2"),
+    "p_threshold": ("lambda",),
+    "ET1": ("lambda",),
+    "ET2": ("lambda",),
+    "ET3": ("lambda",),
+}
+
 
 def _reject_unknown(block: dict, allowed: set, where: str) -> None:
     for key in block:
@@ -119,6 +131,22 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
         if not isinstance(exp["f"], str) or exp["f"] not in table:
             raise ConfigError(f"unknown test function {exp['f']!r} for {etype!r}; "
                               f"available: {sorted(table)}")
+    if etype == "bounds":
+        quantity = exp.get("quantity")
+        if quantity not in BOUNDS_PARAMS:
+            raise ConfigError(f"unknown bounds quantity {quantity!r}; "
+                              f"available: {sorted(BOUNDS_PARAMS)}")
+        params = exp.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"bounds params must be an object, got {params!r}")
+        missing = [k for k in BOUNDS_PARAMS[quantity] if k not in params]
+        if missing:
+            raise ConfigError(f"bounds quantity {quantity!r} needs params {missing}")
+    if etype in ("couple", "log_harnack"):
+        try:
+            harnack.CouplingConfig.from_model(build_model(model), horizon=sim["t_end"])
+        except ValueError as err:
+            raise ConfigError(f"{etype!r} experiment: {err}") from None
 
     out = cfg.get("output", {})
     _reject_unknown(out, OUTPUT_KEYS, "output block")
@@ -451,14 +479,12 @@ def _run_bounds(quantity: str, params: dict, model, t_end: float) -> tuple[dict,
             gamma_t=params.get("gamma_t", 0.0),
         )
         value = harnack.power_harnack_threshold(config)
-    elif quantity in ("ET1", "ET2", "ET3"):
+    else:  # ET1, ET2, ET3; validate_config admits no other quantity
         value = harnack.density_bound_rhs(
             quantity, params.get("p", 2.0), params.get("s", 0.0),
             params.get("t", t_end), params["lambda"], params.get("grad_b", 0.0),
             int(params.get("d", model.dim)),
         )
-    else:
-        raise ConfigError(f"unknown bounds quantity {quantity!r}")
     return {"quantity": quantity, "value": value}, True
 
 

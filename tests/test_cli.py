@@ -165,21 +165,26 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
     assert outputs["blas1"] == outputs["blas_default"] == outputs["threads4"]
 
 
-@pytest.mark.parametrize("experiment, sim_update", [
-    ({"type": "log_harnack", "shift": 1.0, "f": "tanh"}, {}),
-    ({"type": "shift_harnack", "f": "tanh"}, {}),
-    ({"type": "ibp", "f": "tanh"}, {}),
-    ({"type": "simulate"}, {"dt": "0.01"}),
-], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string"])
-def test_malformed_config_exits_one_without_traceback(tmp_path, capsys,
-                                                      experiment, sim_update):
+@pytest.mark.parametrize("experiment, sim_update, model_update, named", [
+    ({"type": "log_harnack", "shift": 1.0, "f": "tanh"}, {}, {}, "tanh"),
+    ({"type": "shift_harnack", "f": "tanh"}, {}, {}, "tanh"),
+    ({"type": "ibp", "f": "tanh"}, {}, {}, "tanh"),
+    ({"type": "simulate"}, {"dt": "0.01"}, {}, "dt"),
+    ({"type": "bounds", "quantity": "cc", "params": {}}, {}, {}, "alpha"),
+    ({"type": "couple", "shift": 1.0}, {}, {"sigma": 0.0}, "lambda"),
+], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
+        "bounds_missing_param", "couple_missing_bound"])
+def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, experiment,
+                                                      sim_update, model_update, named):
     cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
     cfg["sim"].update(sim_update)
+    cfg["model"].update(model_update)
     cfg_path = write_config(tmp_path, cfg)
     assert main(["run", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
     assert not (tmp_path / "out").exists()
 
 

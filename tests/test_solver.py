@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ddsde import solver
 from ddsde.measure import EmpiricalMeasure, wasserstein
 from ddsde.models import landau_model, linear_meanfield_model
 from ddsde.rng import NoiseSpec, normal_block
@@ -124,6 +125,45 @@ class TestPicard:
         with pytest.raises(ValueError):
             picard_solve(model, gaussian_measure(8, 1, seed=1),
                          TimeGrid(0.0, 0.1, 10), NoiseSpec(seed=1, dim=1), tol=0.0)
+
+
+def brute_force_deltas(report, theta):
+    """sup over nodes of exact W_theta between successive iterates, node by node."""
+    return [
+        max(wasserstein(cur.measure_at(k), prev.measure_at(k), theta=theta,
+                        method="exact")
+            for k in range(cur.grid.n_nodes))
+        for prev, cur in zip(report.iterates, report.iterates[1:])
+    ]
+
+
+class TestPrunedSup:
+    def test_landau_deltas_exact_with_fewer_solves(self, monkeypatch):
+        model = landau_model(0.0, 1.0, 1.0)
+        mu0 = gaussian_measure(48, 3, seed=42)
+        grid = TimeGrid(0.0, 0.2, 20)
+        calls = []
+        plan = solver.transport_plan
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "transport_plan", counted)
+        report = picard_solve(model, mu0, grid, NoiseSpec(seed=43, dim=3),
+                              max_iter=6, tol=1e-4)
+        monkeypatch.undo()
+        assert report.deltas == brute_force_deltas(report, 2.0)
+        assert set(calls) == {"exact"}
+        assert len(calls) < grid.n_nodes
+
+    def test_linear_theta_one_deltas_exact(self):
+        model = linear_meanfield_model(1.0, 1.0, 0.5, dim=2)
+        mu0 = gaussian_measure(64, 2, seed=44)
+        grid = TimeGrid(0.0, 0.5, 25)
+        report = picard_solve(model, mu0, grid, NoiseSpec(seed=45, dim=2),
+                              max_iter=6, tol=1e-4, theta=1.0)
+        assert report.deltas == brute_force_deltas(report, 1.0)
 
 
 class TestParticle:
@@ -261,6 +301,31 @@ class TestContraction:
                                  threads=4)
         assert np.array_equal(a.w2_sq, b.w2_sq)
         assert a.empirical_rate == b.empirical_rate
+
+
+    def test_bad_fit_window_rejected_before_stepping(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("stepped before checking the fit window")
+
+        monkeypatch.setattr(solver, "em_step", no_step)
+        model = linear_meanfield_model(1.0, 0.0, 0.3, dim=1)
+        mu0 = gaussian_measure(16, 1, seed=46)
+        grid = TimeGrid(0.0, 1.0, 10)
+        with pytest.raises(ValueError, match="fewer than two grid nodes"):
+            estimate_contraction(model, mu0, mu0.shifted([1.0]), grid,
+                                 NoiseSpec(seed=47, dim=1), fit_window=(0.42, 0.48))
+
+    def test_w2_node_budget(self):
+        model = linear_meanfield_model(1.0, 0.0, 0.3, dim=1)
+        mu0 = gaussian_measure(64, 1, seed=48)
+        grid = TimeGrid(0.0, 1.0, 500)
+        est = estimate_contraction(model, mu0, mu0.shifted([1.0]), grid,
+                                   NoiseSpec(seed=49, dim=1))
+        assert len(est.times) <= solver.CONTRACT_FIT_NODES + 2
+        assert len(est.times) == len(est.w2_sq)
+        assert est.times[0] == grid.s
+        assert est.times[-1] == grid.t_end
+        assert np.isin(est.times, grid.nodes).all()
 
 
 class TestInvariant:
