@@ -142,9 +142,13 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
         missing = [k for k in BOUNDS_PARAMS[quantity] if k not in params]
         if missing:
             raise ConfigError(f"bounds quantity {quantity!r} needs params {missing}")
+    try:
+        built = build_model(model)
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"model {name!r}: {err}") from None
     if etype in ("couple", "log_harnack"):
         try:
-            harnack.CouplingConfig.from_model(build_model(model), horizon=sim["t_end"])
+            harnack.CouplingConfig.from_model(built, horizon=sim["t_end"])
         except ValueError as err:
             raise ConfigError(f"{etype!r} experiment: {err}") from None
 
@@ -201,19 +205,29 @@ class RunReport:
 # Builders
 # ---------------------------------------------------------------------------
 
+def _model_number(model_cfg: dict, key: str, default: float) -> float:
+    value = model_cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def build_model(model_cfg: dict) -> models.CoefficientModel:
     name = model_cfg["name"]
     if name == "landau":
+        radius = model_cfg.get("state_radius")
+        if radius is not None:
+            radius = _model_number(model_cfg, "state_radius", 0.0)
         return models.landau_model(
-            gamma=float(model_cfg.get("gamma", 0.0)),
-            alpha=float(model_cfg.get("alpha", 1.0)),
-            beta=float(model_cfg.get("beta", 1.0)),
-            state_radius=model_cfg.get("state_radius"),
+            gamma=_model_number(model_cfg, "gamma", 0.0),
+            alpha=_model_number(model_cfg, "alpha", 1.0),
+            beta=_model_number(model_cfg, "beta", 1.0),
+            state_radius=radius,
         )
     if name == "linear_meanfield":
         return models.linear_meanfield_model(
-            a_coef=float(model_cfg.get("a", 1.0)),
-            c_coef=float(model_cfg.get("c", 0.0)),
+            a_coef=_model_number(model_cfg, "a", 1.0),
+            c_coef=_model_number(model_cfg, "c", 0.0),
             sigma_const=model_cfg.get("sigma", 1.0),
             dim=model_cfg.get("dim"),
         )

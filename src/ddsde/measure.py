@@ -109,10 +109,10 @@ def _strided_indices(n_from: int, n_to: int) -> np.ndarray:
 def _cost_matrix(x: np.ndarray, y: np.ndarray, theta: float) -> np.ndarray:
     d = cdist(x, y, metric="euclidean")
     if theta == 2.0:
-        return d * d
-    if theta == 1.0:
-        return d
-    return d ** theta
+        d *= d
+    elif theta != 1.0:
+        d **= theta
+    return d
 
 
 def _exact_plan(x: np.ndarray, y: np.ndarray, theta: float) -> TransportPlan:
@@ -229,7 +229,7 @@ def convolve(f, mu: EmpiricalMeasure, x) -> np.ndarray | float:
         if vals.shape[:1] == (mu.n,) and (mu.n != 1 or vals.ndim > 0):
             out = vals.mean(axis=0)
             return float(out) if out.ndim == 0 else out
-    except Exception:
+    except (TypeError, ValueError, IndexError):
         pass
     vals = np.stack([np.asarray(f(diffs[i]), dtype=np.float64) for i in range(mu.n)])
     out = vals.mean(axis=0)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .measure import EmpiricalMeasure
 
@@ -130,12 +131,10 @@ def landau_a(x: np.ndarray, gamma: float) -> np.ndarray:
 
 def _pair_weights(x: np.ndarray, z: np.ndarray, scale: float,
                   power: float) -> np.ndarray:
-    """(M, N) matrix of |x_i - scale z_j|^power, built one coordinate at a time."""
-    sz = scale * z
-    r2 = (x[:, 0, None] - sz[:, 0]) ** 2
-    for k in range(1, x.shape[1]):
-        r2 += (x[:, k, None] - sz[:, k]) ** 2
-    return r2 ** (power / 2.0)
+    """(M, N) matrix of |x_i - scale z_j|^power, raised to the power in place."""
+    w = cdist(x, scale * z, "sqeuclidean")
+    w **= power / 2.0
+    return w
 
 
 def _landau_drift_pairwise(x: np.ndarray, z: np.ndarray, alpha: float,
@@ -162,8 +161,9 @@ def landau_model(gamma: float, alpha: float, beta: float,
     each kernel is |w|^p times a map linear in w, so the convolution is that
     map applied to x * rowmean(W) - s W z / N, with the (M, N) weight matrix
     W_ij = |x_i - s z_j|^p and s = alpha (p = gamma) for the drift, s = beta
-    (p = gamma / 2) for the diffusion.  A state-radius guard applies there
-    (the drift is only locally Lipschitz, so no rate claims are made).
+    (p = gamma / 2) for the diffusion; W is built in place, with no second
+    (M, N) temporary.  A state-radius guard applies there (the drift is only
+    locally Lipschitz, so no rate claims are made).
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")

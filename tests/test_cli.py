@@ -172,13 +172,21 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
     ({"type": "simulate"}, {"dt": "0.01"}, {}, "dt"),
     ({"type": "bounds", "quantity": "cc", "params": {}}, {}, {}, "alpha"),
     ({"type": "couple", "shift": 1.0}, {}, {"sigma": 0.0}, "lambda"),
+    ({"type": "simulate"}, {}, {"name": "landau", "gamma": 2.0}, "gamma"),
+    ({"type": "simulate"}, {}, {"a": "fast"}, "a must be a number"),
+    ({"type": "simulate"}, {}, {"name": "landau", "gamma": 0.5, "state_radius": "big"},
+     "state_radius"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
-        "bounds_missing_param", "couple_missing_bound"])
+        "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
+        "linear_a_string", "landau_state_radius_string"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, experiment,
                                                       sim_update, model_update, named):
     cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
     cfg["sim"].update(sim_update)
-    cfg["model"].update(model_update)
+    if "name" in model_update:  # another model family replaces the whole block
+        cfg["model"] = model_update
+    else:
+        cfg["model"].update(model_update)
     cfg_path = write_config(tmp_path, cfg)
     assert main(["run", cfg_path]) == EXIT_CONFIG
     err = capsys.readouterr().err

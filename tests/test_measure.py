@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ddsde.measure import (
     EmpiricalMeasure,
+    _cost_matrix,
     convolve,
     moment,
     optimal_pairing,
@@ -102,6 +104,13 @@ class TestWasserstein:
         xs, ys = np.sort(x[:, 0]), np.sort(y[:, 0])
         assert sorted_w == pytest.approx(np.sqrt(np.mean((xs - ys) ** 2)), rel=1e-12)
 
+    @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0])
+    def test_cost_matrix_bitwise(self, theta):
+        rng = np.random.default_rng(31)
+        x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
+        want = cdist(x, y) if theta == 1.0 else cdist(x, y) ** theta
+        assert _cost_matrix(x, y, theta).tobytes() == want.tobytes()
+
     def test_optimal_pairing_is_permutation(self):
         rng = np.random.default_rng(13)
         mu = EmpiricalMeasure(rng.normal(size=(10, 3)))
@@ -155,6 +164,19 @@ class TestConvolve:
         f = lambda y: np.array([[y[0], 0.0], [0.0, -y[0]]])
         out = convolve(f, mu, [0.0])
         assert np.allclose(out, [[-2.0, 0.0], [0.0, 2.0]])
+
+
+    def test_unrelated_error_propagates_without_pointwise_retry(self):
+        mu = EmpiricalMeasure(np.arange(4.0)[:, None])
+        calls = []
+
+        def f(y):
+            calls.append(y.shape)
+            raise ZeroDivisionError("not a vectorization failure")
+
+        with pytest.raises(ZeroDivisionError):
+            convolve(f, mu, [0.0])
+        assert calls == [(4, 1)]
 
 
 class TestEmpiricalMeasure:

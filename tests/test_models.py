@@ -7,6 +7,7 @@ from ddsde.models import (
     ModelBounds,
     _landau_drift_pairwise,
     _landau_sigma_pairwise,
+    _pair_weights,
     contraction_exponent_cc,
     contraction_exponent_tn,
     landau_a,
@@ -93,6 +94,25 @@ class TestLandauModel:
             sig = model.diffusion(0.0, x, mu)
             want_s = np.mean([landau_sigma0(x - beta * z, gamma) for z in zs], axis=0)
             assert np.allclose(sig, want_s, atol=1e-12)
+
+    @pytest.mark.parametrize("power", [0.125, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.0])
+    def test_pair_weights_match_coordinate_loop_bitwise(self, power, scale):
+        def coordinate_loop(x, z):
+            sz = scale * z
+            r2 = (x[:, 0, None] - sz[:, 0]) ** 2
+            for k in range(1, x.shape[1]):
+                r2 += (x[:, k, None] - sz[:, k]) ** 2
+            return r2 ** (power / 2.0)
+
+        rng = np.random.default_rng(6)
+        for m, n, d in ((300, 200, 3), (17, 5, 1), (9, 9, 2)):
+            x = rng.normal(size=(m, d))
+            # z = x[:n]: at scale 1, r = 0 lies on the diagonal.
+            w = _pair_weights(x, x[:n], scale, power)
+            assert w.tobytes() == coordinate_loop(x, x[:n]).tobytes()
+            if scale == 1.0:
+                assert np.all(np.diagonal(w) == 0.0)
 
     def test_linear_fast_path_matches_generic_pairwise(self):
         rng = np.random.default_rng(5)
