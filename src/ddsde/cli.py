@@ -87,6 +87,29 @@ def _reject_unknown(block: dict, allowed: set, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}{suggestion}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_init(init, where: str, dim: int) -> None:
+    """Reject an initial-law block that ``build_init`` could not build."""
+    if not isinstance(init, dict):
+        raise ConfigError(f"{where} must be an object, got {init!r}")
+    _reject_unknown(init, INIT_KEYS, f"{where} block")
+    if init.get("kind", "gaussian") not in ("point", "gaussian", "csv"):
+        raise ConfigError(f"unknown {where}.kind {init['kind']!r} (point, gaussian or csv)")
+    for key in ("value", "mean"):
+        if key in init:
+            values = init[key] if isinstance(init[key], list) else [init[key]]
+            if len(values) not in (1, dim) or not all(map(_is_number, values)):
+                raise ConfigError(f"{where}.{key} must be a number or a list of {dim} "
+                                  f"numbers, got {init[key]!r}")
+    if "std" in init and not (_is_number(init["std"]) and init["std"] > 0):
+        raise ConfigError(f"{where}.std must be a number > 0, got {init['std']!r}")
+    if init.get("kind") == "csv" and not os.path.isfile(str(init.get("path"))):
+        raise ConfigError(f"{where}.path must name a CSV file, got {init.get('path')!r}")
+
+
 def validate_config(cfg: dict) -> "ExperimentConfig":
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -109,14 +132,16 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
     for key in ("n_particles", "dt", "t_end", "seed"):
         if key not in sim:
             raise ConfigError(f"sim block missing required key {key!r}")
-    for key in ("n_particles", "dt", "t_end", "t_start", "seed"):
-        if key in sim and (isinstance(sim[key], bool)
-                           or not isinstance(sim[key], (int, float))):
+    for key in ("n_particles", "dt", "t_end", "t_start", "seed", "theta"):
+        if key in sim and not _is_number(sim[key]):
             raise ConfigError(f"sim.{key} must be a number, got {sim[key]!r}")
     if sim["dt"] <= 0 or sim["t_end"] <= sim.get("t_start", 0.0):
         raise ConfigError("sim block needs dt > 0 and t_end > t_start")
-    if "init" in sim:
-        _reject_unknown(sim["init"], INIT_KEYS, "sim.init block")
+    for key in ("n_particles", "seed"):
+        if not (isinstance(sim[key], int) or sim[key].is_integer()):
+            raise ConfigError(f"sim.{key} must be an integer, got {sim[key]!r}")
+    if sim["n_particles"] < 2 or sim.get("theta", 2.0) < 1:
+        raise ConfigError("sim block needs n_particles >= 2 and theta >= 1")
 
     exp = cfg["experiment"]
     etype = exp.get("type")
@@ -146,6 +171,10 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
         built = build_model(model)
     except (ValueError, TypeError) as err:
         raise ConfigError(f"model {name!r}: {err}") from None
+    if "init" in sim:
+        _check_init(sim["init"], "sim.init", built.dim)
+    if "init2" in exp:
+        _check_init(exp["init2"], "experiment.init2", built.dim)
     if etype in ("couple", "log_harnack"):
         try:
             harnack.CouplingConfig.from_model(built, horizon=sim["t_end"])
@@ -207,7 +236,7 @@ class RunReport:
 
 def _model_number(model_cfg: dict, key: str, default: float) -> float:
     value = model_cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ValueError(f"{key} must be a number, got {value!r}")
     return float(value)
 
@@ -252,9 +281,8 @@ def build_init(init_cfg: dict | None, dim: int, n: int, noise: NoiseSpec) -> Emp
             NoiseSpec(seed=stream.seed, dim=dim), np.arange(n), 0
         )
         return EmpiricalMeasure(pts)
-    if kind == "csv":
-        return EmpiricalMeasure.from_csv(init_cfg["path"]).resample(n)
-    raise ConfigError(f"unknown init kind {kind!r}")
+    # csv; validate_config admits no other kind
+    return EmpiricalMeasure.from_csv(init_cfg["path"]).resample(n)
 
 
 def _shift_vector(shift, dim: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from scipy.integrate import quad
 
 from .measure import EXACT_SIZE_LIMIT, EmpiricalMeasure, optimal_pairing
 from .models import CoefficientModel
-from .rng import NoiseSpec, normal_block
+from .rng import NoiseSpec, increments, normal_block  # noqa: F401 (perfbench reads it)
 from .sde import TimeGrid, apply_sigma, check_finite, em_step
 from .solver import evolve_states
 
@@ -124,11 +124,8 @@ def _sigma_and_inverse(model, t, states, mu):
     """Diffusion matrix at the given states and a solver for sigma^{-1} v."""
     sigma = np.asarray(model.diffusion(t, states, mu), dtype=np.float64)
     if sigma.ndim == 2:
-        if model.sigma_inverse is not None:
-            inv = model.sigma_inverse(t)
-        else:
-            inv = np.linalg.inv(sigma)
-        return sigma, lambda v: v @ inv.T
+        inv = model.sigma_inverse(t) if model.sigma_inverse is not None else np.linalg.inv(sigma)
+        return sigma, lambda v: apply_sigma(inv, v)
     return sigma, lambda v: np.linalg.solve(sigma, v[..., None])[..., 0]
 
 
@@ -162,10 +159,9 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
 
     w2_sq_initial = float(np.mean(np.sum((x - y) ** 2, axis=1)))
     xi = xi_schedule(config.horizon, config.kappa1)
-    traj = np.arange(m)
     dt = grid.dt
-    sqrt_dt = np.sqrt(dt)
     n = grid.n_steps
+    nu_dws = None if share_nu else increments(nu_noise, np.arange(m), n, np.sqrt(dt))
 
     log_r = np.zeros(m)
     gap_sq_pen = np.zeros(m)
@@ -180,7 +176,7 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
         }
         series["gap_q"][0] = w2_sq_initial
 
-    for k in range(n):
+    for k, dw in enumerate(increments(noise, np.arange(m), n, np.sqrt(dt))):
         t_k = grid.s + k * dt
         mu_k = EmpiricalMeasure(x)
         nu_k = mu_k if share_nu else EmpiricalMeasure(nu_states)
@@ -188,7 +184,6 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
 
         sigma_x, solve_x = _sigma_and_inverse(model, t_k, x, mu_k)
         u = solve_x(y - x)                      # sigma(X)^{-1} (Y - X)
-        dw = normal_block(noise, traj, k) * sqrt_dt
         if k == n - 1:
             gap_sq_pen = np.sum((x - y) ** 2, axis=1)
             r_pen = np.exp(log_r)
@@ -197,10 +192,7 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
         drift_x = model.drift(t_k, x, mu_k)
         if k < n - 1:
             sigma_y = np.asarray(model.diffusion(t_k, y, nu_k), dtype=np.float64)
-            if sigma_y.ndim == 2:
-                pull = -(u @ sigma_y.T) / xi_k
-            else:
-                pull = -np.einsum("mij,mj->mi", sigma_y, u) / xi_k
+            pull = -apply_sigma(sigma_y, u) / xi_k
             y = y + (model.drift(t_k, y, nu_k) + pull) * dt + apply_sigma(sigma_y, dw)
         x = x + drift_x * dt + apply_sigma(sigma_x, dw)
         if k == n - 1:
@@ -209,10 +201,9 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
         check_finite(y, k + 1, model.state_radius)
 
         if not share_nu:
-            dw_nu = normal_block(nu_noise, traj, k) * sqrt_dt
             drift_nu = model.drift(t_k, nu_states, nu_k)
             sigma_nu = np.asarray(model.diffusion(t_k, nu_states, nu_k), dtype=np.float64)
-            nu_states = nu_states + drift_nu * dt + apply_sigma(sigma_nu, dw_nu)
+            nu_states = nu_states + drift_nu * dt + apply_sigma(sigma_nu, next(nu_dws))
             check_finite(nu_states, k + 1, model.state_radius)
 
         if record_series:
@@ -526,17 +517,14 @@ def integration_by_parts_check(model: CoefficientModel, f, grad_f, v,
     v = np.asarray(v, dtype=np.float64)
     states = mu0.resample(n_samples).points.copy()
     m = states.shape[0]
-    traj = np.arange(m)
     dt = grid.dt
-    sqrt_dt = np.sqrt(dt)
     weight = np.zeros(m)
-    for k in range(grid.n_steps):
+    for k, dw in enumerate(increments(noise, np.arange(m), grid.n_steps, np.sqrt(dt))):
         t_k = grid.s + k * dt
         mu_k = EmpiricalMeasure(states)
-        dw = normal_block(noise, traj, k) * sqrt_dt
         gb = model.grad_b(t_k, states, mu_k, v)           # (M, d)
         direction = v[None, :] - (t_k - grid.s) * gb
-        weight += ((direction @ model.sigma_inverse(t_k).T) * dw).sum(axis=1)
+        weight += (apply_sigma(model.sigma_inverse(t_k), direction) * dw).sum(axis=1)
         states = em_step(model, t_k, states, mu_k, dt, dw)
         check_finite(states, k + 1, model.state_radius)
     weight /= (grid.t_end - grid.s)

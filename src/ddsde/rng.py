@@ -21,13 +21,21 @@ _M1 = _U64(0xBF58476D1CE4E5B9)
 _M2 = _U64(0x94D049BB133111EB)
 _INV53 = float(2.0 ** -53)
 
+# Draws per normal_block call made by ``increments``; bounds its uint64 scratch.
+BLOCK_DRAWS = 1 << 15
 
-def _mix(h: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: bijective uint64 -> uint64 with full avalanche."""
-    h = (h + _GOLDEN).astype(_U64)
-    h = (h ^ (h >> _U64(30))) * _M1
-    h = (h ^ (h >> _U64(27))) * _M2
-    return h ^ (h >> _U64(31))
+
+def _mix(h: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer (bijective, full avalanche), in place on an array ``h``."""
+    scratch = np.empty_like(h) if scratch is None else scratch
+    h += _GOLDEN
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(h, _U64(shift), out=scratch)
+        h ^= scratch
+        h *= mult
+    np.right_shift(h, _U64(31), out=scratch)
+    h ^= scratch
+    return h
 
 
 def derive_seed(seed: int, tag: int) -> int:
@@ -63,26 +71,54 @@ class NoiseSpec:
         return replace(self, seed=derive_seed(self.seed, tag), step0=0, traj0=0)
 
 
-def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step: int) -> np.ndarray:
-    """Standard-normal draws for the given trajectories at one step.
+def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step) -> np.ndarray:
+    """Standard-normal draws for the given trajectories at one step or several.
 
     Args:
         trajectories: integer array of trajectory indices, shape (M,).
-        step: local step index (the global index is ``noise.step0 + step``).
+        step: local step index (the global index is ``noise.step0 + step``),
+            or a 1-D array of K such indices.
 
     Returns:
-        (M, dim) array; row i depends only on (seed, traj0 + trajectories[i],
-        step0 + step, column).
+        (M, dim) array for a scalar step, (K, M, dim) for an array of steps;
+        row i of step k depends only on (seed, traj0 + trajectories[i],
+        step0 + k, column).
     """
     traj = np.asarray(trajectories, dtype=np.int64).astype(_U64) + _U64(noise.traj0)
-    comp = np.arange(noise.dim, dtype=np.uint64)
+    steps = np.asarray(step, dtype=np.int64).astype(_U64) + _U64(noise.step0)
+    h = np.empty(steps.shape + (traj.size, noise.dim), dtype=_U64)
+    scratch = np.empty_like(h)
     with np.errstate(over="ignore"):
-        h = _mix(_U64(noise.seed & 0xFFFFFFFFFFFFFFFF) ^ _U64(noise.step0 + step))
-        h = _mix(h ^ traj)[:, None]
-        h = _mix(h ^ comp[None, :])
+        key = _mix(_U64(noise.seed & 0xFFFFFFFFFFFFFFFF) ^ steps)
+        # The per-trajectory word is hashed once, in column 0, then spread.
+        np.bitwise_xor(key[..., None], traj, out=h[..., 0])
+        _mix(h[..., 0], scratch[..., 0])
+        h[..., 1:] = h[..., :1]
+        h ^= np.arange(noise.dim, dtype=_U64)
+        _mix(h, scratch)
     # 53-bit uniform strictly inside (0, 1): ndtri is finite at both ends.
-    u = ((h >> _U64(11)).astype(np.float64) + 0.5) * _INV53
-    return ndtri(u)
+    np.right_shift(h, _U64(11), out=h)
+    u = np.add(h, 0.5, out=scratch.view(np.float64))
+    u *= _INV53
+    return ndtri(u, out=u)
+
+
+def increments(noise: NoiseSpec, trajectories: np.ndarray, n_steps: int, scale):
+    """Yield ``normal_block(noise, trajectories, k) * scale`` for k < n_steps.
+
+    Draws at most BLOCK_DRAWS per call: many steps for a small ensemble, one
+    step in row chunks for a large one, with the bits of per-step calls.
+    """
+    traj = np.asarray(trajectories)
+    rows = max(1, BLOCK_DRAWS // noise.dim)
+    span = max(1, rows // traj.size)
+    for k0 in range(0, n_steps, span):
+        steps = np.arange(k0, min(k0 + span, n_steps))
+        parts = [normal_block(noise, traj[i:i + rows], steps)
+                 for i in range(0, traj.size, rows)]
+        block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        block *= scale
+        yield from block
 
 
 def gaussian_increment(noise: NoiseSpec, trajectory: int, step: int) -> np.ndarray:

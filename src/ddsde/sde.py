@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import EmpiricalMeasure
-from .rng import NoiseSpec, normal_block
+from .rng import NoiseSpec, increments
 
 
 class NumericalBlowupError(RuntimeError):
@@ -105,7 +105,7 @@ def _as_points(init, dim_hint: int | None = None) -> np.ndarray:
 def apply_sigma(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """sigma @ dw per trajectory; sigma is (d, d) shared or (M, d, d)."""
     if sigma.ndim == 2:
-        return dw @ sigma.T
+        return np.dot(dw, sigma.T)  # BLAS even for d = 1, where matmul is not
     return np.einsum("mij,mj->mi", sigma, dw)
 
 
@@ -149,15 +149,11 @@ def euler_maruyama(model, law, init, grid: TimeGrid, noise: NoiseSpec) -> PathEn
         raise ValueError(f"init dimension {d} != noise dim {noise.dim}")
     check_finite(states, 0, model.state_radius)
 
-    traj = np.arange(m)
     dt = grid.dt
-    sqrt_dt = np.sqrt(dt)
     out = np.empty((m, grid.n_nodes, d))
     out[:, 0, :] = states
-    for k in range(grid.n_steps):
-        t_k = grid.s + k * dt
-        dw = normal_block(noise, traj, k) * sqrt_dt
-        states = em_step(model, t_k, states, law.measure_at(k), dt, dw)
+    for k, dw in enumerate(increments(noise, np.arange(m), grid.n_steps, np.sqrt(dt))):
+        states = em_step(model, grid.s + k * dt, states, law.measure_at(k), dt, dw)
         check_finite(states, k + 1, model.state_radius)
         out[:, k + 1, :] = states
     out.flags.writeable = False  # ensembles are immutable once built

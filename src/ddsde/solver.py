@@ -18,7 +18,7 @@ import numpy as np
 
 from .measure import EmpiricalMeasure, optimal_pairing, transport_plan, wasserstein
 from .models import CoefficientModel
-from .rng import NoiseSpec, normal_block
+from .rng import NoiseSpec, increments, normal_block
 from .sde import PathEnsemble, TimeGrid, check_finite, em_step, euler_maruyama
 
 
@@ -231,12 +231,9 @@ def evolve_states(model: CoefficientModel, states: np.ndarray, t0: float,
     measure.  ``step0`` offsets the noise stream so chained calls consume
     exactly the increments of the matching global steps.
     """
-    traj = np.arange(states.shape[0])
-    sqrt_dt = np.sqrt(dt)
     ns = noise.with_step_offset(noise.step0 + step0)
-    for k in range(n_steps):
+    for k, dw in enumerate(increments(ns, np.arange(states.shape[0]), n_steps, np.sqrt(dt))):
         mu_k = EmpiricalMeasure(states)
-        dw = normal_block(ns, traj, k) * sqrt_dt
         states = em_step(model, t0 + k * dt, states, mu_k, dt, dw)
         check_finite(states, step0 + k + 1, model.state_radius)
     return states
@@ -260,14 +257,11 @@ def particle_solve(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGri
         raise ValueError(f"measure dimension {d} != noise dim {noise.dim}")
     check_finite(states, 0, model.state_radius)
 
-    traj = np.arange(n)
     dt = grid.dt
-    sqrt_dt = np.sqrt(dt)
     paths = np.empty((n, grid.n_nodes, d))
     paths[:, 0, :] = states
-    for k in range(grid.n_steps):
+    for k, dw in enumerate(increments(noise, np.arange(n), grid.n_steps, np.sqrt(dt))):
         mu_k = EmpiricalMeasure(states)
-        dw = normal_block(noise, traj, k) * sqrt_dt
         states = em_step(model, grid.s + k * dt, states, mu_k, dt, dw)
         check_finite(states, k + 1, model.state_radius)
         paths[:, k + 1, :] = states
@@ -337,15 +331,12 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     y = nu0.points[perm].copy()
 
     n, d = x.shape
-    traj = np.arange(n)
     dt = grid.dt
-    sqrt_dt = np.sqrt(dt)
     slot = {int(k): i for i, k in enumerate(nodes)}
     xs = np.empty((len(nodes), n, d))
     ys = np.empty((len(nodes), n, d))
     xs[0], ys[0] = x, y
-    for k in range(grid.n_steps):
-        dw = normal_block(noise, traj, k) * sqrt_dt
+    for k, dw in enumerate(increments(noise, np.arange(n), grid.n_steps, np.sqrt(dt))):
         t_k = grid.s + k * dt
         x = em_step(model, t_k, x, EmpiricalMeasure(x), dt, dw)
         y = em_step(model, t_k, y, EmpiricalMeasure(y), dt, dw)

@@ -176,9 +176,31 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
     ({"type": "simulate"}, {}, {"a": "fast"}, "a must be a number"),
     ({"type": "simulate"}, {}, {"name": "landau", "gamma": 0.5, "state_radius": "big"},
      "state_radius"),
+    ({"type": "simulate"}, {"init": {"kind": "gaussian", "std": "wide"}}, {}, "std"),
+    ({"type": "simulate"}, {"init": {"kind": "gaussian", "std": 0.0}}, {}, "std"),
+    ({"type": "simulate"}, {"init": {"kind": "point", "value": "x"}}, {}, "value"),
+    ({"type": "simulate"}, {"init": {"kind": "gaussian", "mean": [0.0, 1.0, 2.0]}}, {},
+     "mean"),
+    ({"type": "simulate"}, {"init": {"kind": "csv"}}, {}, "path"),
+    ({"type": "simulate"}, {"init": {"kind": "csv", "path": "no_such_points.csv"}}, {},
+     "no_such_points.csv"),
+    ({"type": "simulate"}, {"init": {"kind": "uniform"}}, {}, "uniform"),
+    ({"type": "simulate"}, {"init": "gaussian"}, {}, "sim.init must be an object"),
+    ({"type": "contract", "init2": {"kind": "gaussian", "mean": "far"}}, {}, {},
+     "experiment.init2.mean"),
+    ({"type": "contract", "init2": {"kind": "gaussian", "spread": 1.0}}, {}, {}, "spread"),
+    ({"type": "simulate"}, {"n_particles": 0}, {}, "n_particles"),
+    ({"type": "simulate"}, {"n_particles": 16.5}, {}, "n_particles"),
+    ({"type": "simulate"}, {"seed": 1.5}, {}, "seed"),
+    ({"type": "simulate"}, {"theta": 0.5}, {}, "theta"),
+    ({"type": "simulate"}, {"theta": "2"}, {}, "theta"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
-        "linear_a_string", "landau_state_radius_string"])
+        "linear_a_string", "landau_state_radius_string",
+        "init_std_string", "init_std_zero", "init_value_string", "init_mean_size",
+        "init_csv_no_path", "init_csv_missing_file", "init_unknown_kind", "init_not_object",
+        "init2_mean_string", "init2_unknown_key", "n_particles_zero",
+        "n_particles_fraction", "seed_fraction", "theta_below_one", "theta_string"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, experiment,
                                                       sim_update, model_update, named):
     cfg = small_simulate_config(tmp_path / "out", experiment=experiment)

@@ -1,6 +1,17 @@
-import numpy as np
+import hashlib
 
-from ddsde.rng import NoiseSpec, derive_seed, gaussian_increment, normal_block
+import numpy as np
+import pytest
+
+from ddsde import rng
+from ddsde.rng import (
+    BLOCK_DRAWS,
+    NoiseSpec,
+    derive_seed,
+    gaussian_increment,
+    increments,
+    normal_block,
+)
 
 
 def test_same_stream_is_bitwise_identical():
@@ -64,7 +75,67 @@ def test_substream_is_reproducible_and_distinct():
 
 
 def test_dim_validation():
-    import pytest
-
     with pytest.raises(ValueError):
         NoiseSpec(seed=1, dim=0)
+
+
+# sha256 of normal_block(...).tobytes() (little-endian float64), recorded before
+# normal_block learned to draw several steps at once; any drift of the hash,
+# the uniform mapping or the trajectory/step addressing changes them.
+GOLDEN = [
+    ((7, 1, 0, 0), np.arange(5), 0,
+     "110d0fcab2a17dc166dc16b4c432790cd9180dbf0547807cdd7aef22a8ecded4"),
+    ((7, 3, 0, 0), np.arange(5), 0,
+     "f1775c300886083e1e0d3d9e7d680f01cd8b8989ec479993e7dc30a7a5420da9"),
+    ((2024, 1, 1000, 17), np.array([0, 3, 99, 4096]), 12,
+     "9ba4780d9f5308cc369bf75695a87fc6cb295f60e690c5694d435a7f191bf6a4"),
+    ((2024, 3, 1000, 17), np.array([0, 3, 99, 4096]), 12,
+     "5208a0aaeaee0662e8019730499aab43969ffed026f45ab37050b47da3c88812"),
+    ((2 ** 64 - 1, 3, 2 ** 40, 2 ** 33), np.arange(257), 999,
+     "f38d1d7eb58f8652e428809c661a1332cc7cbc6d3f716722d3981fc5e0a557b9"),
+]
+
+
+@pytest.mark.parametrize("spec, traj, step, digest", GOLDEN)
+def test_stream_matches_golden_hash(spec, traj, step, digest):
+    seed, dim, step0, traj0 = spec
+    block = normal_block(NoiseSpec(seed=seed, dim=dim, step0=step0, traj0=traj0), traj, step)
+    assert block.shape == (len(traj), dim)
+    assert hashlib.sha256(block.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_array_of_steps_stacks_scalar_steps(dim):
+    noise = NoiseSpec(seed=31, dim=dim, step0=5, traj0=2)
+    traj = np.array([4, 0, 17, 3])
+    steps = np.array([0, 1, 7, 2, 40])
+    block = normal_block(noise, traj, steps)
+    assert block.shape == (len(steps), len(traj), dim)
+    for row, k in zip(block, steps):
+        assert row.tobytes() == normal_block(noise, traj, int(k)).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("m", [1, 7, 256, 3 * BLOCK_DRAWS + 5])
+def test_increments_match_per_step_draws(m, dim, monkeypatch):
+    noise = NoiseSpec(seed=8, dim=dim, step0=11, traj0=3)
+    traj = np.arange(m)
+    scale = np.sqrt(0.01)
+    # Steps per normal_block call (1 for the large M); 2 blocks and a remainder.
+    span = max(1, BLOCK_DRAWS // dim // m)
+    n_steps = 2 * span + 3 if span > 1 else 3
+    sizes = []
+
+    def counted(*args):
+        block = normal_block(*args)
+        sizes.append(block.size)
+        return block
+
+    monkeypatch.setattr(rng, "normal_block", counted)
+    drawn = list(increments(noise, traj, n_steps, scale))
+    assert len(drawn) == n_steps
+    assert sum(sizes) == n_steps * m * dim and max(sizes) <= BLOCK_DRAWS
+    assert len(sizes) == -(-n_steps // span) * -(-m // (BLOCK_DRAWS // dim))
+    for k in sorted({0, span - 1, span, n_steps - 1}):
+        assert drawn[k].shape == (m, dim)
+        assert drawn[k].tobytes() == (normal_block(noise, traj, k) * scale).tobytes()

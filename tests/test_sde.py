@@ -4,7 +4,13 @@ import pytest
 from ddsde.measure import EmpiricalMeasure
 from ddsde.models import CoefficientModel, ModelBounds, landau_model, linear_meanfield_model
 from ddsde.rng import NoiseSpec
-from ddsde.sde import NumericalBlowupError, TimeGrid, euler_maruyama, synchronous_pair
+from ddsde.sde import (
+    NumericalBlowupError,
+    TimeGrid,
+    apply_sigma,
+    euler_maruyama,
+    synchronous_pair,
+)
 from ddsde.solver import LawCurve, particle_solve
 
 from helpers import fit_slope
@@ -200,3 +206,15 @@ def test_law_grid_mismatch_rejected():
     law = constant_law([0.0], 4, TimeGrid(0.0, 1.0, 50))
     with pytest.raises(ValueError, match="grid"):
         euler_maruyama(model, law, np.zeros((4, 1)), grid, noise)
+
+
+@pytest.mark.parametrize("m", [1, 256, 100_000])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_apply_sigma_matches_matmul_bitwise(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    dw = rng.standard_normal((m, d))
+    shared = rng.standard_normal((d, d))
+    assert apply_sigma(shared, dw).tobytes() == (dw @ shared.T).tobytes()
+    stacked = rng.standard_normal((m, d, d))
+    reference = np.einsum("mij,mj->mi", stacked, dw)
+    assert apply_sigma(stacked, dw).tobytes() == reference.tobytes()
