@@ -51,6 +51,9 @@ MODEL_PARAM_KEYS = {
 
 SIM_KEYS = {"n_particles", "dt", "t_end", "t_start", "seed", "theta", "init"}
 INIT_KEYS = {"kind", "value", "mean", "std", "path"}
+SIM_NUMBERS = ("n_particles", "dt", "t_end", "t_start", "seed", "theta")
+EXPERIMENT_NUMBERS = ("moment_p", "max_iter", "tol", "windows", "slope_tolerance",
+                      "burn_in", "check_horizon", "weight_clip", "f_min", "p")
 OUTPUT_KEYS = {"directory", "formats"}
 TOP_KEYS = {"model", "sim", "experiment", "output"}
 
@@ -91,6 +94,24 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _check_numbers(block: dict, where: str, keys, integers) -> None:
+    for key in keys:
+        if key in block and not _is_number(block[key]):
+            raise ConfigError(f"{where}.{key} must be a number, got {block[key]!r}")
+    for key in integers:
+        if key in block and not (isinstance(block[key], int) or block[key].is_integer()):
+            raise ConfigError(f"{where}.{key} must be an integer, got {block[key]!r}")
+
+
+def _vector(value, where: str, dim: int) -> list:
+    """``value`` as a list of 1 or ``dim`` numbers; a config error otherwise."""
+    values = value if isinstance(value, list) else [value]
+    if len(values) not in (1, dim) or not all(map(_is_number, values)):
+        raise ConfigError(f"{where} must be a number or a list of {dim} numbers, "
+                          f"got {value!r}")
+    return values
+
+
 def _check_init(init, where: str, dim: int) -> None:
     """Reject an initial-law block that ``build_init`` could not build."""
     if not isinstance(init, dict):
@@ -100,10 +121,7 @@ def _check_init(init, where: str, dim: int) -> None:
         raise ConfigError(f"unknown {where}.kind {init['kind']!r} (point, gaussian or csv)")
     for key in ("value", "mean"):
         if key in init:
-            values = init[key] if isinstance(init[key], list) else [init[key]]
-            if len(values) not in (1, dim) or not all(map(_is_number, values)):
-                raise ConfigError(f"{where}.{key} must be a number or a list of {dim} "
-                                  f"numbers, got {init[key]!r}")
+            _vector(init[key], f"{where}.{key}", dim)
     if "std" in init and not (_is_number(init["std"]) and init["std"] > 0):
         raise ConfigError(f"{where}.std must be a number > 0, got {init['std']!r}")
     if init.get("kind") == "csv" and not os.path.isfile(str(init.get("path"))):
@@ -117,10 +135,13 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
     for block in ("model", "sim", "experiment"):
         if block not in cfg:
             raise ConfigError(f"missing required block {block!r}")
+    for block, value in cfg.items():
+        if not isinstance(value, dict):
+            raise ConfigError(f"{block} block must be an object, got {value!r}")
 
     model = cfg["model"]
     name = model.get("name")
-    if name not in MODEL_PARAM_KEYS:
+    if not isinstance(name, str) or name not in MODEL_PARAM_KEYS:
         raise ConfigError(
             f"unknown model {name!r}; available: {sorted(MODEL_PARAM_KEYS)}"
         )
@@ -132,25 +153,21 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
     for key in ("n_particles", "dt", "t_end", "seed"):
         if key not in sim:
             raise ConfigError(f"sim block missing required key {key!r}")
-    for key in ("n_particles", "dt", "t_end", "t_start", "seed", "theta"):
-        if key in sim and not _is_number(sim[key]):
-            raise ConfigError(f"sim.{key} must be a number, got {sim[key]!r}")
+    _check_numbers(sim, "sim", SIM_NUMBERS, ("n_particles", "seed"))
     if sim["dt"] <= 0 or sim["t_end"] <= sim.get("t_start", 0.0):
         raise ConfigError("sim block needs dt > 0 and t_end > t_start")
-    for key in ("n_particles", "seed"):
-        if not (isinstance(sim[key], int) or sim[key].is_integer()):
-            raise ConfigError(f"sim.{key} must be an integer, got {sim[key]!r}")
     if sim["n_particles"] < 2 or sim.get("theta", 2.0) < 1:
         raise ConfigError("sim block needs n_particles >= 2 and theta >= 1")
 
     exp = cfg["experiment"]
     etype = exp.get("type")
-    if etype not in EXPERIMENT_KEYS:
+    if not isinstance(etype, str) or etype not in EXPERIMENT_KEYS:
         hint = difflib.get_close_matches(str(etype), EXPERIMENT_KEYS, n=1)
         suggestion = f" (did you mean {hint[0]!r}?)" if hint else ""
         raise ConfigError(f"unknown experiment type {etype!r}{suggestion}")
     _reject_unknown({k: v for k, v in exp.items() if k != "type"},
                     EXPERIMENT_KEYS[etype], f"experiment block for {etype!r}")
+    _check_numbers(exp, "experiment", EXPERIMENT_NUMBERS, ("max_iter", "windows"))
     if "f" in exp:
         table = harnack.IBP_FUNCTIONS if etype == "ibp" else harnack.TEST_FUNCTIONS
         if not isinstance(exp["f"], str) or exp["f"] not in table:
@@ -158,7 +175,7 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
                               f"available: {sorted(table)}")
     if etype == "bounds":
         quantity = exp.get("quantity")
-        if quantity not in BOUNDS_PARAMS:
+        if not isinstance(quantity, str) or quantity not in BOUNDS_PARAMS:
             raise ConfigError(f"unknown bounds quantity {quantity!r}; "
                               f"available: {sorted(BOUNDS_PARAMS)}")
         params = exp.get("params", {})
@@ -175,18 +192,31 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
         _check_init(sim["init"], "sim.init", built.dim)
     if "init2" in exp:
         _check_init(exp["init2"], "experiment.init2", built.dim)
-    if etype in ("couple", "log_harnack"):
-        try:
+    for key in ("shift", "v"):
+        if key in exp:
+            _shift_vector(exp[key], built.dim, key)
+    grid = _time_grid(sim)
+    window = exp.get("fit_window")
+    if window is not None and not (isinstance(window, list) and len(window) == 2
+                                   and all(map(_is_number, window))):
+        raise ConfigError(f"experiment.fit_window must be a list of two numbers, got {window!r}")
+    try:
+        if etype in ("couple", "log_harnack"):
             harnack.CouplingConfig.from_model(built, horizon=sim["t_end"])
-        except ValueError as err:
-            raise ConfigError(f"{etype!r} experiment: {err}") from None
+        if etype == "picard":
+            solver.window_steps(grid, int(exp.get("windows", 1)))
+        if window is not None:
+            solver._w2_nodes(grid, tuple(window))
+    except ValueError as err:
+        raise ConfigError(f"{etype!r} experiment: {err}") from None
 
     out = cfg.get("output", {})
     _reject_unknown(out, OUTPUT_KEYS, "output block")
     formats = out.get("formats", ["json", "csv"])
-    bad = set(formats) - {"json", "csv"}
-    if bad:
-        raise ConfigError(f"unknown output formats {sorted(bad)}")
+    if not isinstance(formats, list) or not all(f in ("json", "csv") for f in formats):
+        raise ConfigError(f"output.formats must be a list of 'json' and 'csv', got {formats!r}")
+    if not isinstance(out.get("directory", "."), str):
+        raise ConfigError(f"output.directory must be a string, got {out['directory']!r}")
     return ExperimentConfig(model=model, sim=sim, experiment=exp, output=out)
 
 
@@ -285,15 +315,15 @@ def build_init(init_cfg: dict | None, dim: int, n: int, noise: NoiseSpec) -> Emp
     return EmpiricalMeasure.from_csv(init_cfg["path"]).resample(n)
 
 
-def _shift_vector(shift, dim: int) -> np.ndarray:
+def _time_grid(sim: dict) -> TimeGrid:
+    t0, t_end = float(sim.get("t_start", 0.0)), float(sim["t_end"])
+    return TimeGrid(t0, t_end, max(1, round((t_end - t0) / float(sim["dt"]))))
+
+
+def _shift_vector(shift, dim: int, key: str) -> np.ndarray:
+    values = _vector(shift, f"experiment.{key}", dim)
     v = np.zeros(dim)
-    arr = np.atleast_1d(np.asarray(shift, dtype=np.float64))
-    if arr.size == 1:
-        v[0] = arr[0]     # scalar shift lands in the first coordinate
-    elif arr.size == dim:
-        v[:] = arr
-    else:
-        raise ConfigError(f"shift has size {arr.size}, expected 1 or {dim}")
+    v[:len(values)] = values     # a scalar shift lands in the first coordinate
     return v
 
 
@@ -301,8 +331,7 @@ def _second_init(exp: dict, mu0: EmpiricalMeasure, dim: int, n: int,
                  noise: NoiseSpec) -> EmpiricalMeasure:
     if "init2" in exp:
         return build_init(exp["init2"], dim, n, noise.substream(0xB0B))
-    shift = exp.get("shift", 1.0)
-    return mu0.shifted(_shift_vector(shift, dim))
+    return mu0.shifted(_shift_vector(exp.get("shift", 1.0), dim, "shift"))
 
 
 def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -323,9 +352,8 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
     model = build_model(cfg.model)
     n = int(sim["n_particles"])
     dt = float(sim["dt"])
-    t0 = float(sim.get("t_start", 0.0))
     t_end = float(sim["t_end"])
-    grid = TimeGrid(t0, t_end, max(1, round((t_end - t0) / dt)))
+    grid = _time_grid(sim)
     noise = NoiseSpec(seed=int(sim["seed"]), dim=model.dim)
     mu0 = build_init(sim.get("init"), model.dim, n, noise)
     csv_on = "csv" in formats
@@ -460,7 +488,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
 
     if etype == "shift_harnack":
         f = harnack.TEST_FUNCTIONS[exp.get("f", "one_plus_tanh")]
-        v = _shift_vector(exp.get("v", 0.5), model.dim)
+        v = _shift_vector(exp.get("v", 0.5), model.dim, "v")
         result = harnack.shift_coupling_verify(
             model, f, v, mu0,
             p=float(exp.get("p", 2.0)),
@@ -477,7 +505,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
     if etype == "ibp":
         fname = exp.get("f", "linear")
         f, grad_f = harnack.IBP_FUNCTIONS[fname]
-        v = _shift_vector(exp.get("v", 1.0), model.dim)
+        v = _shift_vector(exp.get("v", 1.0), model.dim, "v")
         result = harnack.integration_by_parts_check(
             model, f, grad_f, v, mu0, grid, noise, n
         )

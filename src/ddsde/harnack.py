@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .measure import EXACT_SIZE_LIMIT, EmpiricalMeasure, optimal_pairing
+from .measure import EmpiricalMeasure, optimal_pairing
 from .models import CoefficientModel
 from .rng import NoiseSpec, increments, normal_block  # noqa: F401 (perfbench reads it)
 from .sde import TimeGrid, apply_sigma, check_finite, em_step
@@ -316,18 +316,11 @@ class LogHarnackResult:
 
 def coupled_pairs_from_measures(mu0: EmpiricalMeasure, nu0: EmpiricalMeasure,
                                 n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M, d) initial pairs realizing (approximately) the optimal coupling.
-
-    Uses the exact transport pairing whenever the assignment is feasible;
-    past the size limit the ensembles are paired by index, which is exact
-    when nu0 is a translate of mu0 (the bundled verification setups).
-    """
+    """(M, d) initial pairs realizing the optimal W2 coupling of the resampled laws."""
     x0 = mu0.resample(n_samples)
     y0 = nu0.resample(n_samples)
-    if n_samples <= EXACT_SIZE_LIMIT or mu0.dim == 1:
-        perm = optimal_pairing(x0, y0, theta=2.0)
-        return x0.points.copy(), y0.points[perm].copy()
-    return x0.points.copy(), y0.points.copy()
+    perm = optimal_pairing(x0, y0, theta=2.0)
+    return x0.points.copy(), y0.points[perm].copy()
 
 
 def verify_log_harnack(model: CoefficientModel, f, mu0: EmpiricalMeasure,

@@ -1,8 +1,9 @@
 """Empirical measures and optimal-transport distances between them.
 
 Every law in this suite is an ensemble of N equally weighted points, so the
-exact W_theta distance is an assignment problem; an entropic (Sinkhorn)
-approximation takes over past the O(N^3) cost wall.
+W_theta distance between two of them is exact at every N: the monotone
+rearrangement (a sort) in one dimension, and an assignment problem, solved
+in O(N^3) time and N^2 memory, in higher dimensions.
 """
 
 from __future__ import annotations
@@ -12,12 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
-
-# Exact assignment above this size is too slow; switch to entropic transport.
-EXACT_SIZE_LIMIT = 512
-SINKHORN_MARGINAL_TOL = 1e-8
-SINKHORN_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,7 @@ class EmpiricalMeasure:
         if n == self.n:
             return self
         if n < self.n:
-            return EmpiricalMeasure(self.points[_strided_indices(self.n, n)])
+            return EmpiricalMeasure(self.points[(np.arange(n) * self.n) // n])
         reps = -(-n // self.n)
         return EmpiricalMeasure(np.tile(self.points, (reps, 1))[:n])
 
@@ -77,33 +72,20 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Coupling between two equal-size empirical measures.
+    """Optimal coupling between two equal-size empirical measures.
 
-    Exact solutions store the optimal permutation (row i of mu pairs with
-    ``permutation[i]`` of nu); entropic solutions store the dense coupling.
+    Row i of mu pairs with ``permutation[i]`` of nu.
     """
 
     cost: float          # transported cost: mean |x - y|^theta under the plan
     theta: float
-    permutation: np.ndarray | None = None
-    matrix: np.ndarray | None = None   # rows/cols sum to 1/N
-    eps: float | None = None           # entropic regularization, if any
+    permutation: np.ndarray
+    # Read by perfbench/spans.py, which counts plans with a dense coupling; always None.
+    matrix = None
 
     @property
     def distance(self) -> float:
         return float(self.cost) ** (1.0 / self.theta)
-
-    def marginal_violation(self) -> float:
-        if self.matrix is None:
-            return 0.0
-        n, m = self.matrix.shape
-        row = np.abs(self.matrix.sum(axis=1) - 1.0 / n).max()
-        col = np.abs(self.matrix.sum(axis=0) - 1.0 / m).max()
-        return float(max(row, col))
-
-
-def _strided_indices(n_from: int, n_to: int) -> np.ndarray:
-    return (np.arange(n_to) * n_from) // n_to
 
 
 def _cost_matrix(x: np.ndarray, y: np.ndarray, theta: float) -> np.ndarray:
@@ -115,8 +97,17 @@ def _cost_matrix(x: np.ndarray, y: np.ndarray, theta: float) -> np.ndarray:
     return d
 
 
-def _exact_plan(x: np.ndarray, y: np.ndarray, theta: float) -> TransportPlan:
-    if x.shape[1] == 1:
+def transport_plan(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
+                   theta: float = 2.0) -> TransportPlan:
+    """Optimal coupling between two empirical measures of equal size."""
+    if mu.dim != nu.dim:
+        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
+    if mu.n != nu.n:
+        raise ValueError(f"size mismatch: {mu.n} vs {nu.n} points; resample one first")
+    if theta < 1:
+        raise ValueError(f"theta must be >= 1, got {theta}")
+    x, y = mu.points, nu.points
+    if mu.dim == 1:
         # In one dimension the monotone rearrangement is optimal for any
         # convex cost |x - y|^theta, theta >= 1.
         ix = np.argsort(x[:, 0], kind="stable")
@@ -132,80 +123,15 @@ def _exact_plan(x: np.ndarray, y: np.ndarray, theta: float) -> TransportPlan:
     return TransportPlan(cost=float(c[rows, cols].mean()), theta=theta, permutation=perm)
 
 
-def _sinkhorn_plan(x: np.ndarray, y: np.ndarray, theta: float,
-                   eps: float | None) -> TransportPlan:
-    """Log-domain Sinkhorn with uniform weights.
-
-    Iterates until the free marginal is within SINKHORN_MARGINAL_TOL of 1/N
-    or the iteration cap is reached; the returned (feasible up to that
-    tolerance) plan's cost upper-bounds the exact optimum.
-    """
-    c = _cost_matrix(x, y, theta)
-    if eps is None:
-        med = float(np.median(c))
-        eps = 0.05 * med if med > 0 else 1e-6
-    n, m = c.shape
-    log_a = -np.log(n)
-    log_b = -np.log(m)
-    f = np.zeros(n)
-    g = np.zeros(m)
-    for _ in range(SINKHORN_MAX_ITER):
-        f = -eps * logsumexp((g[None, :] - c) / eps + log_b, axis=1)
-        g = -eps * logsumexp((f[:, None] - c) / eps + log_a, axis=0)
-        log_p = (f[:, None] + g[None, :] - c) / eps + log_a + log_b
-        row_violation = np.abs(np.exp(logsumexp(log_p, axis=1)) - 1.0 / n).max()
-        if row_violation < SINKHORN_MARGINAL_TOL:
-            break
-    p = np.exp(log_p)
-    return TransportPlan(cost=float((p * c).sum()), theta=theta, matrix=p, eps=eps)
-
-
-def transport_plan(mu: EmpiricalMeasure, nu: EmpiricalMeasure, theta: float = 2.0,
-                   method: str = "auto", eps: float | None = None) -> TransportPlan:
-    """Optimal (or entropic) coupling between two empirical measures.
-
-    Ensembles of unequal size are first made comparable by strided
-    subsampling of the larger one (a documented, deterministic
-    approximation).
-    """
-    if mu.dim != nu.dim:
-        raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if theta < 1:
-        raise ValueError(f"theta must be >= 1, got {theta}")
-    x, y = mu.points, nu.points
-    if len(x) != len(y):
-        # unequal ensembles: strided-subsample the larger one (a documented,
-        # deterministic approximation that keeps the assignment square)
-        n = min(len(x), len(y))
-        x = x[_strided_indices(len(x), n)]
-        y = y[_strided_indices(len(y), n)]
-    if method == "auto":
-        method = "exact" if (mu.dim == 1 or len(x) <= EXACT_SIZE_LIMIT) else "entropic"
-    if method == "exact":
-        if len(x) != len(y):
-            raise ValueError(f"exact method needs equal sizes, got {len(x)} and {len(y)}")
-        return _exact_plan(x, y, theta)
-    if method == "entropic":
-        return _sinkhorn_plan(x, y, theta, eps)
-    raise ValueError(f"unknown method {method!r} (expected exact|entropic|auto)")
-
-
-def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, theta: float = 2.0,
-                method: str = "auto", eps: float | None = None) -> float:
-    """W_theta between two empirical measures.
-
-    Exact mode returns the true optimum over pairings; entropic mode an
-    upper-biased Sinkhorn approximation with regularization ``eps``
-    (default 0.05 x median pairwise cost).
-    """
-    return transport_plan(mu, nu, theta=theta, method=method, eps=eps).distance
+def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, theta: float = 2.0) -> float:
+    """Exact W_theta between two empirical measures of equal size."""
+    return transport_plan(mu, nu, theta=theta).distance
 
 
 def optimal_pairing(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
                     theta: float = 2.0) -> np.ndarray:
     """Permutation realizing W_theta: point i of mu pairs with perm[i] of nu."""
-    plan = transport_plan(mu, nu, theta=theta, method="exact")
-    return plan.permutation
+    return transport_plan(mu, nu, theta=theta).permutation
 
 
 def moment(mu: EmpiricalMeasure, p: float) -> float:

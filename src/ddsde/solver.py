@@ -145,8 +145,7 @@ def _sup_wasserstein(a: LawCurve, b: LawCurve, theta: float) -> float:
         if perm is not None and _pairing_cost(
                 a.states[k], b.states[k][perm], theta) * (1.0 + PRUNE_SLACK) <= best_cost:
             continue
-        plan = transport_plan(a.measure_at(k), b.measure_at(k), theta=theta,
-                              method="exact")
+        plan = transport_plan(a.measure_at(k), b.measure_at(k), theta=theta)
         perm = plan.permutation
         if plan.cost > best_cost:
             best_cost, best = plan.cost, plan.distance
@@ -195,6 +194,15 @@ def picard_solve(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGrid,
     )
 
 
+def window_steps(grid: TimeGrid, windows: int) -> int:
+    """Steps per window of ``picard_chain``; the windows must divide the grid."""
+    if windows < 1 or grid.n_steps % windows != 0:
+        raise ValueError(
+            f"windows must divide n_steps, got {windows} and {grid.n_steps}"
+        )
+    return grid.n_steps // windows
+
+
 def picard_chain(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGrid,
                  noise: NoiseSpec, windows: int, max_iter: int = 20,
                  tol: float = 1e-3, theta: float | None = None) -> list[PicardReport]:
@@ -206,11 +214,7 @@ def picard_chain(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGrid,
     scheme.  Window boundaries fall on grid nodes; each window consumes the
     noise streams of its global step range.
     """
-    if windows < 1 or grid.n_steps % windows != 0:
-        raise ValueError(
-            f"windows must divide n_steps, got {windows} and {grid.n_steps}"
-        )
-    steps = grid.n_steps // windows
+    steps = window_steps(grid, windows)
     reports = []
     mu = mu0
     for j in range(windows):
@@ -346,8 +350,7 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
             xs[slot[k + 1]], ys[slot[k + 1]] = x, y
 
     def w2_at(i):
-        return wasserstein(EmpiricalMeasure(xs[i]), EmpiricalMeasure(ys[i]),
-                           theta=2.0, method="exact")
+        return wasserstein(EmpiricalMeasure(xs[i]), EmpiricalMeasure(ys[i]), theta=2.0)
 
     w2 = np.asarray(_thread_map(w2_at, range(len(nodes)), threads))
     w2_sq = w2 * w2

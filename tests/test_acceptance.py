@@ -301,8 +301,7 @@ def test_criterion_11_transport_oracle():
         theta = float(rng.choice([1.0, 2.0]))
         x = rng.normal(size=(n, d))
         y = rng.normal(size=(n, d))
-        got = wasserstein(EmpiricalMeasure(x), EmpiricalMeasure(y),
-                          theta=theta, method="exact")
+        got = wasserstein(EmpiricalMeasure(x), EmpiricalMeasure(y), theta=theta)
         want = brute_force_wasserstein(x, y, theta)
         worst = max(worst, abs(got - want))
         count += 1

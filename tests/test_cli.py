@@ -194,18 +194,40 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
     ({"type": "simulate"}, {"seed": 1.5}, {}, "seed"),
     ({"type": "simulate"}, {"theta": 0.5}, {}, "theta"),
     ({"type": "simulate"}, {"theta": "2"}, {}, "theta"),
+    ({"type": ["simulate"]}, {}, {}, "unknown experiment type"),
+    ({"type": "simulate"}, {}, {"name": ["landau"]}, "unknown model"),
+    ({"type": "bounds", "quantity": ["cc"], "params": {}}, {}, {}, "unknown bounds quantity"),
+    ({"type": "simulate"}, {}, ["linear_meanfield"], "model block must be an object"),
+    ({"type": "simulate"}, 3, {}, "sim block must be an object"),
+    ("simulate", {}, {}, "experiment block must be an object"),
+    ({"type": "contract", "shift": [1.0, 2.0]}, {}, {}, "experiment.shift"),
+    ({"type": "shift_harnack", "v": [1, 2, 3]}, {}, {}, "experiment.v"),
+    ({"type": "ibp", "v": "x"}, {}, {}, "experiment.v"),
+    ({"type": "picard", "windows": 7}, {}, {}, "windows must divide"),
+    ({"type": "picard", "windows": 2.5}, {}, {}, "experiment.windows"),
+    ({"type": "picard", "max_iter": "x"}, {}, {}, "experiment.max_iter"),
+    ({"type": "contract", "fit_window": [0.421, 0.429]}, {}, {}, "fewer than two grid nodes"),
+    ({"type": "contract", "fit_window": 0.5}, {}, {}, "experiment.fit_window"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
         "init_std_string", "init_std_zero", "init_value_string", "init_mean_size",
         "init_csv_no_path", "init_csv_missing_file", "init_unknown_kind", "init_not_object",
         "init2_mean_string", "init2_unknown_key", "n_particles_zero",
-        "n_particles_fraction", "seed_fraction", "theta_below_one", "theta_string"])
+        "n_particles_fraction", "seed_fraction", "theta_below_one", "theta_string",
+        "type_list", "model_name_list", "bounds_quantity_list", "model_not_object",
+        "sim_not_object", "experiment_not_object", "shift_size", "v_size", "v_string",
+        "windows_not_dividing", "windows_fraction", "max_iter_string",
+        "fit_window_empty", "fit_window_not_pair"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, experiment,
                                                       sim_update, model_update, named):
     cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
-    cfg["sim"].update(sim_update)
-    if "name" in model_update:  # another model family replaces the whole block
+    if isinstance(sim_update, dict):
+        cfg["sim"].update(sim_update)
+    else:  # a malformed block replaces the whole one
+        cfg["sim"] = sim_update
+    if not isinstance(model_update, dict) or "name" in model_update:
+        # another model family, or a malformed block, replaces the whole block
         cfg["model"] = model_update
     else:
         cfg["model"].update(model_update)
@@ -215,6 +237,24 @@ def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, experime
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("output, named", [
+    ({"formats": 5}, "output.formats"),
+    ({"formats": ["json", "yaml"]}, "output.formats"),
+    ({"directory": 5}, "output.directory"),
+    ("out", "output block must be an object"),
+], ids=["formats_number", "formats_unknown", "directory_number", "output_not_object"])
+def test_malformed_output_block_exits_one(tmp_path, capsys, output, named):
+    cfg = small_simulate_config(tmp_path / "out")
+    if isinstance(output, dict):
+        cfg["output"].update(output)
+    else:
+        cfg["output"] = output
+    assert main(["run", write_config(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
     assert not (tmp_path / "out").exists()
 
 

@@ -464,6 +464,16 @@ class TestCoupledPairs:
         paired = float(np.mean(np.sum((x0 - y0) ** 2, axis=1)))
         assert paired == pytest.approx(wasserstein(mu, nu, theta=2.0) ** 2, rel=1e-9)
 
+    def test_exact_pairing_not_a_translate(self):
+        # Past the old 512-point limit, and nu is no translate of mu: an index
+        # pairing would overstate W2^2 several times over.
+        rng = np.random.default_rng(5)
+        mu = EmpiricalMeasure(rng.normal(size=(600, 2)))
+        nu = EmpiricalMeasure(rng.normal(size=(600, 2)) * [2.0, 0.5] + 1.0)
+        x0, y0 = coupled_pairs_from_measures(mu, nu, 600)
+        paired = float(np.mean(np.sum((x0 - y0) ** 2, axis=1)))
+        assert paired == pytest.approx(wasserstein(mu, nu, theta=2.0) ** 2, rel=1e-9)
+
     def test_simulate_coupled_reproducible(self):
         model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
         config = CouplingConfig.from_model(model, horizon=0.5)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from ddsde.measure import (
@@ -8,7 +9,6 @@ from ddsde.measure import (
     convolve,
     moment,
     optimal_pairing,
-    transport_plan,
     wasserstein,
 )
 
@@ -62,32 +62,21 @@ class TestWasserstein:
         nu = EmpiricalMeasure(rng.normal(size=(16, 2)))
         assert wasserstein(mu, nu, 1.0) <= wasserstein(mu, nu, 2.0) + 1e-12
 
-    def test_entropic_upper_bias_and_convergence(self):
-        rng = np.random.default_rng(5)
-        mu = EmpiricalMeasure(rng.normal(size=(12, 2)))
-        nu = EmpiricalMeasure(rng.normal(size=(12, 2)))
-        exact = wasserstein(mu, nu, method="exact")
-        gaps = []
-        for eps in (0.5, 0.05, 0.005):
-            ent = wasserstein(mu, nu, method="entropic", eps=eps)
-            assert ent >= exact - 1e-9
-            gaps.append(ent - exact)
-        assert gaps[-1] < gaps[0]
-        assert gaps[-1] < 0.05
-
-    def test_sinkhorn_marginals_feasible(self):
-        rng = np.random.default_rng(8)
-        mu = EmpiricalMeasure(rng.normal(size=(30, 2)))
-        nu = EmpiricalMeasure(rng.normal(size=(30, 2)))
-        plan = transport_plan(mu, nu, method="entropic")
-        assert plan.marginal_violation() < 1e-8
-        assert plan.eps is not None
-
-    def test_unequal_sizes_strided_subsample(self):
+    def test_unequal_sizes_raise(self):
         big = EmpiricalMeasure(np.arange(10.0)[:, None])
         small = EmpiricalMeasure(np.array([[0.0], [5.0]]))
-        # strided subsample of the larger keeps points 0 and 5: distance 0
-        assert wasserstein(big, small) == pytest.approx(0.0)
+        with pytest.raises(ValueError, match="size mismatch"):
+            wasserstein(big, small)
+        assert wasserstein(big.resample(2), small) == pytest.approx(0.0)
+
+    def test_exact_above_former_size_limit(self):
+        rng = np.random.default_rng(17)
+        x, y = rng.normal(size=(513, 2)), rng.normal(size=(513, 2)) * 1.5 + 0.3
+        cost = cdist(x, y) ** 2
+        rows, cols = linear_sum_assignment(cost)
+        want = np.sqrt(cost[rows, cols].mean())
+        assert wasserstein(EmpiricalMeasure(x), EmpiricalMeasure(y)) == pytest.approx(
+            want, rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         mu = EmpiricalMeasure(np.zeros((3, 2)))
