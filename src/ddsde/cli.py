@@ -54,6 +54,10 @@ INIT_KEYS = {"kind", "value", "mean", "std", "path"}
 SIM_NUMBERS = ("n_particles", "dt", "t_end", "t_start", "seed", "theta")
 EXPERIMENT_NUMBERS = ("moment_p", "max_iter", "tol", "windows", "slope_tolerance",
                       "burn_in", "check_horizon", "weight_clip", "f_min", "p")
+# Lower limit of each experiment number its runner enforces, and whether the
+# limit itself is excluded; a shift_harnack "p" counts only in the power form.
+EXPERIMENT_MINIMA = {"moment_p": (0, False), "max_iter": (1, False), "tol": (0, True),
+                     "burn_in": (0, False), "check_horizon": (0, False), "p": (1, True)}
 OUTPUT_KEYS = {"directory", "formats"}
 TOP_KEYS = {"model", "sim", "experiment", "output"}
 
@@ -168,6 +172,11 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
     _reject_unknown({k: v for k, v in exp.items() if k != "type"},
                     EXPERIMENT_KEYS[etype], f"experiment block for {etype!r}")
     _check_numbers(exp, "experiment", EXPERIMENT_NUMBERS, ("max_iter", "windows"))
+    for key, (low, strict) in EXPERIMENT_MINIMA.items():
+        if key in exp and (exp[key] <= low if strict else exp[key] < low) \
+                and not (key == "p" and exp.get("log_form")):
+            raise ConfigError(f"experiment.{key} must be {'>' if strict else '>='} {low}, "
+                              f"got {exp[key]!r}")
     if "f" in exp:
         table = harnack.IBP_FUNCTIONS if etype == "ibp" else harnack.TEST_FUNCTIONS
         if not isinstance(exp["f"], str) or exp["f"] not in table:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .measure import EmpiricalMeasure, optimal_pairing
 from .models import CoefficientModel
@@ -426,8 +425,8 @@ def _gradient_cost_integral(model: CoefficientModel, s: float, t: float) -> floa
     gb = model.bounds.B0
     if lam is None or gb is None:
         raise ValueError(f"{model.name}: bounds need lambda_ and B0 for shift estimates")
-    val, _ = quad(lambda r: lam ** 2 * (1.0 + (r - s) * gb) ** 2, s, t)
-    return val
+    span = t - s
+    return lam ** 2 * (span + gb * span ** 2 + gb ** 2 * span ** 3 / 3.0)
 
 
 def shift_coupling_verify(model: CoefficientModel, f, v, mu0: EmpiricalMeasure,
@@ -437,8 +436,8 @@ def shift_coupling_verify(model: CoefficientModel, f, v, mu0: EmpiricalMeasure,
 
     Power form:  (E f(X_T))^p  <=  E[f(X_T + v)^p] * C(p, v),
     log form:    E log f(X_T)  <=  log E[f(X_T + v)] + |v|^2 I / (2 (t-s)^2),
-    where I integrates lambda_r^2 (1 + (r-s)||grad b_r||)^2 and the gradient
-    bound comes from model metadata.
+    where I integrates lambda_r^2 (1 + (r-s)||grad b_r||)^2 over [s, t], in
+    closed form for the constant lambda and gradient bound of model metadata.
     """
     _require_additive(model)
     if not log_form and p <= 1:
@@ -548,6 +547,8 @@ def density_bound_rhs(kind: str, p: float, s: float, t: float,
     p/(p-1)-norm, "ET3" the entropy.  lambda_curve and gradb_curve are
     ||sigma_r^{-1}|| and ||grad b_r|| as constants or callables of r.
     """
+    # Local: scipy.integrate is most of the CLI's import time; only bounds runs need it.
+    from scipy.integrate import quad
     kind = kind.upper()
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")

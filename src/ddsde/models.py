@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .measure import EmpiricalMeasure
 
@@ -132,6 +131,8 @@ def landau_a(x: np.ndarray, gamma: float) -> np.ndarray:
 def _pair_weights(x: np.ndarray, z: np.ndarray, scale: float,
                   power: float) -> np.ndarray:
     """(M, N) matrix of |x_i - scale z_j|^power, raised to the power in place."""
+    # Local: only the gamma > 0 Landau kernel needs scipy.spatial, so other runs skip it.
+    from scipy.spatial.distance import cdist
     w = cdist(x, scale * z, "sqeuclidean")
     w **= power / 2.0
     return w

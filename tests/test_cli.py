@@ -208,6 +208,12 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
     ({"type": "picard", "max_iter": "x"}, {}, {}, "experiment.max_iter"),
     ({"type": "contract", "fit_window": [0.421, 0.429]}, {}, {}, "fewer than two grid nodes"),
     ({"type": "contract", "fit_window": 0.5}, {}, {}, "experiment.fit_window"),
+    ({"type": "picard", "tol": 0}, {}, {}, "experiment.tol must be > 0"),
+    ({"type": "picard", "max_iter": 0}, {}, {}, "experiment.max_iter must be >= 1"),
+    ({"type": "simulate", "moment_p": -1}, {}, {}, "experiment.moment_p must be >= 0"),
+    ({"type": "shift_harnack", "f": "gauss_bump", "v": 0.5, "p": 0.5}, {}, {},
+     "experiment.p must be > 1"),
+    ({"type": "invariant", "burn_in": -1}, {}, {}, "experiment.burn_in must be >= 0"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -218,7 +224,9 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
         "type_list", "model_name_list", "bounds_quantity_list", "model_not_object",
         "sim_not_object", "experiment_not_object", "shift_size", "v_size", "v_string",
         "windows_not_dividing", "windows_fraction", "max_iter_string",
-        "fit_window_empty", "fit_window_not_pair"])
+        "fit_window_empty", "fit_window_not_pair", "picard_tol_zero",
+        "picard_max_iter_zero", "moment_p_negative", "shift_harnack_p_half",
+        "burn_in_negative"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, experiment,
                                                       sim_update, model_update, named):
     cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
@@ -238,6 +246,37 @@ def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, experime
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", [
+    # The log form has no power, so p is not range-checked there.
+    {"type": "shift_harnack", "log_form": True, "p": 0.5},
+    # The invariant search runs at least one step of each, so 0 is allowed.
+    {"type": "invariant", "burn_in": 0, "check_horizon": 0},
+], ids=["shift_harnack_log_form_p", "invariant_zero_spans"])
+def test_experiment_range_edges_accepted(tmp_path, experiment):
+    validate_config(small_simulate_config(tmp_path / "out", experiment=experiment))
+
+
+def test_run_imports_only_what_it_uses(tmp_path):
+    # A 1-D linear run needs no quadrature, assignment or cdist; a d = 2 W2 loads
+    # the assignment solver, so those imports are deferred, not missing.
+    cfg_path = write_config(tmp_path, small_simulate_config(tmp_path / "out"))
+    script = f"""
+import sys
+import numpy as np
+from ddsde import cli, measure
+lazy = ("scipy.integrate", "scipy.optimize", "scipy.spatial")
+assert cli.run({cfg_path!r}) == 0
+print(sorted(m for m in lazy if m in sys.modules))
+pts = measure.EmpiricalMeasure(np.arange(8.0).reshape(4, 2))
+measure.wasserstein(pts, pts.shifted([1.0, 0.0]))
+print("scipy.optimize" in sys.modules)
+"""
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["[]", "True"]
 
 
 @pytest.mark.parametrize("output, named", [

@@ -7,6 +7,7 @@ from ddsde.harnack import (
     IBP_FUNCTIONS,
     TEST_FUNCTIONS,
     CouplingConfig,
+    _gradient_cost_integral,
     coupled_girsanov,
     coupled_pairs_from_measures,
     density_bound_rhs,
@@ -402,6 +403,25 @@ class TestDensityBounds:
         integral, _ = quad(lambda r: (1 + r) ** 2 * (1 + r * 0.5 * r) ** 2, 0, 1)
         want = math.log(integral / (4 * math.pi * (math.sqrt(2.0) + 1)))
         assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("a_coef, s, t", [(1.3, 0.5, 2.0), (0.0, 0.5, 2.0),
+                                              (0.7, 0.0, 1.0)])
+    def test_gradient_cost_closed_form_matches_quadrature(self, a_coef, s, t):
+        from scipy.integrate import quad
+        model = linear_meanfield_model(a_coef, 0.0, 0.8, dim=1)  # B0 = |a|, lambda = 1/0.8
+        lam, gb = model.bounds.lambda_, model.bounds.B0
+        want, _ = quad(lambda r: lam ** 2 * (1.0 + (r - s) * gb) ** 2, s, t)
+        assert _gradient_cost_integral(model, s, t) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["ET1", "ET2", "ET3"])
+    def test_mixed_curves_take_quadrature(self, kind):
+        # A constant lambda with a callable gradient bound is integrated like
+        # two callables.
+        g = lambda r: 0.5 + r
+        mixed = density_bound_rhs(kind, 2.5, 0.5, 2.0, 1.2, g, 2)
+        both = density_bound_rhs(kind, 2.5, 0.5, 2.0, lambda r: 1.2, g, 2)
+        assert mixed == both
+        assert mixed != density_bound_rhs(kind, 2.5, 0.5, 2.0, 1.2, 0.5, 2)
 
     def test_p_validation(self):
         with pytest.raises(ValueError):

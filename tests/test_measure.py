@@ -98,7 +98,7 @@ class TestWasserstein:
         rng = np.random.default_rng(31)
         x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
         want = cdist(x, y) if theta == 1.0 else cdist(x, y) ** theta
-        assert _cost_matrix(x, y, theta).tobytes() == want.tobytes()
+        assert _cost_matrix(cdist(x, y), theta).tobytes() == want.tobytes()
 
     def test_optimal_pairing_is_permutation(self):
         rng = np.random.default_rng(13)
