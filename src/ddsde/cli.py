@@ -193,6 +193,7 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
         missing = [k for k in BOUNDS_PARAMS[quantity] if k not in params]
         if missing:
             raise ConfigError(f"bounds quantity {quantity!r} needs params {missing}")
+        _check_numbers(params, "experiment.params", params, ("d",))
     try:
         built = build_model(model)
     except (ValueError, TypeError) as err:
@@ -212,11 +213,18 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
     try:
         if etype in ("couple", "log_harnack"):
             harnack.CouplingConfig.from_model(built, horizon=sim["t_end"])
+        if etype in ("shift_harnack", "ibp"):
+            harnack._require_additive(built)
+        if etype == "invariant":
+            solver._require_dissipative(built)
+        if etype == "bounds":
+            # Evaluating the bound checks each param against the range its formula needs.
+            _run_bounds(quantity, params, built, float(sim["t_end"]))
         if etype == "picard":
             solver.window_steps(grid, int(exp.get("windows", 1)))
         if window is not None:
             solver._w2_nodes(grid, tuple(window))
-    except ValueError as err:
+    except (ValueError, ArithmeticError) as err:
         raise ConfigError(f"{etype!r} experiment: {err}") from None
 
     out = cfg.get("output", {})

@@ -376,6 +376,14 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     )
 
 
+def _require_dissipative(model: CoefficientModel) -> None:
+    if not model.bounds.dissipative:
+        raise ValueError(
+            f"{model.name}: invariant search requires declared dissipativity (C2 > C1), "
+            f"got C1={model.bounds.C1}, C2={model.bounds.C2}"
+        )
+
+
 def find_invariant(model: CoefficientModel, grid_step: float, noise: NoiseSpec,
                    n_particles: int, burn_in: float, check_horizon: float,
                    tol: float) -> tuple[EmpiricalMeasure, float]:
@@ -387,11 +395,7 @@ def find_invariant(model: CoefficientModel, grid_step: float, noise: NoiseSpec,
     residual exceeds tol, the burn-in is doubled once; a residual that does
     not decrease raises InvariantSearchError (non-convergence report).
     """
-    if not model.bounds.dissipative:
-        raise ValueError(
-            f"{model.name}: invariant search requires declared dissipativity (C2 > C1), "
-            f"got C1={model.bounds.C1}, C2={model.bounds.C2}"
-        )
+    _require_dissipative(model)
     init_stream = noise.substream(0xA11CE)
     states = normal_block(init_stream, np.arange(n_particles), 0)
 

@@ -214,6 +214,27 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
     ({"type": "shift_harnack", "f": "gauss_bump", "v": 0.5, "p": 0.5}, {}, {},
      "experiment.p must be > 1"),
     ({"type": "invariant", "burn_in": -1}, {}, {}, "experiment.burn_in must be >= 0"),
+    ({"type": "bounds", "quantity": "ET1", "params": {"lambda": 1.0, "p": 1.0}}, {}, {},
+     "ET1 needs p > 1"),
+    ({"type": "bounds", "quantity": "power",
+      "params": {"p": 0.5, "lambda": 1.0, "kappa1": 0.0, "kappa2": 0.0}}, {}, {},
+     "below the admissible threshold"),
+    ({"type": "bounds", "quantity": "phi",
+      "params": {"lambda": 1.0, "kappa1": 0.0, "kappa2": 0.0, "s": 2.0}}, {}, {},
+     "need t > s"),
+    ({"type": "bounds", "quantity": "power",
+      "params": {"p": 4.0, "lambda": 1.0, "kappa1": 0.0, "kappa2": 0.0, "moment_term": 1e6}},
+     {}, {}, "math range error"),
+    ({"type": "bounds", "quantity": "cc", "params": {"alpha": "x", "beta": 1.0}}, {}, {},
+     "experiment.params.alpha"),
+    ({"type": "bounds", "quantity": "cc", "params": {"alpha": [1.0], "beta": 1.0}}, {}, {},
+     "experiment.params.alpha"),
+    ({"type": "bounds", "quantity": "cc", "params": {"alpha": None, "beta": 1.0}}, {}, {},
+     "experiment.params.alpha"),
+    ({"type": "ibp"}, {}, {"sigma": 0.0}, "additive, invertible noise"),
+    ({"type": "shift_harnack"}, {}, {"sigma": 0.0}, "additive, invertible noise"),
+    ({"type": "invariant"}, {}, {"a": 0.0}, "declared dissipativity"),
+    ({"type": "invariant"}, {}, {"a": 1.0, "c": -1.0}, "declared dissipativity"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -226,7 +247,10 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
         "windows_not_dividing", "windows_fraction", "max_iter_string",
         "fit_window_empty", "fit_window_not_pair", "picard_tol_zero",
         "picard_max_iter_zero", "moment_p_negative", "shift_harnack_p_half",
-        "burn_in_negative"])
+        "burn_in_negative", "bounds_et1_p_one", "bounds_power_p_half",
+        "bounds_phi_s_past_t_end", "bounds_power_overflow", "bounds_param_string", "bounds_param_list",
+        "bounds_param_null", "ibp_sigma_zero", "shift_harnack_sigma_zero",
+        "invariant_a_zero", "invariant_c_negative"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, experiment,
                                                       sim_update, model_update, named):
     cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
