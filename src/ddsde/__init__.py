@@ -12,7 +12,7 @@ from .harnack import (
     verify_log_harnack,
     xi_schedule,
 )
-from .measure import EmpiricalMeasure, TransportPlan, convolve, moment, wasserstein
+from .measure import EmpiricalMeasure, TransportPlan, moment, wasserstein
 from .models import (
     CoefficientModel,
     ModelBounds,
@@ -22,7 +22,7 @@ from .models import (
     landau_sigma0,
     linear_meanfield_model,
 )
-from .rng import NoiseSpec, gaussian_increment
+from .rng import NoiseSpec
 from .sde import NumericalBlowupError, PathEnsemble, TimeGrid, euler_maruyama, synchronous_pair
 from .solver import (
     LawCurve,
@@ -52,13 +52,11 @@ __all__ = [
     "TransportPlan",
     "contraction_exponent_cc",
     "contraction_exponent_tn",
-    "convolve",
     "coupled_girsanov",
     "density_bound_rhs",
     "estimate_contraction",
     "euler_maruyama",
     "find_invariant",
-    "gaussian_increment",
     "integration_by_parts_check",
     "landau_model",
     "landau_sigma0",

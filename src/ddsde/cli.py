@@ -158,8 +158,8 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
         if key not in sim:
             raise ConfigError(f"sim block missing required key {key!r}")
     _check_numbers(sim, "sim", SIM_NUMBERS, ("n_particles", "seed"))
-    if sim["dt"] <= 0 or sim["t_end"] <= sim.get("t_start", 0.0):
-        raise ConfigError("sim block needs dt > 0 and t_end > t_start")
+    if sim["dt"] <= 0 or not 0 <= sim.get("t_start", 0.0) < sim["t_end"]:
+        raise ConfigError("sim block needs dt > 0 and 0 <= t_start < t_end")
     if sim["n_particles"] < 2 or sim.get("theta", 2.0) < 1:
         raise ConfigError("sim block needs n_particles >= 2 and theta >= 1")
 
@@ -222,8 +222,8 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
             _run_bounds(quantity, params, built, float(sim["t_end"]))
         if etype == "picard":
             solver.window_steps(grid, int(exp.get("windows", 1)))
-        if window is not None:
-            solver._w2_nodes(grid, tuple(window))
+        if etype == "contract":
+            solver._w2_nodes(grid, solver._fit_window(grid, window))
     except (ValueError, ArithmeticError) as err:
         raise ConfigError(f"{etype!r} experiment: {err}") from None
 
@@ -334,7 +334,11 @@ def build_init(init_cfg: dict | None, dim: int, n: int, noise: NoiseSpec) -> Emp
 
 def _time_grid(sim: dict) -> TimeGrid:
     t0, t_end = float(sim.get("t_start", 0.0)), float(sim["t_end"])
-    return TimeGrid(t0, t_end, max(1, round((t_end - t0) / float(sim["dt"]))))
+    steps = (t_end - t0) / float(sim["dt"])
+    limit = np.iinfo(np.intp).max
+    if not steps <= limit:  # also rejects inf and nan
+        raise ConfigError(f"sim block needs at most {limit} steps, got {steps:g}")
+    return TimeGrid(t0, t_end, max(1, round(steps)))
 
 
 def _shift_vector(shift, dim: int, key: str) -> np.ndarray:
@@ -422,12 +426,8 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
 
     if etype == "contract":
         nu0 = _second_init(exp, mu0, model.dim, n, noise)
-        window = exp.get("fit_window")
-        est = solver.estimate_contraction(
-            model, mu0, nu0, grid, noise,
-            fit_window=tuple(window) if window else None,
-            threads=threads,
-        )
+        est = solver.estimate_contraction(model, mu0, nu0, grid, noise,
+                                          fit_window=exp.get("fit_window"), threads=threads)
         tol = float(exp.get("slope_tolerance", 0.5))
         if csv_on:
             envelope = est.w2_sq[0] * np.exp(

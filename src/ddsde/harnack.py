@@ -22,8 +22,9 @@ import numpy as np
 
 from .measure import EmpiricalMeasure, optimal_pairing
 from .models import CoefficientModel
-from .rng import NoiseSpec, increments, normal_block  # noqa: F401 (perfbench reads it)
-from .sde import TimeGrid, apply_sigma, check_finite, em_step
+from .rng import NoiseSpec, normal_block  # noqa: F401 (perfbench/test_perfbench.py reads it)
+from .sde import TimeGrid, apply_sigma, check_finite, em_path
+from .sde import em_step  # noqa: F401 (perfbench/test_perfbench.py reads it)
 from .solver import evolve_states
 
 _NU_FLOW_TAG = 0x57EA4  # substream tag for the independent nu-flow particle run
@@ -119,13 +120,13 @@ def _require_coupling_model(model: CoefficientModel) -> None:
         )
 
 
-def _sigma_and_inverse(model, t, states, mu):
-    """Diffusion matrix at the given states and a solver for sigma^{-1} v."""
+def _sigma_solver(model, t, states, mu):
+    """A solver for sigma(t, states, mu)^{-1} v."""
     sigma = np.asarray(model.diffusion(t, states, mu), dtype=np.float64)
-    if sigma.ndim == 2:
-        inv = model.sigma_inverse(t) if model.sigma_inverse is not None else np.linalg.inv(sigma)
-        return sigma, lambda v: apply_sigma(inv, v)
-    return sigma, lambda v: np.linalg.solve(sigma, v[..., None])[..., 0]
+    if sigma.ndim == 3:
+        return lambda v: np.linalg.solve(sigma, v[..., None])[..., 0]
+    inv = model.sigma_inverse(t) if model.sigma_inverse is not None else np.linalg.inv(sigma)
+    return lambda v: apply_sigma(inv, v)
 
 
 def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
@@ -147,73 +148,50 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
         raise ValueError(
             f"config horizon {config.horizon} != grid end {grid.t_end}"
         )
-    x = np.array(x0, dtype=np.float64)
-    y = np.array(y0, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"pair shapes differ: {x.shape} vs {y.shape}")
-    m, d = x.shape
-    share_nu = bool(np.array_equal(x, y))
-    nu_states = None if share_nu else y.copy()
-    nu_noise = noise.substream(_NU_FLOW_TAG)
+    x0 = np.asarray(x0, dtype=np.float64)
+    y = np.asarray(y0, dtype=np.float64)
+    if x0.shape != y.shape:
+        raise ValueError(f"pair shapes differ: {x0.shape} vs {y.shape}")
+    dt, n = grid.dt, grid.n_steps
+    nu_flow = None if np.array_equal(x0, y) else em_path(
+        model, y, grid.s, dt, n, noise.substream(_NU_FLOW_TAG))
 
-    w2_sq_initial = float(np.mean(np.sum((x - y) ** 2, axis=1)))
+    w2_sq_initial = float(np.mean(np.sum((x0 - y) ** 2, axis=1)))
     xi = xi_schedule(config.horizon, config.kappa1)
-    dt = grid.dt
-    n = grid.n_steps
-    nu_dws = None if share_nu else increments(nu_noise, np.arange(m), n, np.sqrt(dt))
-
-    log_r = np.zeros(m)
-    gap_sq_pen = np.zeros(m)
-    r_pen = np.ones(m)
+    log_r = np.zeros(x0.shape[0])
     series = None
     if record_series:
         series = {
-            "t": grid.nodes.copy(),
-            "gap_q": np.zeros(grid.n_nodes),
+            "t": grid.nodes,
+            "gap_q": np.full(grid.n_nodes, w2_sq_initial),   # nodes 1..n are set below
             "weight_mean": np.ones(grid.n_nodes),
             "weight_entropy": np.zeros(grid.n_nodes),
         }
-        series["gap_q"][0] = w2_sq_initial
 
-    for k, dw in enumerate(increments(noise, np.arange(m), n, np.sqrt(dt))):
-        t_k = grid.s + k * dt
-        mu_k = EmpiricalMeasure(x)
-        nu_k = mu_k if share_nu else EmpiricalMeasure(nu_states)
+    for k, (t_k, x, mu_k, dw, x_next) in enumerate(em_path(model, x0, grid.s, dt, n, noise)):
+        nu_k = mu_k if nu_flow is None else next(nu_flow)[2]
         xi_k = xi(t_k)
-
-        sigma_x, solve_x = _sigma_and_inverse(model, t_k, x, mu_k)
-        u = solve_x(y - x)                      # sigma(X)^{-1} (Y - X)
+        u = _sigma_solver(model, t_k, x, mu_k)(y - x)   # sigma(X)^{-1} (Y - X)
         if k == n - 1:
             gap_sq_pen = np.sum((x - y) ** 2, axis=1)
             r_pen = np.exp(log_r)
-        log_r += (u * dw).sum(axis=1) / xi_k - 0.5 * (u * u).sum(axis=1) * dt / xi_k ** 2
-
-        drift_x = model.drift(t_k, x, mu_k)
-        if k < n - 1:
+            y = x_next
+        else:
             sigma_y = np.asarray(model.diffusion(t_k, y, nu_k), dtype=np.float64)
             pull = -apply_sigma(sigma_y, u) / xi_k
             y = y + (model.drift(t_k, y, nu_k) + pull) * dt + apply_sigma(sigma_y, dw)
-        x = x + drift_x * dt + apply_sigma(sigma_x, dw)
-        if k == n - 1:
-            y = x
-        check_finite(x, k + 1, model.state_radius)
-        check_finite(y, k + 1, model.state_radius)
-
-        if not share_nu:
-            drift_nu = model.drift(t_k, nu_states, nu_k)
-            sigma_nu = np.asarray(model.diffusion(t_k, nu_states, nu_k), dtype=np.float64)
-            nu_states = nu_states + drift_nu * dt + apply_sigma(sigma_nu, next(nu_dws))
-            check_finite(nu_states, k + 1, model.state_radius)
+            check_finite(y, noise.step0 + k + 1, model.state_radius)
+        log_r += (u * dw).sum(axis=1) / xi_k - 0.5 * (u * u).sum(axis=1) * dt / xi_k ** 2
 
         if record_series:
             r_now = np.exp(log_r)
-            gap_sq = np.sum((x - y) ** 2, axis=1)
+            gap_sq = np.sum((x_next - y) ** 2, axis=1)
             series["gap_q"][k + 1] = float(np.mean(r_now * gap_sq))
             series["weight_mean"][k + 1] = float(np.mean(r_now))
             series["weight_entropy"][k + 1] = float(np.mean(r_now * log_r))
 
     return CoupledSample(
-        x_terminal=x,
+        x_terminal=x_next,
         log_r=log_r,
         gap_sq_penultimate=gap_sq_pen,
         r_penultimate=r_pen,
@@ -443,7 +421,7 @@ def shift_coupling_verify(model: CoefficientModel, f, v, mu0: EmpiricalMeasure,
     if not log_form and p <= 1:
         raise ValueError(f"power form needs p > 1, got {p}")
     v = np.asarray(v, dtype=np.float64)
-    x0 = mu0.resample(n_samples).points.copy()
+    x0 = mu0.resample(n_samples).points
     x_t = evolve_states(model, x0, grid.s, grid.n_steps, grid.dt, noise)
     fx = np.asarray(f(x_t), dtype=np.float64)
     fxv = np.asarray(f(x_t + v), dtype=np.float64)
@@ -507,18 +485,12 @@ def integration_by_parts_check(model: CoefficientModel, f, grad_f, v,
     if model.sigma_inverse is None:
         raise ValueError(f"{model.name}: needs sigma_inverse for IBP")
     v = np.asarray(v, dtype=np.float64)
-    states = mu0.resample(n_samples).points.copy()
-    m = states.shape[0]
-    dt = grid.dt
-    weight = np.zeros(m)
-    for k, dw in enumerate(increments(noise, np.arange(m), grid.n_steps, np.sqrt(dt))):
-        t_k = grid.s + k * dt
-        mu_k = EmpiricalMeasure(states)
-        gb = model.grad_b(t_k, states, mu_k, v)           # (M, d)
-        direction = v[None, :] - (t_k - grid.s) * gb
+    x0 = mu0.resample(n_samples).points
+    weight = np.zeros(x0.shape[0])
+    for t_k, x, mu_k, dw, states in em_path(model, x0, grid.s, grid.dt, grid.n_steps, noise):
+        direction = v[None, :] - (t_k - grid.s) * model.grad_b(t_k, x, mu_k, v)
         weight += (apply_sigma(model.sigma_inverse(t_k), direction) * dw).sum(axis=1)
-        states = em_step(model, t_k, states, mu_k, dt, dw)
-        check_finite(states, k + 1, model.state_radius)
+        del x, mu_k, dw  # lets em_path free X_k and its increments before the next step
     weight /= (grid.t_end - grid.s)
 
     fx = np.asarray(f(states), dtype=np.float64)

@@ -169,22 +169,3 @@ def moment(mu: EmpiricalMeasure, p: float) -> float:
     r = np.linalg.norm(mu.points, axis=1)
     return float(np.mean(r ** p))
 
-
-def convolve(f, mu: EmpiricalMeasure, x) -> np.ndarray | float:
-    """(f * mu)(x) = (1/N) sum f(x - z_i); value may be scalar, vector or matrix.
-
-    ``f`` is applied to the (N, d) array of differences when it vectorizes
-    over the leading axis, otherwise point by point.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    diffs = x[None, :] - mu.points
-    try:
-        vals = np.asarray(f(diffs), dtype=np.float64)
-        if vals.shape[:1] == (mu.n,) and (mu.n != 1 or vals.ndim > 0):
-            out = vals.mean(axis=0)
-            return float(out) if out.ndim == 0 else out
-    except (TypeError, ValueError, IndexError):
-        pass
-    vals = np.stack([np.asarray(f(diffs[i]), dtype=np.float64) for i in range(mu.n)])
-    out = vals.mean(axis=0)
-    return float(out) if out.ndim == 0 else out

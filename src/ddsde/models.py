@@ -19,8 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .measure import EmpiricalMeasure
-
 
 @dataclass(frozen=True)
 class ModelBounds:
@@ -67,7 +65,7 @@ class CoefficientModel:
 
     drift(t, X, mu) maps (float, (M, d), EmpiricalMeasure) -> (M, d);
     diffusion(t, X, mu) -> (M, d, d), or (d, d) when shared by all
-    trajectories.  Flags must be truthful; ``verify_flags`` probes them.
+    trajectories.  Flags must be truthful.
     """
 
     name: str
@@ -115,17 +113,6 @@ def landau_sigma0(x: np.ndarray, gamma: float) -> np.ndarray:
         return m
     r = np.linalg.norm(x, axis=-1)
     return r[..., None, None] ** (gamma / 2.0) * m
-
-
-def landau_a(x: np.ndarray, gamma: float) -> np.ndarray:
-    """Collision matrix a(x) = |x|^gamma (|x|^2 I - x (x) x)."""
-    x = np.asarray(x, dtype=np.float64)
-    r2 = np.sum(x * x, axis=-1)
-    outer = x[..., :, None] * x[..., None, :]
-    core = r2[..., None, None] * np.eye(3) - outer
-    if gamma == 0.0:
-        return core
-    return (r2 ** (gamma / 2.0))[..., None, None] * core
 
 
 def _pair_weights(x: np.ndarray, z: np.ndarray, scale: float,
@@ -293,44 +280,3 @@ def contraction_exponent_tn(K0: float, B0: float, C0: float,
     """Growth exponent for a general convolution pair with kernel constants."""
     return 2.0 * K0 + C0 * (1.0 + abs(beta)) ** 2 + 2.0 * abs(alpha) * B0
 
-
-# ---------------------------------------------------------------------------
-# Flag probing
-# ---------------------------------------------------------------------------
-
-def verify_flags(model: CoefficientModel, n_probes: int = 8, seed: int = 0) -> None:
-    """Probe declared-True structural flags at random (t, x, mu); raise on a lie.
-
-    A False flag is a no-guarantee marker and cannot be falsified by finitely
-    many probes (e.g. an averaged singular kernel is generically full rank),
-    so only True claims are checked.
-    """
-    rng = np.random.default_rng(seed)
-    d = model.dim
-
-    def probe_sigma(t, x, mu):
-        s = np.asarray(model.diffusion(t, x, mu), dtype=np.float64)
-        return s if s.ndim == 3 else np.broadcast_to(s, (x.shape[0],) + s.shape)
-
-    for _ in range(n_probes):
-        t = float(rng.uniform(0.0, 1.0))
-        x = rng.normal(size=(2, d))
-        mu = EmpiricalMeasure(rng.normal(size=(5, d)))
-        mu2 = EmpiricalMeasure(rng.normal(size=(5, d)))
-        s_x0 = probe_sigma(t, x, mu)[0]
-        s_x1 = probe_sigma(t, x, mu)[1]
-        s_mu2 = probe_sigma(t, x, mu2)[0]
-        if model.additive_noise and not (
-            np.allclose(s_x0, s_x1, atol=1e-12) and np.allclose(s_x0, s_mu2, atol=1e-12)
-        ):
-            raise ValueError(f"{model.name}: additive_noise declared but sigma varies")
-        if model.distribution_free_sigma and not np.allclose(s_x0, s_mu2, atol=1e-12):
-            raise ValueError(
-                f"{model.name}: distribution_free_sigma declared but sigma reads mu"
-            )
-        if model.invertible_sigma:
-            sv = np.linalg.svd(s_x0, compute_uv=False)
-            if sv.min() <= 1e-10 * max(1.0, sv.max()):
-                raise ValueError(
-                    f"{model.name}: invertible_sigma declared but a probe is singular"
-                )

@@ -120,10 +120,3 @@ def increments(noise: NoiseSpec, trajectories: np.ndarray, n_steps: int, scale):
         block *= scale
         yield from block
 
-
-def gaussian_increment(noise: NoiseSpec, trajectory: int, step: int) -> np.ndarray:
-    """Unscaled standard-normal increment for one (trajectory, step) pair.
-
-    The sqrt(dt) scaling is applied at the call site.
-    """
-    return normal_block(noise, np.array([trajectory]), step)[0]

@@ -57,49 +57,17 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return self.s + np.arange(self.n_nodes) * self.dt
 
-    def refined(self) -> "TimeGrid":
-        """The same interval at half the step size."""
-        return TimeGrid(self.s, self.t_end, 2 * self.n_steps)
-
 
 @dataclass(frozen=True)
 class PathEnsemble:
-    """M simulated trajectories on a grid together with their noise spec."""
+    """M simulated trajectories on a grid."""
 
     grid: TimeGrid
     paths: np.ndarray  # (M, n_nodes, d)
-    noise: NoiseSpec
-
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.paths.shape[2]
-
-    def states_at(self, k: int) -> np.ndarray:
-        return self.paths[:, k, :]
 
     @property
     def terminal(self) -> np.ndarray:
         return self.paths[:, -1, :]
-
-    def measure_at(self, k: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states_at(k))
-
-
-def _as_points(init, dim_hint: int | None = None) -> np.ndarray:
-    """Initial condition as an (M, d) array (accepts EmpiricalMeasure)."""
-    if isinstance(init, EmpiricalMeasure):
-        pts = init.points
-    else:
-        pts = np.asarray(init, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None] if dim_hint in (None, 1) else pts[None, :]
-    if pts.ndim != 2:
-        raise ValueError(f"initial points must be (M, d), got shape {pts.shape}")
-    return np.array(pts, dtype=np.float64)
 
 
 def apply_sigma(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -129,35 +97,53 @@ def em_step(model, t: float, states: np.ndarray, mu: EmpiricalMeasure,
     return states + drift * dt + apply_sigma(sigma, dw)
 
 
+def em_path(model, states: np.ndarray, t0: float, dt: float, n_steps: int,
+            noise: NoiseSpec, law=None):
+    """Yield ``(t_k, x_k, mu_k, dw_k, x_{k+1})`` for each Euler-Maruyama step k.
+
+    mu_k is ``law.measure_at(k)`` against a frozen law curve, and the
+    ensemble's own empirical measure when ``law`` is None.  Trajectory m
+    consumes the increments of stream m; ``states`` is never written to.
+
+    Raises:
+        ValueError: if ``states`` is not an (M, noise.dim) array.
+        NumericalBlowupError: on the first non-finite state, naming the
+            global step ``noise.step0 + k + 1`` (the initial states are step
+            ``noise.step0``).
+    """
+    if states.ndim != 2 or states.shape[1] != noise.dim:
+        raise ValueError(f"initial states must be (M, {noise.dim}), got shape {states.shape}")
+    check_finite(states, noise.step0, model.state_radius)
+    for k, dw in enumerate(increments(noise, np.arange(states.shape[0]), n_steps, np.sqrt(dt))):
+        t_k = t0 + k * dt
+        mu_k = EmpiricalMeasure(states) if law is None else law.measure_at(k)
+        new = em_step(model, t_k, states, mu_k, dt, dw)
+        check_finite(new, noise.step0 + k + 1, model.state_radius)
+        yield t_k, states, mu_k, dw, new
+        states = new
+
+
+def path_ensemble(model, states: np.ndarray, grid: TimeGrid, noise: NoiseSpec,
+                  law=None) -> PathEnsemble:
+    """Run ``em_path`` over ``grid`` and keep every node, starting with ``states``."""
+    paths = np.empty((len(states), grid.n_nodes, noise.dim))
+    steps = em_path(model, states, grid.s, grid.dt, grid.n_steps, noise, law)
+    for k, (*_, new) in enumerate(steps, start=1):
+        paths[:, k, :] = new
+    paths[:, 0, :] = states  # after em_path has checked the shape
+    paths.flags.writeable = False  # ensembles are immutable once built
+    return PathEnsemble(grid=grid, paths=paths)
+
+
 def euler_maruyama(model, law, init, grid: TimeGrid, noise: NoiseSpec) -> PathEnsemble:
     """Simulate the classical SDE with coefficients frozen to a law curve.
 
-    Args:
-        model: CoefficientModel supplying drift/diffusion.
-        law: LawCurve covering ``grid``; node k of the simulation reads the
-            measure at node k.
-        init: initial states, (M, d) array or EmpiricalMeasure.
-        noise: trajectory m consumes exactly the increments of stream m.
-
-    Raises:
-        NumericalBlowupError: on the first non-finite state, with location.
+    ``law`` is a LawCurve covering ``grid``: step k reads its measure at node
+    k.  ``init`` is an (M, d) array.  Stepping and blow-up reports are those
+    of ``em_path``.
     """
     law.require_grid(grid)
-    states = _as_points(init, noise.dim)
-    m, d = states.shape
-    if d != noise.dim:
-        raise ValueError(f"init dimension {d} != noise dim {noise.dim}")
-    check_finite(states, 0, model.state_radius)
-
-    dt = grid.dt
-    out = np.empty((m, grid.n_nodes, d))
-    out[:, 0, :] = states
-    for k, dw in enumerate(increments(noise, np.arange(m), grid.n_steps, np.sqrt(dt))):
-        states = em_step(model, grid.s + k * dt, states, law.measure_at(k), dt, dw)
-        check_finite(states, k + 1, model.state_radius)
-        out[:, k + 1, :] = states
-    out.flags.writeable = False  # ensembles are immutable once built
-    return PathEnsemble(grid=grid, paths=out, noise=noise)
+    return path_ensemble(model, np.asarray(init, dtype=np.float64), grid, noise, law)
 
 
 def synchronous_pair(model, law_x, law_y, init_x, init_y,
@@ -167,10 +153,9 @@ def synchronous_pair(model, law_x, law_y, init_x, init_y,
     Marginally each run is ``euler_maruyama`` against its own law curve; the
     shared noise makes the pair a synchronous coupling.
     """
-    x = _as_points(init_x, noise.dim)
-    y = _as_points(init_y, noise.dim)
+    x = np.asarray(init_x, dtype=np.float64)
+    y = np.asarray(init_y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"initial ensembles differ in shape: {x.shape} vs {y.shape}")
-    ens_x = euler_maruyama(model, law_x, x, grid, noise)
-    ens_y = euler_maruyama(model, law_y, y, grid, noise)
-    return ens_x, ens_y
+    return (euler_maruyama(model, law_x, x, grid, noise),
+            euler_maruyama(model, law_y, y, grid, noise))

@@ -12,14 +12,15 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import EmpiricalMeasure, optimal_pairing, transport_plan, wasserstein
 from .models import CoefficientModel
-from .rng import NoiseSpec, increments, normal_block
-from .sde import PathEnsemble, TimeGrid, check_finite, em_step, euler_maruyama
+from .rng import NoiseSpec, normal_block
+from .sde import (PathEnsemble, TimeGrid, check_finite, em_path, em_step, euler_maruyama,
+                  path_ensemble)
 
 
 class InvariantSearchError(RuntimeError):
@@ -236,10 +237,8 @@ def evolve_states(model: CoefficientModel, states: np.ndarray, t0: float,
     exactly the increments of the matching global steps.
     """
     ns = noise.with_step_offset(noise.step0 + step0)
-    for k, dw in enumerate(increments(ns, np.arange(states.shape[0]), n_steps, np.sqrt(dt))):
-        mu_k = EmpiricalMeasure(states)
-        states = em_step(model, t0 + k * dt, states, mu_k, dt, dw)
-        check_finite(states, step0 + k + 1, model.state_radius)
+    for *_, states in em_path(model, states, t0, dt, n_steps, ns):
+        pass
     return states
 
 
@@ -255,22 +254,7 @@ def particle_solve(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGri
     n = n_particles if n_particles is not None else mu0.n
     if n < 2:
         raise ValueError(f"particle system needs N >= 2, got {n}")
-    states = mu0.resample(n).points.copy()
-    d = states.shape[1]
-    if d != noise.dim:
-        raise ValueError(f"measure dimension {d} != noise dim {noise.dim}")
-    check_finite(states, 0, model.state_radius)
-
-    dt = grid.dt
-    paths = np.empty((n, grid.n_nodes, d))
-    paths[:, 0, :] = states
-    for k, dw in enumerate(increments(noise, np.arange(n), grid.n_steps, np.sqrt(dt))):
-        mu_k = EmpiricalMeasure(states)
-        states = em_step(model, grid.s + k * dt, states, mu_k, dt, dw)
-        check_finite(states, k + 1, model.state_radius)
-        paths[:, k + 1, :] = states
-    paths.flags.writeable = False  # ensembles are immutable once built
-    ens = PathEnsemble(grid=grid, paths=paths, noise=noise)
+    ens = path_ensemble(model, mu0.resample(n).points, grid, noise)
     return LawCurve.from_ensemble(ens), ens
 
 
@@ -294,6 +278,13 @@ def _thread_map(fn, items, threads: int):
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))
     return [fn(i) for i in items]
+
+
+def _fit_window(grid: TimeGrid, fit_window=None) -> tuple[float, float]:
+    """``fit_window``, by default the horizon without its first 10% (a transient)."""
+    if fit_window is None:
+        return grid.s + 0.1 * (grid.t_end - grid.s), grid.t_end
+    return tuple(fit_window)
 
 
 def _w2_nodes(grid: TimeGrid, fit_window: tuple[float, float]) -> np.ndarray:
@@ -324,30 +315,25 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     the window.  If the laws merge numerically the rate is reported as -inf
     together with the first W2 node at which they had merged.
     """
-    if fit_window is None:
-        fit_window = (grid.s + 0.1 * (grid.t_end - grid.s), grid.t_end)
+    fit_window = _fit_window(grid, fit_window)
     nodes = _w2_nodes(grid, fit_window)
     times = grid.nodes[nodes]
     if mu0.n != nu0.n:
         nu0 = nu0.resample(mu0.n)
     perm = optimal_pairing(mu0, nu0, theta=2.0)
-    x = mu0.points.copy()
-    y = nu0.points[perm].copy()
+    y = nu0.points[perm]
 
-    n, d = x.shape
+    kept = set(nodes.tolist())
+    xs, ys = [mu0.points], [y]
     dt = grid.dt
-    slot = {int(k): i for i, k in enumerate(nodes)}
-    xs = np.empty((len(nodes), n, d))
-    ys = np.empty((len(nodes), n, d))
-    xs[0], ys[0] = x, y
-    for k, dw in enumerate(increments(noise, np.arange(n), grid.n_steps, np.sqrt(dt))):
-        t_k = grid.s + k * dt
-        x = em_step(model, t_k, x, EmpiricalMeasure(x), dt, dw)
+    steps = em_path(model, mu0.points, grid.s, dt, grid.n_steps, noise)
+    for k, (t_k, _, _, dw, x) in enumerate(steps, start=1):
+        # Y steps on X's increments: the synchronous coupling.
         y = em_step(model, t_k, y, EmpiricalMeasure(y), dt, dw)
-        check_finite(x, k + 1, model.state_radius)
-        check_finite(y, k + 1, model.state_radius)
-        if k + 1 in slot:
-            xs[slot[k + 1]], ys[slot[k + 1]] = x, y
+        check_finite(y, noise.step0 + k, model.state_radius)
+        if k in kept:
+            xs.append(x)
+            ys.append(y)
 
     def w2_at(i):
         return wasserstein(EmpiricalMeasure(xs[i]), EmpiricalMeasure(ys[i]), theta=2.0)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 
+from ddsde.measure import EmpiricalMeasure
+
 
 def brute_force_wasserstein(x: np.ndarray, y: np.ndarray, theta: float) -> float:
     """Exhaustive search over all pairings; the independent transport oracle."""
@@ -24,3 +26,52 @@ def mean_se(values) -> tuple[float, float]:
 
 def fit_slope(t, y) -> float:
     return float(np.polyfit(np.asarray(t), np.asarray(y), 1)[0])
+
+
+def landau_a(x: np.ndarray, gamma: float) -> np.ndarray:
+    """Collision matrix a(x) = |x|^gamma (|x|^2 I - x (x) x), the reference for sigma0 sigma0*."""
+    x = np.asarray(x, dtype=np.float64)
+    r2 = np.sum(x * x, axis=-1)
+    outer = x[..., :, None] * x[..., None, :]
+    core = r2[..., None, None] * np.eye(3) - outer
+    if gamma == 0.0:
+        return core
+    return (r2 ** (gamma / 2.0))[..., None, None] * core
+
+
+def verify_flags(model, n_probes: int = 8, seed: int = 0) -> None:
+    """Probe a model's declared-True structural flags at random (t, x, mu); raise on a lie.
+
+    A False flag is a no-guarantee marker and cannot be falsified by finitely
+    many probes (e.g. an averaged singular kernel is generically full rank),
+    so only True claims are checked.
+    """
+    rng = np.random.default_rng(seed)
+    d = model.dim
+
+    def probe_sigma(t, x, mu):
+        s = np.asarray(model.diffusion(t, x, mu), dtype=np.float64)
+        return s if s.ndim == 3 else np.broadcast_to(s, (x.shape[0],) + s.shape)
+
+    for _ in range(n_probes):
+        t = float(rng.uniform(0.0, 1.0))
+        x = rng.normal(size=(2, d))
+        mu = EmpiricalMeasure(rng.normal(size=(5, d)))
+        mu2 = EmpiricalMeasure(rng.normal(size=(5, d)))
+        s_x0 = probe_sigma(t, x, mu)[0]
+        s_x1 = probe_sigma(t, x, mu)[1]
+        s_mu2 = probe_sigma(t, x, mu2)[0]
+        if model.additive_noise and not (
+            np.allclose(s_x0, s_x1, atol=1e-12) and np.allclose(s_x0, s_mu2, atol=1e-12)
+        ):
+            raise ValueError(f"{model.name}: additive_noise declared but sigma varies")
+        if model.distribution_free_sigma and not np.allclose(s_x0, s_mu2, atol=1e-12):
+            raise ValueError(
+                f"{model.name}: distribution_free_sigma declared but sigma reads mu"
+            )
+        if model.invertible_sigma:
+            sv = np.linalg.svd(s_x0, compute_uv=False)
+            if sv.min() <= 1e-10 * max(1.0, sv.max()):
+                raise ValueError(
+                    f"{model.name}: invertible_sigma declared but a probe is singular"
+                )

@@ -28,7 +28,6 @@ from ddsde.harnack import (
 from ddsde.measure import EmpiricalMeasure, wasserstein
 from ddsde.models import (
     contraction_exponent_cc,
-    landau_a,
     landau_model,
     landau_sigma0,
     linear_meanfield_model,
@@ -42,7 +41,7 @@ from ddsde.solver import (
     picard_solve,
 )
 
-from helpers import brute_force_wasserstein, mean_se
+from helpers import brute_force_wasserstein, landau_a, mean_se
 
 mpmath.mp.dps = 50
 

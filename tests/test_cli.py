@@ -235,6 +235,10 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
     ({"type": "shift_harnack"}, {}, {"sigma": 0.0}, "additive, invertible noise"),
     ({"type": "invariant"}, {}, {"a": 0.0}, "declared dissipativity"),
     ({"type": "invariant"}, {}, {"a": 1.0, "c": -1.0}, "declared dissipativity"),
+    ({"type": "simulate"}, {"t_end": 1e308}, {}, "got inf"),
+    ({"type": "simulate"}, {"dt": 1e-300}, {}, "got 1e+300"),
+    ({"type": "contract"}, {"t_end": 0.05, "dt": 0.5}, {}, "fewer than two grid nodes"),
+    ({"type": "simulate"}, {"t_start": -1.0}, {}, "0 <= t_start"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -250,7 +254,8 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
         "burn_in_negative", "bounds_et1_p_one", "bounds_power_p_half",
         "bounds_phi_s_past_t_end", "bounds_power_overflow", "bounds_param_string", "bounds_param_list",
         "bounds_param_null", "ibp_sigma_zero", "shift_harnack_sigma_zero",
-        "invariant_a_zero", "invariant_c_negative"])
+        "invariant_a_zero", "invariant_c_negative", "t_end_overflow", "dt_underflow",
+        "default_fit_window_empty", "t_start_negative"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, experiment,
                                                       sim_update, model_update, named):
     cfg = small_simulate_config(tmp_path / "out", experiment=experiment)

@@ -6,7 +6,6 @@ from scipy.spatial.distance import cdist
 from ddsde.measure import (
     EmpiricalMeasure,
     _cost_matrix,
-    convolve,
     moment,
     optimal_pairing,
     wasserstein,
@@ -130,42 +129,6 @@ class TestMoment:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             moment(EmpiricalMeasure(np.ones((2, 1))), -1.0)
-
-
-class TestConvolve:
-    def test_dirac_recovers_function(self):
-        mu = EmpiricalMeasure.point_mass([0.0, 0.0], 1)
-        f = lambda y: np.sum(y * y, axis=-1)
-        assert convolve(f, mu, [3.0, 4.0]) == pytest.approx(25.0)
-
-    def test_constant_function(self):
-        rng = np.random.default_rng(19)
-        mu = EmpiricalMeasure(rng.normal(size=(7, 2)))
-        assert convolve(lambda y: 4.5, mu, [0.0, 0.0]) == pytest.approx(4.5)
-
-    def test_identity_two_points(self):
-        mu = EmpiricalMeasure(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = convolve(lambda y: y, mu, [10.0, 10.0])
-        assert np.allclose(out, [10.0 - 2.0, 10.0 - 3.0])
-
-    def test_matrix_valued(self):
-        mu = EmpiricalMeasure(np.array([[1.0], [3.0]]))
-        f = lambda y: np.array([[y[0], 0.0], [0.0, -y[0]]])
-        out = convolve(f, mu, [0.0])
-        assert np.allclose(out, [[-2.0, 0.0], [0.0, 2.0]])
-
-
-    def test_unrelated_error_propagates_without_pointwise_retry(self):
-        mu = EmpiricalMeasure(np.arange(4.0)[:, None])
-        calls = []
-
-        def f(y):
-            calls.append(y.shape)
-            raise ZeroDivisionError("not a vectorization failure")
-
-        with pytest.raises(ZeroDivisionError):
-            convolve(f, mu, [0.0])
-        assert calls == [(4, 1)]
 
 
 class TestEmpiricalMeasure:

@@ -10,13 +10,13 @@ from ddsde.models import (
     _pair_weights,
     contraction_exponent_cc,
     contraction_exponent_tn,
-    landau_a,
     landau_b0,
     landau_model,
     landau_sigma0,
     linear_meanfield_model,
-    verify_flags,
 )
+
+from helpers import landau_a, verify_flags
 
 
 class TestLandauKernel:

@@ -8,7 +8,6 @@ from ddsde.rng import (
     BLOCK_DRAWS,
     NoiseSpec,
     derive_seed,
-    gaussian_increment,
     increments,
     normal_block,
 )
@@ -16,8 +15,8 @@ from ddsde.rng import (
 
 def test_same_stream_is_bitwise_identical():
     noise = NoiseSpec(seed=123, dim=4)
-    a = gaussian_increment(noise, 17, 99)
-    b = gaussian_increment(noise, 17, 99)
+    a = normal_block(noise, np.array([17]), 99)[0]
+    b = normal_block(noise, np.array([17]), 99)[0]
     assert np.array_equal(a, b)
 
 
@@ -25,7 +24,7 @@ def test_block_and_single_draws_agree():
     noise = NoiseSpec(seed=5, dim=3)
     block = normal_block(noise, np.arange(50), 7)
     for m in (0, 13, 49):
-        assert np.array_equal(block[m], gaussian_increment(noise, m, 7))
+        assert np.array_equal(block[m], normal_block(noise, np.array([m]), 7)[0])
 
 
 def test_chunked_evaluation_is_order_independent():

@@ -35,7 +35,6 @@ def test_grid_nodes_exact():
     assert grid.dt == 0.1
     nodes = grid.nodes
     assert np.array_equal(nodes, 0.5 + np.arange(11) * grid.dt)
-    assert grid.refined().n_steps == 20
 
 
 def test_grid_validation():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ddsde import solver
+from ddsde import sde, solver
 from ddsde.measure import EmpiricalMeasure, wasserstein
 from ddsde.models import landau_model, linear_meanfield_model
 from ddsde.rng import NoiseSpec, normal_block
@@ -305,7 +305,7 @@ class TestContraction:
         def no_step(*args, **kwargs):
             raise AssertionError("stepped before checking the fit window")
 
-        monkeypatch.setattr(solver, "em_step", no_step)
+        monkeypatch.setattr(sde, "em_step", no_step)
         model = linear_meanfield_model(1.0, 0.0, 0.3, dim=1)
         mu0 = gaussian_measure(16, 1, seed=46)
         grid = TimeGrid(0.0, 1.0, 10)

@@ -1,0 +1,101 @@
+"""Bit pins of every stepping path, and global step numbers in blow-up reports.
+
+The digests were taken from the stepping code before its loops were folded
+into ``sde.em_path``; any change to the order or the arithmetic of a step
+shows here as a changed digest.  The model is linear with d = 1 and a > 0,
+so kappa1 = 0 and the coupling schedule xi_t = T - t involves no ``exp``.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ddsde.harnack import (
+    IBP_FUNCTIONS,
+    CouplingConfig,
+    coupled_pairs_from_measures,
+    integration_by_parts_check,
+    simulate_coupled,
+)
+from ddsde.measure import EmpiricalMeasure
+from ddsde.models import CoefficientModel, linear_meanfield_model
+from ddsde.rng import NoiseSpec, normal_block
+from ddsde.sde import NumericalBlowupError, TimeGrid, euler_maruyama
+from ddsde.solver import LawCurve, estimate_contraction, evolve_states, particle_solve
+
+GOLDEN = {
+    "euler_maruyama_offset":
+        "ecd24c7306d4be2128ab39dff3bd189e547a812579c5d04a26f976259234c379",
+    "particle_solve_paths":
+        "bcba99fe2e6e4cc1df237e195631ba502f5e512afd0006a7b471eb1bf4ec88ef",
+    "evolve_states":
+        "d41123115b8db5d51c8ca9b9924d2832be378b6861d696ed5921b0fdaff2fd7f",
+    "contraction_w2_sq":
+        "3f2c56ad2535878ec92d499653e3d10cccd5621f9b284fdef09c079f9ad4316e",
+    "coupled_x_terminal":
+        "948cbd1f64d20dde6b0672ef513d9baf4342f6f174e4729b191327b28bbdd6af",
+    "coupled_log_r":
+        "8cfb28f9c49825d67380cbee0cedfe443ea9acdfdf13306a4816f41154b114bd",
+    "coupled_gap_sq_penultimate":
+        "ad4caa1aa287e7dba217e6ef037836783037d199d06c56500f6666345ec158fb",
+    "ibp_lhs_rhs":
+        "3b2dcf3497c9e280dd3225a0f6e247f99f9c92aaba9188b2d078e086bad99a03",
+}
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def stepping_digests() -> dict:
+    model = linear_meanfield_model(1.5, 0.25, 0.7, dim=1)
+    grid = TimeGrid(0.0, 0.5, 50)
+    noise = NoiseSpec(seed=2024, dim=1)
+    mu0 = EmpiricalMeasure(0.3 + normal_block(NoiseSpec(seed=7, dim=1), np.arange(64), 0))
+    nu0 = mu0.shifted([0.8])
+    law = LawCurve.constant(nu0, grid)
+    coupled = simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0, 64),
+                               CouplingConfig.from_model(model, horizon=grid.t_end),
+                               grid, noise)
+    f, grad_f = IBP_FUNCTIONS["linear"]
+    ibp = integration_by_parts_check(model, f, grad_f, [1.0], mu0, grid, noise, 500)
+    return {
+        "euler_maruyama_offset": _digest(
+            euler_maruyama(model, law, mu0.points, grid, noise.with_step_offset(37)).paths),
+        "particle_solve_paths": _digest(particle_solve(model, mu0, grid, noise)[1].paths),
+        "evolve_states": _digest(
+            evolve_states(model, mu0.points, 0.25, 40, 0.01, noise, step0=13)),
+        "contraction_w2_sq": _digest(estimate_contraction(model, mu0, nu0, grid, noise).w2_sq),
+        "coupled_x_terminal": _digest(coupled.x_terminal),
+        "coupled_log_r": _digest(coupled.log_r),
+        "coupled_gap_sq_penultimate": _digest(coupled.gap_sq_penultimate),
+        "ibp_lhs_rhs": _digest([ibp.lhs, ibp.rhs]),
+    }
+
+
+def test_stepping_is_bitwise_pinned():
+    assert stepping_digests() == GOLDEN
+
+
+def _exploding_model() -> CoefficientModel:
+    # The state is multiplied by 1e200 per step: finite for one step, inf after two.
+    return CoefficientModel(
+        name="exploding", dim=1,
+        drift=lambda t, x, mu: 1e202 * x, diffusion=lambda t, x, mu: np.zeros((1, 1)),
+        additive_noise=True, invertible_sigma=False, distribution_free_sigma=True,
+    )
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, mu, g, n: euler_maruyama(m, LawCurve.constant(mu, g), mu.points, g, n),
+    lambda m, mu, g, n: particle_solve(m, mu, g, n),
+    lambda m, mu, g, n: evolve_states(m, mu.points, g.s, g.n_steps, g.dt, n),
+], ids=["euler_maruyama", "particle_solve", "evolve_states"])
+def test_blowup_names_the_global_step(run):
+    grid = TimeGrid(0.0, 1.0, 10)
+    mu0 = EmpiricalMeasure(np.ones((4, 1)))
+    with pytest.raises(NumericalBlowupError) as err, np.errstate(over="ignore"):
+        run(_exploding_model(), mu0, grid, NoiseSpec(seed=3, dim=1).with_step_offset(100))
+    assert err.value.step > 100
+    assert f"step {err.value.step}" in str(err.value)
