@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -44,49 +44,56 @@ class ConfigError(ValueError):
 # Schema
 # ---------------------------------------------------------------------------
 
-MODEL_PARAM_KEYS = {
-    "landau": {"gamma", "alpha", "beta", "state_radius"},
-    "linear_meanfield": {"a", "c", "sigma", "dim"},
+# Parameters of each model family and their defaults (None: unset).  Each is a
+# number, except sigma (a scalar, a diagonal or a d x d matrix) and dim (an
+# integer), which the model builder checks.
+MODELS = {
+    "landau": {"gamma": 0.0, "alpha": 1.0, "beta": 1.0, "state_radius": None},
+    "linear_meanfield": {"a": 1.0, "c": 0.0, "sigma": 1.0, "dim": None},
 }
 
 SIM_KEYS = {"n_particles", "dt", "t_end", "t_start", "seed", "theta", "init"}
 INIT_KEYS = {"kind", "value", "mean", "std", "path"}
 SIM_NUMBERS = ("n_particles", "dt", "t_end", "t_start", "seed", "theta")
-EXPERIMENT_NUMBERS = ("moment_p", "max_iter", "tol", "windows", "slope_tolerance",
-                      "burn_in", "check_horizon", "weight_clip", "f_min", "p")
+OUTPUT_KEYS = {"directory", "formats"}
+TOP_KEYS = {"model", "sim", "experiment", "output"}
+
+# Keys of each experiment type and their defaults; None marks an optional key
+# with no default.  A default's type is its key's type: a float admits any
+# number, an int an integer, a bool true or false, and a list a number or a
+# list of model-dimension numbers.
+EXPERIMENTS = {
+    "simulate": {"moment_p": 2.0, "export_law": False},
+    "picard": {"max_iter": 12, "tol": 1e-3, "windows": 1},
+    "contract": {"shift": [1.0], "init2": None, "fit_window": None, "slope_tolerance": 0.5},
+    "invariant": {"burn_in": 10.0, "check_horizon": 0.5, "tol": 0.05},
+    "couple": {"shift": [1.0], "init2": None, "weight_clip": None},
+    "log_harnack": {"shift": [1.0], "init2": None, "f": "one_plus_tanh", "f_min": 1e-12},
+    "shift_harnack": {"f": "one_plus_tanh", "v": [0.5], "p": 2.0, "log_form": False},
+    "ibp": {"f": "linear", "v": [1.0]},
+    "bounds": {"quantity": None, "params": {}},
+}
 # Lower limit of each experiment number its runner enforces, and whether the
 # limit itself is excluded; a shift_harnack "p" counts only in the power form.
 EXPERIMENT_MINIMA = {"moment_p": (0, False), "max_iter": (1, False), "tol": (0, True),
                      "burn_in": (0, False), "check_horizon": (0, False), "p": (1, True)}
-OUTPUT_KEYS = {"directory", "formats"}
-TOP_KEYS = {"model", "sim", "experiment", "output"}
 
-EXPERIMENT_KEYS = {
-    "simulate": {"moment_p", "export_law"},
-    "picard": {"max_iter", "tol", "windows"},
-    "contract": {"shift", "init2", "fit_window", "slope_tolerance"},
-    "invariant": {"burn_in", "check_horizon", "tol"},
-    "couple": {"shift", "init2", "weight_clip"},
-    "log_harnack": {"shift", "init2", "f", "f_min"},
-    "shift_harnack": {"f", "v", "p", "log_form"},
-    "ibp": {"f", "v"},
-    "bounds": {"quantity", "params"},
-}
-
-# Keys of ``params`` each bounds quantity reads without a default.
+# The (required, optional) params each bounds quantity reads; ``_run_bounds``
+# gives the optional ones their defaults.
+_DENSITY_PARAMS = (("lambda",), ("p", "s", "t", "grad_b", "d"))
 BOUNDS_PARAMS = {
-    "cc": ("alpha", "beta"),
-    "tn": ("K0", "B0", "C0", "alpha", "beta"),
-    "phi": ("lambda", "kappa1", "kappa2"),
-    "power": ("p", "lambda", "kappa1", "kappa2"),
-    "p_threshold": ("lambda",),
-    "ET1": ("lambda",),
-    "ET2": ("lambda",),
-    "ET3": ("lambda",),
+    "cc": (("alpha", "beta"), ()),
+    "tn": (("K0", "B0", "C0", "alpha", "beta"), ()),
+    "phi": (("lambda", "kappa1", "kappa2"), ("s", "t")),
+    "power": (("p", "lambda", "kappa1", "kappa2"), ("s", "t", "T", "gamma_t", "moment_term")),
+    "p_threshold": (("lambda",), ("kappa1", "kappa2", "T", "gamma_t")),
+    "ET1": _DENSITY_PARAMS,
+    "ET2": _DENSITY_PARAMS,
+    "ET3": _DENSITY_PARAMS,
 }
 
 
-def _reject_unknown(block: dict, allowed: set, where: str) -> None:
+def _reject_unknown(block: dict, allowed, where: str) -> None:
     for key in block:
         if key not in allowed:
             hint = difflib.get_close_matches(key, allowed, n=1)
@@ -128,11 +135,21 @@ def _check_init(init, where: str, dim: int) -> None:
             _vector(init[key], f"{where}.{key}", dim)
     if "std" in init and not (_is_number(init["std"]) and init["std"] > 0):
         raise ConfigError(f"{where}.std must be a number > 0, got {init['std']!r}")
-    if init.get("kind") == "csv" and not os.path.isfile(str(init.get("path"))):
-        raise ConfigError(f"{where}.path must name a CSV file, got {init.get('path')!r}")
+    if init.get("kind") == "csv":
+        path = init.get("path")
+        if not os.path.isfile(str(path)):
+            raise ConfigError(f"{where}.path must name a CSV file, got {path!r}")
+        try:
+            columns = EmpiricalMeasure.from_csv(path).dim
+        except ValueError as err:
+            raise ConfigError(f"{where}.path {path!r}: {err}") from None
+        if columns != dim:
+            raise ConfigError(f"{where}.path {path!r} has {columns} columns, "
+                              f"but the model has dimension {dim}")
 
 
-def validate_config(cfg: dict) -> "ExperimentConfig":
+def validate_config(cfg: dict) -> dict:
+    """The config's four blocks (``output`` defaults to empty), once every check passes."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(cfg, TOP_KEYS, "config")
@@ -145,12 +162,10 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
 
     model = cfg["model"]
     name = model.get("name")
-    if not isinstance(name, str) or name not in MODEL_PARAM_KEYS:
-        raise ConfigError(
-            f"unknown model {name!r}; available: {sorted(MODEL_PARAM_KEYS)}"
-        )
+    if not isinstance(name, str) or name not in MODELS:
+        raise ConfigError(f"unknown model {name!r}; available: {sorted(MODELS)}")
     _reject_unknown({k: v for k, v in model.items() if k != "name"},
-                    MODEL_PARAM_KEYS[name], f"model block for {name!r}")
+                    MODELS[name], f"model block for {name!r}")
 
     sim = cfg["sim"]
     _reject_unknown(sim, SIM_KEYS, "sim block")
@@ -165,32 +180,39 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
 
     exp = cfg["experiment"]
     etype = exp.get("type")
-    if not isinstance(etype, str) or etype not in EXPERIMENT_KEYS:
-        hint = difflib.get_close_matches(str(etype), EXPERIMENT_KEYS, n=1)
+    if not isinstance(etype, str) or etype not in EXPERIMENTS:
+        hint = difflib.get_close_matches(str(etype), EXPERIMENTS, n=1)
         suggestion = f" (did you mean {hint[0]!r}?)" if hint else ""
         raise ConfigError(f"unknown experiment type {etype!r}{suggestion}")
+    spec = EXPERIMENTS[etype]
     _reject_unknown({k: v for k, v in exp.items() if k != "type"},
-                    EXPERIMENT_KEYS[etype], f"experiment block for {etype!r}")
-    _check_numbers(exp, "experiment", EXPERIMENT_NUMBERS, ("max_iter", "windows"))
+                    spec, f"experiment block for {etype!r}")
+    numbers = [k for k, default in spec.items() if _is_number(default) or k == "weight_clip"]
+    _check_numbers(exp, "experiment", numbers, [k for k in numbers if isinstance(spec[k], int)])
+    for key, default in spec.items():
+        if isinstance(default, bool) and key in exp and not isinstance(exp[key], bool):
+            raise ConfigError(f"experiment.{key} must be true or false, got {exp[key]!r}")
     for key, (low, strict) in EXPERIMENT_MINIMA.items():
         if key in exp and (exp[key] <= low if strict else exp[key] < low) \
                 and not (key == "p" and exp.get("log_form")):
             raise ConfigError(f"experiment.{key} must be {'>' if strict else '>='} {low}, "
                               f"got {exp[key]!r}")
+    full = {**spec, **exp}
     if "f" in exp:
         table = harnack.IBP_FUNCTIONS if etype == "ibp" else harnack.TEST_FUNCTIONS
         if not isinstance(exp["f"], str) or exp["f"] not in table:
             raise ConfigError(f"unknown test function {exp['f']!r} for {etype!r}; "
                               f"available: {sorted(table)}")
     if etype == "bounds":
-        quantity = exp.get("quantity")
+        quantity, params = full["quantity"], full["params"]
         if not isinstance(quantity, str) or quantity not in BOUNDS_PARAMS:
             raise ConfigError(f"unknown bounds quantity {quantity!r}; "
                               f"available: {sorted(BOUNDS_PARAMS)}")
-        params = exp.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"bounds params must be an object, got {params!r}")
-        missing = [k for k in BOUNDS_PARAMS[quantity] if k not in params]
+        required, optional = BOUNDS_PARAMS[quantity]
+        _reject_unknown(params, required + optional, f"params of bounds quantity {quantity!r}")
+        missing = [k for k in required if k not in params]
         if missing:
             raise ConfigError(f"bounds quantity {quantity!r} needs params {missing}")
         _check_numbers(params, "experiment.params", params, ("d",))
@@ -202,11 +224,11 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
         _check_init(sim["init"], "sim.init", built.dim)
     if "init2" in exp:
         _check_init(exp["init2"], "experiment.init2", built.dim)
-    for key in ("shift", "v"):
-        if key in exp:
-            _shift_vector(exp[key], built.dim, key)
+    for key, default in spec.items():
+        if isinstance(default, list) and key in exp:
+            _vector(exp[key], f"experiment.{key}", built.dim)
     grid = _time_grid(sim)
-    window = exp.get("fit_window")
+    window = full.get("fit_window")
     if window is not None and not (isinstance(window, list) and len(window) == 2
                                    and all(map(_is_number, window))):
         raise ConfigError(f"experiment.fit_window must be a list of two numbers, got {window!r}")
@@ -221,7 +243,7 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
             # Evaluating the bound checks each param against the range its formula needs.
             _run_bounds(quantity, params, built, float(sim["t_end"]))
         if etype == "picard":
-            solver.window_steps(grid, int(exp.get("windows", 1)))
+            solver.window_steps(grid, int(full["windows"]))
         if etype == "contract":
             solver._w2_nodes(grid, solver._fit_window(grid, window))
     except (ValueError, ArithmeticError) as err:
@@ -234,80 +256,28 @@ def validate_config(cfg: dict) -> "ExperimentConfig":
         raise ConfigError(f"output.formats must be a list of 'json' and 'csv', got {formats!r}")
     if not isinstance(out.get("directory", "."), str):
         raise ConfigError(f"output.directory must be a string, got {out['directory']!r}")
-    return ExperimentConfig(model=model, sim=sim, experiment=exp, output=out)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model: dict
-    sim: dict
-    experiment: dict
-    output: dict
-
-    def as_dict(self) -> dict:
-        return {"model": self.model, "sim": self.sim,
-                "experiment": self.experiment, "output": self.output}
-
-    def content_hash(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-@dataclass
-class RunReport:
-    config: dict
-    config_hash: str
-    experiment: str
-    metrics: dict
-    ok: bool
-    wall_time_s: float
-    refinement: dict | None = None
-
-    def to_json(self) -> str:
-        body = {
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "experiment": self.experiment,
-            "metrics": self.metrics,
-            "ok": self.ok,
-            "wall_time_s": self.wall_time_s,
-        }
-        if self.refinement is not None:
-            body["refinement"] = self.refinement
-        return json.dumps(body, indent=2, sort_keys=True)
+    return {"model": model, "sim": sim, "experiment": exp, "output": out}
 
 
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
 
-def _model_number(model_cfg: dict, key: str, default: float) -> float:
-    value = model_cfg.get(key, default)
-    if not _is_number(value):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def build_model(model_cfg: dict) -> models.CoefficientModel:
+    """The model ``model_cfg`` names, its unset parameters defaulted from ``MODELS``."""
     name = model_cfg["name"]
+    params = {**MODELS[name], **model_cfg}
+    for key, default in MODELS[name].items():
+        if key in ("sigma", "dim") or params[key] is None and default is None:
+            continue
+        if not _is_number(params[key]):
+            raise ValueError(f"{key} must be a number, got {params[key]!r}")
+        params[key] = float(params[key])
     if name == "landau":
-        radius = model_cfg.get("state_radius")
-        if radius is not None:
-            radius = _model_number(model_cfg, "state_radius", 0.0)
-        return models.landau_model(
-            gamma=_model_number(model_cfg, "gamma", 0.0),
-            alpha=_model_number(model_cfg, "alpha", 1.0),
-            beta=_model_number(model_cfg, "beta", 1.0),
-            state_radius=radius,
-        )
-    if name == "linear_meanfield":
-        return models.linear_meanfield_model(
-            a_coef=_model_number(model_cfg, "a", 1.0),
-            c_coef=_model_number(model_cfg, "c", 0.0),
-            sigma_const=model_cfg.get("sigma", 1.0),
-            dim=model_cfg.get("dim"),
-        )
-    raise ConfigError(f"unknown model {name!r}")
+        return models.landau_model(params["gamma"], params["alpha"], params["beta"],
+                                   params["state_radius"])
+    return models.linear_meanfield_model(params["a"], params["c"], params["sigma"],
+                                         params["dim"])
 
 
 def build_init(init_cfg: dict | None, dim: int, n: int, noise: NoiseSpec) -> EmpiricalMeasure:
@@ -350,9 +320,9 @@ def _shift_vector(shift, dim: int, key: str) -> np.ndarray:
 
 def _second_init(exp: dict, mu0: EmpiricalMeasure, dim: int, n: int,
                  noise: NoiseSpec) -> EmpiricalMeasure:
-    if "init2" in exp:
+    if exp["init2"] is not None:
         return build_init(exp["init2"], dim, n, noise.substream(0xB0B))
-    return mu0.shifted(_shift_vector(exp.get("shift", 1.0), dim, "shift"))
+    return mu0.shifted(_shift_vector(exp["shift"], dim, "shift"))
 
 
 def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -365,12 +335,12 @@ def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
+def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
                     threads: int) -> tuple[dict, bool]:
-    sim = cfg.sim
-    exp = cfg.experiment
+    sim = cfg["sim"]
+    exp = {**EXPERIMENTS[cfg["experiment"]["type"]], **cfg["experiment"]}
     etype = exp["type"]
-    model = build_model(cfg.model)
+    model = build_model(cfg["model"])
     n = int(sim["n_particles"])
     dt = float(sim["dt"])
     t_end = float(sim["t_end"])
@@ -380,15 +350,15 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
     csv_on = "csv" in formats
 
     if etype == "simulate":
-        p = float(exp.get("moment_p", 2.0))
+        p = float(exp["moment_p"])
         law, ens = solver.particle_solve(model, mu0, grid, noise, n)
         curve = solver.moment_curve(ens, p)
         if csv_on:
             _write_csv(os.path.join(out_dir, "simulate.csv"),
                        ["t", f"moment_p{p:g}"], [grid.nodes, curve.per_node])
-        if exp.get("export_law"):
+        if exp["export_law"]:
             law.export(os.path.join(out_dir, "law_curve"),
-                       theta=float(sim.get("theta", 2.0)), model_echo=cfg.model)
+                       theta=float(sim.get("theta", 2.0)), model_echo=cfg["model"])
         metrics = {
             "terminal_mean": ens.terminal.mean(axis=0).tolist(),
             "terminal_moment": float(curve.per_node[-1]),
@@ -398,11 +368,11 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
         return metrics, True
 
     if etype == "picard":
-        windows = int(exp.get("windows", 1))
+        windows = int(exp["windows"])
         reports = solver.picard_chain(
             model, mu0, grid, noise, windows,
-            max_iter=int(exp.get("max_iter", 12)),
-            tol=float(exp.get("tol", 1e-3)),
+            max_iter=int(exp["max_iter"]),
+            tol=float(exp["tol"]),
             theta=float(sim.get("theta", 2.0)),
         )
         report = reports[-1]
@@ -427,8 +397,8 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
     if etype == "contract":
         nu0 = _second_init(exp, mu0, model.dim, n, noise)
         est = solver.estimate_contraction(model, mu0, nu0, grid, noise,
-                                          fit_window=exp.get("fit_window"), threads=threads)
-        tol = float(exp.get("slope_tolerance", 0.5))
+                                          fit_window=exp["fit_window"], threads=threads)
+        tol = float(exp["slope_tolerance"])
         if csv_on:
             envelope = est.w2_sq[0] * np.exp(
                 (est.bound_rate if est.bound_rate is not None else 0.0)
@@ -449,12 +419,12 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
         return metrics, ok
 
     if etype == "invariant":
-        tol = float(exp.get("tol", 0.05))
+        tol = float(exp["tol"])
         try:
             mu_hat, residual = solver.find_invariant(
                 model, dt, noise, n,
-                burn_in=float(exp.get("burn_in", 10.0)),
-                check_horizon=float(exp.get("check_horizon", 0.5)),
+                burn_in=float(exp["burn_in"]),
+                check_horizon=float(exp["check_horizon"]),
                 tol=tol,
             )
         except solver.InvariantSearchError as err:
@@ -471,7 +441,7 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
     if etype == "couple":
         nu0 = _second_init(exp, mu0, model.dim, n, noise)
         config = harnack.CouplingConfig.from_model(
-            model, horizon=t_end, weight_clip=exp.get("weight_clip")
+            model, horizon=t_end, weight_clip=exp["weight_clip"]
         )
         pairs = harnack.coupled_pairs_from_measures(mu0, nu0, n)
         result = harnack.coupled_girsanov(model, pairs, config, grid, noise)
@@ -480,9 +450,8 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
             _write_csv(os.path.join(out_dir, "couple.csv"),
                        ["t", "gap_q", "weight_mean", "weight_entropy"],
                        [s["t"], s["gap_q"], s["weight_mean"], s["weight_entropy"]])
-        metrics = result.to_json_dict()
-        if result.clip_fraction is not None:
-            metrics["clip_fraction"] = result.clip_fraction
+        metrics = {key: value for key, value in vars(result).items()
+                   if key != "series" and value is not None}
         if result.ess < n / 10:
             metrics["ess_warning"] = f"effective sample size {result.ess:.1f} < M/10"
         return metrics, result.success
@@ -490,10 +459,9 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
     if etype == "log_harnack":
         nu0 = _second_init(exp, mu0, model.dim, n, noise)
         config = harnack.CouplingConfig.from_model(model, horizon=t_end)
-        f = harnack.TEST_FUNCTIONS[exp.get("f", "one_plus_tanh")]
         result = harnack.verify_log_harnack(
-            model, f, mu0, nu0, config, grid, noise, n,
-            f_min=float(exp.get("f_min", 1e-12)),
+            model, harnack.TEST_FUNCTIONS[exp["f"]], mu0, nu0, config, grid, noise, n,
+            f_min=float(exp["f_min"]),
         )
         metrics = {
             "lhs": result.lhs, "rhs": result.rhs, "slack": result.slack,
@@ -504,74 +472,42 @@ def _run_experiment(cfg: ExperimentConfig, out_dir: str, formats: list[str],
         return metrics, result.slack >= -3.0 * result.slack_se
 
     if etype == "shift_harnack":
-        f = harnack.TEST_FUNCTIONS[exp.get("f", "one_plus_tanh")]
-        v = _shift_vector(exp.get("v", 0.5), model.dim, "v")
         result = harnack.shift_coupling_verify(
-            model, f, v, mu0,
-            p=float(exp.get("p", 2.0)),
-            grid=grid, noise=noise, n_samples=n,
-            log_form=bool(exp.get("log_form", False)),
+            model, harnack.TEST_FUNCTIONS[exp["f"]], _shift_vector(exp["v"], model.dim, "v"),
+            mu0, p=float(exp["p"]), grid=grid, noise=noise, n_samples=n,
+            log_form=exp["log_form"],
         )
-        metrics = {
-            "lhs": result.lhs, "rhs": result.rhs, "slack": result.slack,
-            "lhs_se": result.lhs_se, "rhs_se": result.rhs_se,
-            "slack_se": result.slack_se, "constant": result.constant,
-        }
-        return metrics, result.slack >= -3.0 * result.slack_se
+        return asdict(result), result.slack >= -3.0 * result.slack_se
 
     if etype == "ibp":
-        fname = exp.get("f", "linear")
-        f, grad_f = harnack.IBP_FUNCTIONS[fname]
-        v = _shift_vector(exp.get("v", 1.0), model.dim, "v")
+        f, grad_f = harnack.IBP_FUNCTIONS[exp["f"]]
+        v = _shift_vector(exp["v"], model.dim, "v")
         result = harnack.integration_by_parts_check(
             model, f, grad_f, v, mu0, grid, noise, n
         )
-        metrics = {
-            "lhs": result.lhs, "rhs": result.rhs,
-            "lhs_se": result.lhs_se, "rhs_se": result.rhs_se,
-            "z_score": result.z_score, "f": fname,
-        }
-        return metrics, abs(result.z_score) <= 3.0
+        return {**asdict(result), "f": exp["f"]}, abs(result.z_score) <= 3.0
 
-    if etype == "bounds":
-        return _run_bounds(exp.get("quantity"), exp.get("params", {}), model, t_end)
-
-    raise ConfigError(f"unhandled experiment type {etype!r}")
+    # bounds; validate_config admits no other type
+    return _run_bounds(exp["quantity"], exp["params"], model, t_end)
 
 
 def _run_bounds(quantity: str, params: dict, model, t_end: float) -> tuple[dict, bool]:
+    a = {"s": 0.0, "t": t_end, "T": t_end, "p": 2.0, "kappa1": 0.0, "kappa2": 0.0,
+         "gamma_t": 0.0, "moment_term": 0.0, "grad_b": 0.0, "d": model.dim, **params}
     if quantity == "cc":
-        value = models.contraction_exponent_cc(params["alpha"], params["beta"])
+        value = models.contraction_exponent_cc(a["alpha"], a["beta"])
     elif quantity == "tn":
-        value = models.contraction_exponent_tn(
-            params["K0"], params["B0"], params["C0"], params["alpha"], params["beta"]
-        )
+        value = models.contraction_exponent_tn(a["K0"], a["B0"], a["C0"], a["alpha"], a["beta"])
     elif quantity == "phi":
-        value = harnack.phi(params.get("s", 0.0), params.get("t", t_end),
-                            params["lambda"], params["kappa1"], params["kappa2"])
-    elif quantity == "power":
-        config = harnack.CouplingConfig(
-            horizon=params.get("T", t_end), kappa1=params["kappa1"],
-            kappa2=params["kappa2"], lambda_=params["lambda"],
-            gamma_t=params.get("gamma_t", 0.0),
-        )
-        value = harnack.power_harnack_constant(
-            params["p"], params.get("s", 0.0), params.get("t", t_end),
-            config, params.get("moment_term", 0.0),
-        )
-    elif quantity == "p_threshold":
-        config = harnack.CouplingConfig(
-            horizon=params.get("T", t_end), kappa1=params.get("kappa1", 0.0),
-            kappa2=params.get("kappa2", 0.0), lambda_=params["lambda"],
-            gamma_t=params.get("gamma_t", 0.0),
-        )
-        value = harnack.power_harnack_threshold(config)
+        value = harnack.phi(a["s"], a["t"], a["lambda"], a["kappa1"], a["kappa2"])
+    elif quantity in ("power", "p_threshold"):
+        config = harnack.CouplingConfig(horizon=a["T"], kappa1=a["kappa1"], kappa2=a["kappa2"],
+                                        lambda_=a["lambda"], gamma_t=a["gamma_t"])
+        value = (harnack.power_harnack_threshold(config) if quantity == "p_threshold" else
+                 harnack.power_harnack_constant(a["p"], a["s"], a["t"], config, a["moment_term"]))
     else:  # ET1, ET2, ET3; validate_config admits no other quantity
-        value = harnack.density_bound_rhs(
-            quantity, params.get("p", 2.0), params.get("s", 0.0),
-            params.get("t", t_end), params["lambda"], params.get("grad_b", 0.0),
-            int(params.get("d", model.dim)),
-        )
+        value = harnack.density_bound_rhs(quantity, a["p"], a["s"], a["t"], a["lambda"],
+                                          a["grad_b"], int(a["d"]))
     return {"quantity": quantity, "value": value}, True
 
 
@@ -596,8 +532,8 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = os.environ.get("DDSDE_OUTPUT_DIR") or cfg.output.get("directory", ".")
-    formats = cfg.output.get("formats", ["json", "csv"])
+    out_dir = os.environ.get("DDSDE_OUTPUT_DIR") or cfg["output"].get("directory", ".")
+    formats = cfg["output"].get("formats", ["json", "csv"])
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.perf_counter()
@@ -605,15 +541,12 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
         metrics, ok = _run_experiment(cfg, out_dir, formats, threads)
         refinement = None
         if refine:
-            fine_sim = dict(cfg.sim)
-            fine_sim["dt"] = cfg.sim["dt"] / 2.0
-            fine_cfg = ExperimentConfig(model=cfg.model, sim=fine_sim,
-                                        experiment=cfg.experiment, output=cfg.output)
+            fine_cfg = {**cfg, "sim": {**cfg["sim"], "dt": cfg["sim"]["dt"] / 2.0}}
             fine_dir = os.path.join(out_dir, "refined")
             os.makedirs(fine_dir, exist_ok=True)
             fine_metrics, fine_ok = _run_experiment(fine_cfg, fine_dir, formats, threads)
-            refinement = {"dt": fine_sim["dt"], "metrics": fine_metrics, "ok": fine_ok}
-            if cfg.experiment["type"] == "couple" and fine_metrics.get("terminal_gap_q"):
+            refinement = {"dt": fine_cfg["sim"]["dt"], "metrics": fine_metrics, "ok": fine_ok}
+            if cfg["experiment"]["type"] == "couple" and fine_metrics.get("terminal_gap_q"):
                 refinement["gap_ratio"] = (
                     metrics["terminal_gap_q"] / fine_metrics["terminal_gap_q"]
                 )
@@ -625,43 +558,38 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    report = RunReport(
-        config=cfg.as_dict(),
-        config_hash=cfg.content_hash(),
-        experiment=cfg.experiment["type"],
-        metrics=metrics,
-        ok=ok,
-        wall_time_s=time.perf_counter() - started,
-        refinement=refinement,
-    )
+    config_hash = hashlib.sha256(
+        json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:12]
+    report = {"config": cfg, "config_hash": config_hash, "experiment": cfg["experiment"]["type"],
+              "metrics": metrics, "ok": ok, "wall_time_s": time.perf_counter() - started}
+    if refinement is not None:
+        report["refinement"] = refinement
     if "json" in formats:
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            fh.write(report.to_json() + "\n")
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     status = "ok" if ok else "FAILED verification"
-    print(f"{cfg.experiment['type']}: {status} (hash {report.config_hash}, "
-          f"{report.wall_time_s:.2f}s) -> {out_dir}")
+    print(f"{cfg['experiment']['type']}: {status} (hash {config_hash}, "
+          f"{report['wall_time_s']:.2f}s) -> {out_dir}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def list_models() -> int:
-    for name in sorted(MODEL_PARAM_KEYS):
+    for name in sorted(MODELS):
         print(name)
     return EXIT_OK
 
 
 def describe(name: str) -> int:
-    if name not in MODEL_PARAM_KEYS:
-        print(f"error: unknown model {name!r}; available: {sorted(MODEL_PARAM_KEYS)}",
-              file=sys.stderr)
+    if name not in MODELS:
+        print(f"error: unknown model {name!r}; available: {sorted(MODELS)}", file=sys.stderr)
         return EXIT_CONFIG
+    model = build_model({"name": name})
     if name == "landau":
-        model = models.landau_model(gamma=0.0, alpha=1.0, beta=1.0)
         print("landau: homogeneous Landau family on R^3")
         print("  parameters: gamma in [0, 1] (kernel exponent; 0 = Maxwell molecules),")
         print("              alpha (drift interaction), beta (noise interaction),")
         print("              state_radius (guard for gamma > 0, default 1e3)")
     else:
-        model = models.linear_meanfield_model(1.0, 0.0, 1.0)
         print("linear_meanfield: drift -a x + c mean(mu), constant diffusion sigma")
         print("  parameters: a, c, sigma (scalar, diagonal, or d x d), dim")
     print(f"  flags: additive_noise={model.additive_noise}, "

@@ -121,11 +121,15 @@ def _require_coupling_model(model: CoefficientModel) -> None:
 
 
 def _sigma_solver(model, t, states, mu):
-    """A solver for sigma(t, states, mu)^{-1} v."""
+    """A solver for sigma(t, states, mu)^{-1} v; a model's precomputed inverse
+    spares evaluating sigma."""
+    if model.sigma_inverse is not None:
+        inv = model.sigma_inverse(t)
+        return lambda v: apply_sigma(inv, v)
     sigma = np.asarray(model.diffusion(t, states, mu), dtype=np.float64)
     if sigma.ndim == 3:
         return lambda v: np.linalg.solve(sigma, v[..., None])[..., 0]
-    inv = model.sigma_inverse(t) if model.sigma_inverse is not None else np.linalg.inv(sigma)
+    inv = np.linalg.inv(sigma)
     return lambda v: apply_sigma(inv, v)
 
 
@@ -214,18 +218,6 @@ class CouplingResult:
     success: bool
     series: dict | None = None
     clip_fraction: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "terminal_gap_q": self.terminal_gap_q,
-            "weight_mean": self.weight_mean,
-            "weight_mean_se": self.weight_mean_se,
-            "weight_entropy": self.weight_entropy,
-            "weight_entropy_se": self.weight_entropy_se,
-            "phi_bound": self.phi_bound,
-            "ess": self.ess,
-            "success": self.success,
-        }
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:

@@ -16,8 +16,13 @@ from .measure import EmpiricalMeasure
 from .rng import NoiseSpec, increments
 
 
+# Largest state coordinate magnitude: squared distances between states (W2
+# costs, moments, the coupling gap) stay finite up to about 1e300 * d.
+MAX_STATE = 1e150
+
+
 class NumericalBlowupError(RuntimeError):
-    """A state became non-finite (or left the configured radius guard).
+    """A state became non-finite, or left the radius guard or MAX_STATE.
 
     Carries the first offending trajectory and the step at which it happened;
     blow-up usually means the growth condition is violated or dt is too large.
@@ -78,15 +83,18 @@ def apply_sigma(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
 
 
 def check_finite(states: np.ndarray, step: int, radius: float | None = None) -> None:
+    """Raise on the first trajectory that is not finite, or has a coordinate
+    beyond ``radius`` or beyond MAX_STATE."""
+    limit = MAX_STATE if radius is None else min(radius, MAX_STATE)
+    if -limit <= states.min() and states.max() <= limit:  # false on nan
+        return
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
         raise NumericalBlowupError("non-finite state", int(np.argmax(bad)), step)
-    if radius is not None:
-        out = np.abs(states).max(axis=1) > radius
-        if out.any():
-            raise NumericalBlowupError(
-                f"state radius guard {radius} exceeded", int(np.argmax(out)), step
-            )
+    out = np.abs(states).max(axis=1) > limit
+    message = (f"state radius guard {radius} exceeded" if limit == radius else
+               f"state beyond {MAX_STATE:g}, where squared distances overflow")
+    raise NumericalBlowupError(message, int(np.argmax(out)), step)
 
 
 def em_step(model, t: float, states: np.ndarray, mu: EmpiricalMeasure,

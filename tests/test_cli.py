@@ -102,18 +102,26 @@ def test_verification_failure_exits_two(tmp_path):
     assert main(["run", cfg_path]) == EXIT_VERIFY
 
 
-def test_numerical_abort_exits_three(tmp_path, capsys):
-    cfg = {
-        "model": {"name": "landau", "gamma": 1.0, "alpha": 1.0, "beta": 1.0,
-                  "state_radius": 0.2},
-        "sim": {"n_particles": 16, "dt": 0.01, "t_end": 0.5, "seed": 4,
-                "init": {"kind": "gaussian", "std": 2.0}},
-        "experiment": {"type": "simulate"},
-        "output": {"directory": str(tmp_path / "out")},
-    }
+@pytest.mark.parametrize("model, sim, experiment, named", [
+    ({"name": "landau", "gamma": 1.0, "alpha": 1.0, "beta": 1.0, "state_radius": 0.2},
+     {"n_particles": 16, "dt": 0.01, "t_end": 0.5, "seed": 4,
+      "init": {"kind": "gaussian", "std": 2.0}},
+     {"type": "simulate"}, "radius guard"),
+    # The states stay finite, but the W2 costs, their squared distances, would not.
+    ({"name": "landau", "gamma": 0.0, "alpha": 1e6, "beta": 0.0},
+     {"n_particles": 8, "dt": 0.001, "t_end": 0.05, "seed": 1005,
+      "init": {"kind": "gaussian", "std": 1.0}},
+     {"type": "contract", "shift": 1.0, "slope_tolerance": 0.3},
+     "squared distances overflow (trajectory 0, step 46)"),
+], ids=["radius_guard", "squared_distance_overflow"])
+def test_numerical_abort_exits_three(tmp_path, capsys, model, sim, experiment, named):
+    cfg = {"model": model, "sim": sim, "experiment": experiment,
+           "output": {"directory": str(tmp_path / "out")}}
     cfg_path = write_config(tmp_path, cfg)
     assert main(["run", cfg_path]) == EXIT_NUMERIC
-    assert "radius guard" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_threads_flag_reproduces_outputs_bitwise(tmp_path):
@@ -163,6 +171,10 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
         report = json.loads((out / "report.json").read_text())
         outputs[label] = ((out / "simulate.csv").read_bytes(), report["metrics"])
     assert outputs["blas1"] == outputs["blas_default"] == outputs["threads4"]
+
+
+MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
+                 "two_columns.csv": "0.5,1.0\n1.5,2.0\n"}
 
 
 @pytest.mark.parametrize("experiment, sim_update, model_update, named", [
@@ -239,6 +251,18 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
     ({"type": "simulate"}, {"dt": 1e-300}, {}, "got 1e+300"),
     ({"type": "contract"}, {"t_end": 0.05, "dt": 0.5}, {}, "fewer than two grid nodes"),
     ({"type": "simulate"}, {"t_start": -1.0}, {}, "0 <= t_start"),
+    ({"type": "shift_harnack", "log_form": "no"}, {}, {},
+     "experiment.log_form must be true or false"),
+    ({"type": "simulate", "export_law": "false"}, {}, {},
+     "experiment.export_law must be true or false"),
+    ({"type": "bounds", "quantity": "phi",
+      "params": {"lambda": 1.0, "kappa1": 0.0, "kappa2": 0.0, "tt": 0.5}}, {}, {},
+     "unknown key 'tt' in params of bounds quantity 'phi' (did you mean 't'?)"),
+    ({"type": "simulate"}, {"init": {"kind": "csv", "path": "text.csv"}}, {},
+     "could not convert"),
+    ({"type": "simulate"}, {"init": {"kind": "csv", "path": "nan.csv"}}, {}, "non-finite"),
+    ({"type": "simulate"}, {"init": {"kind": "csv", "path": "two_columns.csv"}}, {},
+     "has 2 columns, but the model has dimension 1"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -255,9 +279,15 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
         "bounds_phi_s_past_t_end", "bounds_power_overflow", "bounds_param_string", "bounds_param_list",
         "bounds_param_null", "ibp_sigma_zero", "shift_harnack_sigma_zero",
         "invariant_a_zero", "invariant_c_negative", "t_end_overflow", "dt_underflow",
-        "default_fit_window_empty", "t_start_negative"])
-def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, experiment,
-                                                      sim_update, model_update, named):
+        "default_fit_window_empty", "t_start_negative", "log_form_string",
+        "export_law_string", "bounds_param_unknown", "init_csv_text", "init_csv_nan",
+        "init_csv_columns"])
+def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
+                                                      experiment, sim_update, model_update,
+                                                      named):
+    monkeypatch.chdir(tmp_path)  # where the malformed CSV laws are
+    for csv_name, text in MALFORMED_CSV.items():
+        (tmp_path / csv_name).write_text(text)
     cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
     if isinstance(sim_update, dict):
         cfg["sim"].update(sim_update)
