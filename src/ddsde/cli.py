@@ -26,7 +26,7 @@ import numpy as np
 from . import harnack, models, solver
 from .measure import EmpiricalMeasure
 from .rng import NoiseSpec, normal_block
-from .sde import NumericalBlowupError, TimeGrid
+from .sde import NumericalBlowupError, TimeGrid, check_finite
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -443,6 +443,8 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
         config = harnack.CouplingConfig.from_model(
             model, horizon=t_end, weight_clip=exp["weight_clip"]
         )
+        for law in (mu0, nu0):
+            check_finite(law.points, noise.step0, model.state_radius)
         pairs = harnack.coupled_pairs_from_measures(mu0, nu0, n)
         result = harnack.coupled_girsanov(model, pairs, config, grid, noise)
         if csv_on and result.series is not None:

@@ -303,6 +303,8 @@ def verify_log_harnack(model: CoefficientModel, f, mu0: EmpiricalMeasure,
     A negative slack beyond its standard error flags bad constants or a
     too-coarse step.
     """
+    for law in (mu0, nu0):
+        check_finite(law.points, noise.step0, model.state_radius)
     x0, y0 = coupled_pairs_from_measures(mu0, nu0, n_samples)
     sample = simulate_coupled(model, x0, y0, config, grid, noise)
     fx = np.asarray(f(sample.x_terminal), dtype=np.float64)

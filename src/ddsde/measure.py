@@ -9,9 +9,15 @@ is solved on costs reduced by the Gaussian map's potentials, 2-5x sooner.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
+import scipy
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,34 @@ class TransportPlan:
         return float(self.cost) ** (1.0 / self.theta)
 
 
+_EXTENSION_LOCK = threading.Lock()  # transport_plan runs on a thread pool under --threads
+
+
+def _scipy_extension(package: str, name: str):
+    """The compiled module ``scipy.<package>.<name>``, without importing its package.
+
+    3-D runs call one function each of ``scipy.optimize`` and ``scipy.spatial``,
+    whose imports would also load ``scipy.sparse`` and ``scipy.linalg`` (about
+    20 MB).  The module is registered under its own name, so a later
+    ``import scipy.<package>`` reuses it.  Without a compiled file, the module
+    is imported the usual way.
+    """
+    full_name = f"scipy.{package}.{name}"
+    with _EXTENSION_LOCK:
+        module = sys.modules.get(full_name)
+        if module is not None:
+            return module
+        finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), package),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(full_name)
+        if spec is None:
+            return importlib.import_module(full_name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[full_name] = module
+        return module
+
+
 def _cost_matrix(d: np.ndarray, theta: float) -> np.ndarray:
     """Distance matrix d raised to the power theta, in place."""
     if theta == 2.0:
@@ -136,16 +170,14 @@ def transport_plan(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
         perm[ix] = iy
         cost = float(np.mean(np.abs(x[ix, 0] - y[iy, 0]) ** theta))
         return TransportPlan(cost=cost, theta=theta, permutation=perm)
-    # Local: scipy.optimize and scipy.spatial add ~0.3 s to start-up; only d > 1 needs them.
-    from scipy.optimize import linear_sum_assignment
-    from scipy.spatial.distance import cdist
-    c = _cost_matrix(cdist(x, y, metric="euclidean"), theta)
+    cdist_euclidean = _scipy_extension("spatial", "_distance_pybind").cdist_euclidean
+    c = _cost_matrix(cdist_euclidean(x, y), theta)
     if theta == 2.0:
         _reduce_by_gaussian_potentials(c, x, y)
-    rows, cols = linear_sum_assignment(c)
+    rows, cols = _scipy_extension("optimize", "_lsap").linear_sum_assignment(c)
     if theta == 2.0:
         del c  # before the second matrix exists
-        c = _cost_matrix(cdist(x, y, metric="euclidean"), theta)
+        c = _cost_matrix(cdist_euclidean(x, y), theta)
     perm = np.empty(len(rows), dtype=np.intp)
     perm[rows] = cols
     return TransportPlan(cost=float(c[rows, cols].mean()), theta=theta, permutation=perm)

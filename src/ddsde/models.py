@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+from .measure import _scipy_extension
+
 
 @dataclass(frozen=True)
 class ModelBounds:
@@ -89,6 +91,8 @@ class CoefficientModel:
 def landau_b0(x: np.ndarray, gamma: float) -> np.ndarray:
     """Kernel drift -2|x|^gamma x on R^3 (divergence of the collision matrix)."""
     x = np.asarray(x, dtype=np.float64)
+    if gamma == 0.0:
+        return -2.0 * x
     r = np.linalg.norm(x, axis=-1, keepdims=True)
     return -2.0 * r ** gamma * x
 
@@ -103,12 +107,13 @@ def landau_sigma0(x: np.ndarray, gamma: float) -> np.ndarray:
     if x.shape[-1] != 3:
         raise ValueError(f"landau_sigma0 needs 3-vectors, got dim {x.shape[-1]}")
     x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    z = np.zeros_like(x1)
-    m = np.stack([
-        np.stack([x2, z, x3], axis=-1),
-        np.stack([-x1, x3, z], axis=-1),
-        np.stack([z, -x2, -x1], axis=-1),
-    ], axis=-2)
+    m = np.zeros(x.shape + (3,))
+    m[..., 0, 0] = x2
+    m[..., 0, 2] = x3
+    m[..., 1, 0] = -x1
+    m[..., 1, 1] = x3
+    m[..., 2, 1] = -x2
+    m[..., 2, 2] = -x1
     if gamma == 0.0:
         return m
     r = np.linalg.norm(x, axis=-1)
@@ -118,9 +123,7 @@ def landau_sigma0(x: np.ndarray, gamma: float) -> np.ndarray:
 def _pair_weights(x: np.ndarray, z: np.ndarray, scale: float,
                   power: float) -> np.ndarray:
     """(M, N) matrix of |x_i - scale z_j|^power, raised to the power in place."""
-    # Local: only the gamma > 0 Landau kernel needs scipy.spatial, so other runs skip it.
-    from scipy.spatial.distance import cdist
-    w = cdist(x, scale * z, "sqeuclidean")
+    w = _scipy_extension("spatial", "_distance_pybind").cdist_sqeuclidean(x, scale * z)
     w **= power / 2.0
     return w
 
@@ -208,12 +211,10 @@ def _as_sigma_matrix(sigma_const, dim: int | None) -> tuple[np.ndarray, int]:
     if s.ndim == 0:
         d = dim if dim is not None else 1
         return float(s) * np.eye(d), d
-    if s.ndim == 1:
-        return np.diag(s), len(s)
-    if s.ndim == 2 and s.shape[0] == s.shape[1]:
+    if s.ndim == 1 or (s.ndim == 2 and s.shape[0] == s.shape[1]):
         if dim is not None and dim != s.shape[0]:
             raise ValueError(f"dim {dim} conflicts with sigma shape {s.shape}")
-        return s, s.shape[0]
+        return (np.diag(s) if s.ndim == 1 else s), s.shape[0]
     raise ValueError(f"sigma_const must be scalar, diagonal, or (d, d), got shape {s.shape}")
 
 

@@ -320,6 +320,8 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     times = grid.nodes[nodes]
     if mu0.n != nu0.n:
         nu0 = nu0.resample(mu0.n)
+    for law in (mu0, nu0):  # before their W2 costs can overflow
+        check_finite(law.points, noise.step0, model.state_radius)
     perm = optimal_pairing(mu0, nu0, theta=2.0)
     y = nu0.points[perm]
 

@@ -113,7 +113,23 @@ def test_verification_failure_exits_two(tmp_path):
       "init": {"kind": "gaussian", "std": 1.0}},
      {"type": "contract", "shift": 1.0, "slope_tolerance": 0.3},
      "squared distances overflow (trajectory 0, step 46)"),
-], ids=["radius_guard", "squared_distance_overflow"])
+    # A second law whose W2 costs overflow is caught before the laws are paired.
+    ({"name": "landau", "gamma": 0.0, "alpha": 1.0, "beta": 1.0},
+     {"n_particles": 8, "dt": 0.001, "t_end": 0.05, "seed": 1004,
+      "init": {"kind": "gaussian", "std": 1.0}},
+     {"type": "contract", "init2": {"kind": "gaussian", "std": 1.4, "mean": 1e200}},
+     "squared distances overflow (trajectory 0, step 0)"),
+    ({"name": "linear_meanfield", "a": 1.0, "c": 0.0, "sigma": 1.0, "dim": 2},
+     {"n_particles": 8, "dt": 0.01, "t_end": 0.05, "seed": 1},
+     {"type": "couple", "init2": {"kind": "gaussian", "mean": 1e200}},
+     "squared distances overflow (trajectory 0, step 0)"),
+    ({"name": "linear_meanfield", "a": 1.0, "c": 0.0, "sigma": 1.0, "dim": 2},
+     {"n_particles": 8, "dt": 0.01, "t_end": 0.05, "seed": 1},
+     {"type": "log_harnack", "f": "one_plus_tanh",
+      "init2": {"kind": "gaussian", "mean": 1e200}},
+     "squared distances overflow (trajectory 0, step 0)"),
+], ids=["radius_guard", "squared_distance_overflow", "contract_init2_overflow",
+        "couple_init2_overflow", "log_harnack_init2_overflow"])
 def test_numerical_abort_exits_three(tmp_path, capsys, model, sim, experiment, named):
     cfg = {"model": model, "sim": sim, "experiment": experiment,
            "output": {"directory": str(tmp_path / "out")}}
@@ -263,6 +279,8 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
     ({"type": "simulate"}, {"init": {"kind": "csv", "path": "nan.csv"}}, {}, "non-finite"),
     ({"type": "simulate"}, {"init": {"kind": "csv", "path": "two_columns.csv"}}, {},
      "has 2 columns, but the model has dimension 1"),
+    ({"type": "simulate"}, {}, {"sigma": [0.2, 0.3], "dim": 1},
+     "dim 1 conflicts with sigma shape (2,)"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -281,7 +299,7 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "invariant_a_zero", "invariant_c_negative", "t_end_overflow", "dt_underflow",
         "default_fit_window_empty", "t_start_negative", "log_form_string",
         "export_law_string", "bounds_param_unknown", "init_csv_text", "init_csv_nan",
-        "init_csv_columns"])
+        "init_csv_columns", "sigma_list_dim_conflict"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
                                                       named):
@@ -318,24 +336,71 @@ def test_experiment_range_edges_accepted(tmp_path, experiment):
 
 
 def test_run_imports_only_what_it_uses(tmp_path):
-    # A 1-D linear run needs no quadrature, assignment or cdist; a d = 2 W2 loads
-    # the assignment solver, so those imports are deferred, not missing.
+    # A 1-D linear run needs no quadrature, assignment or cdist. A d = 2 W2 and a
+    # gamma > 0 Landau drift load only scipy's compiled assignment and distance
+    # modules, and a later import of their packages reuses them.
     cfg_path = write_config(tmp_path, small_simulate_config(tmp_path / "out"))
     script = f"""
 import sys
 import numpy as np
-from ddsde import cli, measure
+from ddsde import cli, measure, models
 lazy = ("scipy.integrate", "scipy.optimize", "scipy.spatial")
 assert cli.run({cfg_path!r}) == 0
 print(sorted(m for m in lazy if m in sys.modules))
 pts = measure.EmpiricalMeasure(np.arange(8.0).reshape(4, 2))
-measure.wasserstein(pts, pts.shifted([1.0, 0.0]))
-print("scipy.optimize" in sys.modules)
+print(measure.wasserstein(pts, pts.shifted([1.0, 0.0])))
+x = np.arange(12.0).reshape(4, 3)
+models.landau_model(0.5, 1.0, 1.0).drift(0.0, x, measure.EmpiricalMeasure(x))
+print(sorted(m for m in lazy if m in sys.modules))
+print(sorted(m for m in sys.modules if m in ("scipy.optimize._lsap", "scipy.spatial._distance_pybind")))
+solver = sys.modules["scipy.optimize._lsap"].linear_sum_assignment
+import scipy.optimize
+print(scipy.optimize.linear_sum_assignment is solver)
 """
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-2:] == ["[]", "True"]
+    assert result.stdout.splitlines()[-5:] == [
+        "[]", "1.0", "[]", "['scipy.optimize._lsap', 'scipy.spatial._distance_pybind']", "True"]
+
+
+def test_scipy_extension_falls_back_to_package_import(tmp_path):
+    # Where no compiled file is found, the module comes from the package import.
+    script = f"""
+import sys
+import types
+from ddsde import measure
+measure.scipy = types.SimpleNamespace(__file__={str(tmp_path / "scipy" / "__init__.py")!r})
+module = measure._scipy_extension("optimize", "_lsap")
+import scipy.optimize
+print(module is scipy.optimize._lsap, "scipy.optimize" in sys.modules)
+"""
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "True True"
+
+
+def test_scipy_extension_loads_once_across_threads():
+    # Threads that ask for the module at once must all get the one registered module.
+    script = """
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from ddsde import measure
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8)
+def load(_):
+    barrier.wait(timeout=30)
+    return measure._scipy_extension("optimize", "_lsap")
+with ThreadPoolExecutor(8) as pool:
+    modules = list(pool.map(load, range(8)))
+print(all(m is sys.modules["scipy.optimize._lsap"] for m in modules))
+"""
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "True"
 
 
 @pytest.mark.parametrize("output, named", [

@@ -6,6 +6,10 @@ hex digits) of the report without ``wall_time_s`` (as sorted-key JSON: the
 config echo, its hash, the metrics, the ok flag and the dt/2 companion) and
 of every CSV file, with values recorded before the CLI's experiment table
 was introduced. A refactor of the CLI must leave all of them unchanged.
+
+The bundled configs are all gamma = 0, so two small gamma = 0.5 Landau runs
+are pinned the same way, with values recorded before the distance kernels
+were loaded without their scipy packages; they cover the pairwise kernel.
 """
 
 import hashlib
@@ -92,10 +96,35 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_bundled_config_outputs_match_golden(tmp_path, monkeypatch, name):
-    cfg_path = tmp_path / name
-    cfg_path.write_text(json.dumps(_clamped(json.loads((CONFIG_DIR / name).read_text()))))
+LANDAU_GAMMA = {"name": "landau", "gamma": 0.5, "alpha": 1.0, "beta": 1.0}
+GAMMA_SIM = {"n_particles": 32, "dt": 0.01, "t_end": 0.05, "seed": 7,
+             "init": {"kind": "gaussian", "std": 1.0}}
+GAMMA_CONFIGS = {
+    "simulate": {"model": LANDAU_GAMMA, "sim": GAMMA_SIM,
+                 "experiment": {"type": "simulate", "moment_p": 2.0}},
+    "picard": {"model": LANDAU_GAMMA, "sim": GAMMA_SIM,
+               "experiment": {"type": "picard", "max_iter": 4, "tol": 1e-3}},
+}
+
+GAMMA_PINS = {
+    "picard": {
+        "exit": 0,
+        "report": "94ae0502b5c2ba61",
+        "picard.csv": "9d230dc19f56e7dd",
+        "refined/picard.csv": "e46a8dcedf1d226a",
+    },
+    "simulate": {
+        "exit": 0,
+        "report": "c9c07f28054e05a0",
+        "refined/simulate.csv": "06bdd33e2ab96320",
+        "simulate.csv": "d6856edd7e8820f2",
+    },
+}
+
+
+def _outputs(tmp_path, monkeypatch, cfg: dict) -> dict:
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     monkeypatch.setenv("DDSDE_OUTPUT_DIR", str(out))
     code = main(["run", str(cfg_path), "--refine"])
@@ -104,7 +133,18 @@ def test_bundled_config_outputs_match_golden(tmp_path, monkeypatch, name):
     got = {"exit": code, "report": _digest(json.dumps(report, sort_keys=True).encode())}
     for csv in sorted(out.rglob("*.csv")):
         got[str(csv.relative_to(out))] = _digest(csv.read_bytes())
-    assert got == PINS[name]
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_bundled_config_outputs_match_golden(tmp_path, monkeypatch, name):
+    cfg = _clamped(json.loads((CONFIG_DIR / name).read_text()))
+    assert _outputs(tmp_path, monkeypatch, cfg) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GAMMA_CONFIGS))
+def test_landau_gamma_outputs_match_golden(tmp_path, monkeypatch, name):
+    assert _outputs(tmp_path, monkeypatch, GAMMA_CONFIGS[name]) == GAMMA_PINS[name]
 
 
 def test_every_bundled_config_is_pinned():
