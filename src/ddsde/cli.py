@@ -16,17 +16,19 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
 from . import harnack, models, solver
 from .measure import EmpiricalMeasure
 from .rng import NoiseSpec, normal_block
-from .sde import NumericalBlowupError, TimeGrid, check_finite
+from .sde import NumericalBlowupError, TimeGrid, check_finite, em_path
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -351,16 +353,19 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
 
     if etype == "simulate":
         p = float(exp["moment_p"])
-        law, ens = solver.particle_solve(model, mu0, grid, noise, n)
-        curve = solver.moment_curve(ens, p)
+        if exp["export_law"]:
+            law, ens = solver.particle_solve(model, mu0, grid, noise, n)
+            law.export(os.path.join(out_dir, "law_curve"),
+                       theta=float(sim.get("theta", 2.0)), model_echo=cfg["model"])
+            curve = solver.moment_curve(ens, p)
+        else:  # streamed: only the current states are kept
+            steps = em_path(model, mu0.points, grid.s, grid.dt, grid.n_steps, noise)
+            curve = solver.moment_curve(chain([mu0.points], (x for *_, x in steps)), p)
         if csv_on:
             _write_csv(os.path.join(out_dir, "simulate.csv"),
                        ["t", f"moment_p{p:g}"], [grid.nodes, curve.per_node])
-        if exp["export_law"]:
-            law.export(os.path.join(out_dir, "law_curve"),
-                       theta=float(sim.get("theta", 2.0)), model_echo=cfg["model"])
         metrics = {
-            "terminal_mean": ens.terminal.mean(axis=0).tolist(),
+            "terminal_mean": curve.terminal.mean(axis=0).tolist(),
             "terminal_moment": float(curve.per_node[-1]),
             "sup_moment": curve.sup_moment,
             "moment_p": p,
@@ -510,7 +515,13 @@ def _run_bounds(quantity: str, params: dict, model, t_end: float) -> tuple[dict,
     else:  # ET1, ET2, ET3; validate_config admits no other quantity
         value = harnack.density_bound_rhs(quantity, a["p"], a["s"], a["t"], a["lambda"],
                                           a["grad_b"], int(a["d"]))
+    if not math.isfinite(value):
+        raise OverflowError(f"{quantity} is {value} at these params")
     return {"quantity": quantity, "value": value}, True
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +531,11 @@ def _run_bounds(quantity: str, params: dict, model, t_end: float) -> tuple[dict,
 def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
     try:
         with open(config_path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also NaN, Infinity and text that is not UTF-8
         print(f"error: invalid JSON in {config_path}: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -568,7 +579,9 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
         report["refinement"] = refinement
     if "json" in formats:
         with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            # A non-finite number (a merged contract's rate, a 0/0 ess) is written as null.
+            report = json.loads(json.dumps(report), parse_constant=lambda name: None)
+            fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     status = "ok" if ok else "FAILED verification"
     print(f"{cfg['experiment']['type']}: {status} (hash {config_hash}, "
           f"{report['wall_time_s']:.2f}s) -> {out_dir}")

@@ -480,11 +480,14 @@ def integration_by_parts_check(model: CoefficientModel, f, grad_f, v,
         raise ValueError(f"{model.name}: needs sigma_inverse for IBP")
     v = np.asarray(v, dtype=np.float64)
     x0 = mu0.resample(n_samples).points
-    weight = np.zeros(x0.shape[0])
+    weight, term = np.zeros(x0.shape[0]), np.empty(x0.shape[0])
     for t_k, x, mu_k, dw, states in em_path(model, x0, grid.s, grid.dt, grid.n_steps, noise):
-        direction = v[None, :] - (t_k - grid.s) * model.grad_b(t_k, x, mu_k, v)
-        weight += (apply_sigma(model.sigma_inverse(t_k), direction) * dw).sum(axis=1)
-        del x, mu_k, dw  # lets em_path free X_k and its increments before the next step
+        direction = (t_k - grid.s) * model.grad_b(t_k, x, mu_k, v)
+        np.subtract(v[None, :], direction, out=direction)
+        direction = apply_sigma(model.sigma_inverse(t_k), direction)
+        direction *= dw
+        weight += direction.sum(axis=1, out=term)
+        del x, mu_k, dw, direction  # lets em_path free X_k and its increments before the next step
     weight /= (grid.t_end - grid.s)
 
     fx = np.asarray(f(states), dtype=np.float64)

@@ -122,7 +122,7 @@ def _scipy_extension(package: str, name: str):
 
 
 def _cost_matrix(d: np.ndarray, theta: float) -> np.ndarray:
-    """Distance matrix d raised to the power theta, in place."""
+    """Distances d raised to the power theta, in place."""
     if theta == 2.0:
         d *= d
     elif theta != 1.0:
@@ -151,8 +151,9 @@ def transport_plan(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
                    theta: float = 2.0) -> TransportPlan:
     """Optimal coupling between two empirical measures of equal size.
 
-    For theta = 2 in d > 1 the assignment is solved on the reduced costs, and
-    the cost is read from a fresh matrix: one N x N matrix is alive at a time.
+    For theta = 2 in d > 1 the assignment is solved on the reduced costs; the
+    cost is read from the matched pairs' distances, summed per coordinate with
+    the sqrt last as ``cdist`` does, so it is bitwise the plain matrix's cost.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -170,17 +171,15 @@ def transport_plan(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
         perm[ix] = iy
         cost = float(np.mean(np.abs(x[ix, 0] - y[iy, 0]) ** theta))
         return TransportPlan(cost=cost, theta=theta, permutation=perm)
-    cdist_euclidean = _scipy_extension("spatial", "_distance_pybind").cdist_euclidean
-    c = _cost_matrix(cdist_euclidean(x, y), theta)
+    c = _cost_matrix(_scipy_extension("spatial", "_distance_pybind").cdist_euclidean(x, y), theta)
     if theta == 2.0:
         _reduce_by_gaussian_potentials(c, x, y)
     rows, cols = _scipy_extension("optimize", "_lsap").linear_sum_assignment(c)
-    if theta == 2.0:
-        del c  # before the second matrix exists
-        c = _cost_matrix(cdist_euclidean(x, y), theta)
+    sq = sum((x[rows, j] - y[cols, j]) ** 2 for j in range(mu.dim))
     perm = np.empty(len(rows), dtype=np.intp)
     perm[rows] = cols
-    return TransportPlan(cost=float(c[rows, cols].mean()), theta=theta, permutation=perm)
+    return TransportPlan(cost=float(_cost_matrix(np.sqrt(sq), theta).mean()), theta=theta,
+                         permutation=perm)
 
 
 def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, theta: float = 2.0) -> float:

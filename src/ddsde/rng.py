@@ -71,7 +71,8 @@ class NoiseSpec:
         return replace(self, seed=derive_seed(self.seed, tag), step0=0, traj0=0)
 
 
-def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step) -> np.ndarray:
+def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Standard-normal draws for the given trajectories at one step or several.
 
     Args:
@@ -82,7 +83,7 @@ def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step) -> np.ndarray
     Returns:
         (M, dim) array for a scalar step, (K, M, dim) for an array of steps;
         row i of step k depends only on (seed, traj0 + trajectories[i],
-        step0 + k, column).
+        step0 + k, column).  Written into ``out`` when given.
     """
     traj = np.asarray(trajectories, dtype=np.int64).astype(_U64) + _U64(noise.traj0)
     steps = np.asarray(step, dtype=np.int64).astype(_U64) + _U64(noise.step0)
@@ -100,7 +101,7 @@ def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step) -> np.ndarray
     np.right_shift(h, _U64(11), out=h)
     u = np.add(h, 0.5, out=scratch.view(np.float64))
     u *= _INV53
-    return ndtri(u, out=u)
+    return ndtri(u, out=u if out is None else out)
 
 
 def increments(noise: NoiseSpec, trajectories: np.ndarray, n_steps: int, scale):
@@ -114,9 +115,9 @@ def increments(noise: NoiseSpec, trajectories: np.ndarray, n_steps: int, scale):
     span = max(1, rows // traj.size)
     for k0 in range(0, n_steps, span):
         steps = np.arange(k0, min(k0 + span, n_steps))
-        parts = [normal_block(noise, traj[i:i + rows], steps)
-                 for i in range(0, traj.size, rows)]
-        block = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        block = np.empty((len(steps), traj.size, noise.dim))
+        for i in range(0, traj.size, rows):
+            normal_block(noise, traj[i:i + rows], steps, block[:, i:i + rows])  # fills it in place
         block *= scale
         yield from block
 

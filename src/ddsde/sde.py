@@ -102,7 +102,10 @@ def em_step(model, t: float, states: np.ndarray, mu: EmpiricalMeasure,
     """One Euler-Maruyama step of every trajectory against the measure mu."""
     drift = model.drift(t, states, mu)
     sigma = model.diffusion(t, states, mu)
-    return states + drift * dt + apply_sigma(sigma, dw)
+    new = drift * dt  # one fresh array, summed into in place: addition commutes bitwise
+    new += states
+    new += apply_sigma(sigma, dw)
+    return new
 
 
 def em_path(model, states: np.ndarray, t0: float, dt: float, n_steps: int,

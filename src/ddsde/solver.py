@@ -118,15 +118,21 @@ class PicardReport:
         return d[1:] / d[:-1]
 
 
-# The pruning bounds come from point differences, the solver's cost from a
-# cdist cost matrix, so they can differ by rounding; this relative slack keeps
+# The pruning bounds come from numpy norms, the solver's cost from its own
+# per-coordinate sums, so they can differ by rounding; this relative slack keeps
 # rounding from pruning a node whose solver cost would exceed the maximum.
 PRUNE_SLACK = 1e-9
 
 
+PAIRING_CHUNK = 64  # nodes per _pairing_cost chunk; bounds its temporaries
+
+
 def _pairing_cost(x: np.ndarray, y: np.ndarray, theta: float) -> np.ndarray:
-    """mean_i |x_i - y_i|^theta along the particle axis (the index pairing)."""
-    return np.mean(np.linalg.norm(x - y, axis=-1) ** theta, axis=-1)
+    """mean_i |x_i - y_i|^theta along the particle axis (the index pairing) at each
+    node of (n_nodes, N, d) stacks; each node's mean is its own, so chunks change no bit."""
+    return np.concatenate([
+        np.mean(np.linalg.norm(x[k:k + PAIRING_CHUNK] - y[k:k + PAIRING_CHUNK], axis=-1)
+                ** theta, axis=-1) for k in range(0, len(x), PAIRING_CHUNK)])
 
 
 def _sup_wasserstein(a: LawCurve, b: LawCurve, theta: float) -> float:
@@ -143,8 +149,8 @@ def _sup_wasserstein(a: LawCurve, b: LawCurve, theta: float) -> float:
     for k in np.argsort(-index_cost, kind="stable"):
         if index_cost[k] * (1.0 + PRUNE_SLACK) <= best_cost:
             break
-        if perm is not None and _pairing_cost(
-                a.states[k], b.states[k][perm], theta) * (1.0 + PRUNE_SLACK) <= best_cost:
+        if perm is not None and _pairing_cost(a.states[k:k + 1], b.states[k:k + 1, perm],
+                                              theta)[0] * (1.0 + PRUNE_SLACK) <= best_cost:
             continue
         plan = transport_plan(a.measure_at(k), b.measure_at(k), theta=theta)
         perm = plan.permutation
@@ -417,15 +423,24 @@ def find_invariant(model: CoefficientModel, grid_step: float, noise: NoiseSpec,
 class MomentCurve:
     per_node: np.ndarray   # (n_nodes,) p-th moment at each node
     sup_moment: float      # mean over paths of the running maximum of |X|^p
+    terminal: np.ndarray   # (M, d) states at the last node
 
 
-def moment_curve(ensemble: PathEnsemble, p: float) -> MomentCurve:
-    """Per-node p-th radial moments and the expected pathwise supremum."""
+def moment_curve(nodes, p: float) -> MomentCurve:
+    """Per-node p-th radial moments and the expected pathwise supremum.
+
+    ``nodes`` is a PathEnsemble, or yields the (M, d) states node by node;
+    between nodes only the running maximum is kept.
+    """
     if p < 0:
         raise ValueError(f"moment order must be >= 0, got {p}")
-    r = np.linalg.norm(ensemble.paths, axis=2)  # (M, n_nodes)
-    rp = r ** p
-    return MomentCurve(
-        per_node=rp.mean(axis=0),
-        sup_moment=float(rp.max(axis=1).mean()),
-    )
+    if isinstance(nodes, PathEnsemble):
+        nodes = nodes.paths.transpose(1, 0, 2)
+    per_node, running_max = [], None
+    for x in nodes:
+        rp = np.linalg.norm(x, axis=1) ** p
+        # A sequential sum over paths, as mean(axis=0) of a stored (M, n_nodes) array.
+        per_node.append(np.cumsum(rp)[-1] / len(rp))
+        running_max = rp if running_max is None else np.maximum(running_max, rp, out=running_max)
+    return MomentCurve(per_node=np.array(per_node), sup_moment=float(running_max.mean()),
+                       terminal=x)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,46 @@ def test_invalid_json_exits_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["run", str(path)]) == EXIT_CONFIG
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("experiment, model_update, code, null_key, named_key", [
+    ({"type": "contract", "shift": 0.0}, {"a": 1.0, "c": 0.0, "sigma": 0.3}, EXIT_OK,
+     "empirical_rate", "merge_time"),
+    # Every weight underflows to 0, so the effective sample size is 0/0.
+    ({"type": "couple", "shift": 1e4}, {"a": 1.0, "c": 0.25, "sigma": 0.01}, EXIT_VERIFY,
+     "ess", "weight_mean"),
+], ids=["contract_merged", "couple_weights_underflow"])
+def test_non_finite_metrics_are_null_in_strict_json(tmp_path, experiment, model_update, code,
+                                                    null_key, named_key):
+    cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
+    cfg["model"].update(model_update)
+    cfg["sim"].update(n_particles=16, t_end=0.2)
+    assert main(["run", write_config(tmp_path, cfg), "--refine"]) == code
+    text = (tmp_path / "out" / "report.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    for metrics in (report["metrics"], report["refinement"]["metrics"]):
+        assert metrics[null_key] is None and metrics[named_key] is not None
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
+    def peak_bytes(n_steps, name):
+        cfg = small_simulate_config(tmp_path / name)
+        cfg["sim"].update(n_particles=512, dt=1.0 / n_steps)
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        tracemalloc.start()
+        try:
+            assert main(["run", path]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(100, "warm_up")  # lazy imports and first-call caches
+    short, long = peak_bytes(100, "short"), peak_bytes(1000, "long")
+    assert long <= 2 * short, (short, long)
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -281,6 +322,9 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
      "has 2 columns, but the model has dimension 1"),
     ({"type": "simulate"}, {}, {"sigma": [0.2, 0.3], "dim": 1},
      "dim 1 conflicts with sigma shape (2,)"),
+    ({"type": "bounds", "quantity": "cc", "params": {"alpha": 1e308, "beta": 0.0}}, {}, {},
+     "cc is inf at these params"),
+    ({"type": "simulate"}, {"dt": float("nan")}, {}, "NaN is not a JSON number"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -299,7 +343,8 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "invariant_a_zero", "invariant_c_negative", "t_end_overflow", "dt_underflow",
         "default_fit_window_empty", "t_start_negative", "log_form_string",
         "export_law_string", "bounds_param_unknown", "init_csv_text", "init_csv_nan",
-        "init_csv_columns", "sigma_list_dim_conflict"])
+        "init_csv_columns", "sigma_list_dim_conflict", "bounds_value_infinite",
+        "dt_nan_literal"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
                                                       named):

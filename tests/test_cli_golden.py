@@ -122,13 +122,17 @@ GAMMA_PINS = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def _outputs(tmp_path, monkeypatch, cfg: dict) -> dict:
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     monkeypatch.setenv("DDSDE_OUTPUT_DIR", str(out))
     code = main(["run", str(cfg_path), "--refine"])
-    report = json.loads((out / "report.json").read_text())
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
     del report["wall_time_s"]
     got = {"exit": code, "report": _digest(json.dumps(report, sort_keys=True).encode())}
     for csv in sorted(out.rglob("*.csv")):

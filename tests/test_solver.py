@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -162,6 +163,16 @@ class TestPrunedSup:
         report = picard_solve(model, mu0, grid, NoiseSpec(seed=45, dim=2),
                               max_iter=6, tol=1e-4, theta=1.0)
         assert report.deltas == brute_force_deltas(report, 1.0)
+
+    @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0])
+    def test_chunked_pairing_cost_is_the_one_shot_cost(self, theta):
+        rng = np.random.default_rng(46)
+        n_nodes = 2 * solver.PAIRING_CHUNK + 3  # a remainder chunk of 3 nodes
+        x = rng.standard_cauchy((n_nodes, 40, 3))
+        y = rng.normal(size=(n_nodes, 40, 3))
+        one_shot = np.mean(np.linalg.norm(x - y, axis=-1) ** theta, axis=-1)
+        assert solver._pairing_cost(x, y, theta).tobytes() == one_shot.tobytes()
+        assert solver._pairing_cost(x[5:6], y[5:6], theta)[0] == one_shot[5]
 
 
 class TestParticle:
@@ -380,6 +391,24 @@ class TestInvariant:
 
 
 class TestMomentCurve:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("model, mu0, n_steps", [
+        (linear_meanfield_model(2.0, 1.0, 0.2, dim=1), gaussian_measure(300, 1, seed=38), 120),
+        (landau_model(0.5, 1.0, 1.0), gaussian_measure(48, 3, seed=39), 20),
+    ], ids=["linear_d1", "landau_gamma0.5_d3"])
+    def test_streamed_curve_is_bitwise_the_stored_one(self, model, mu0, n_steps, p):
+        grid = TimeGrid(0.0, 0.2, n_steps)
+        noise = NoiseSpec(seed=40, dim=model.dim)
+        _, ens = particle_solve(model, mu0, grid, noise)
+        steps = sde.em_path(model, mu0.points, grid.s, grid.dt, grid.n_steps, noise)
+        streamed = moment_curve(itertools.chain([mu0.points], (x for *_, x in steps)), p)
+        stored = moment_curve(ens, p)
+        rp = np.linalg.norm(ens.paths, axis=2) ** p  # the one-shot (M, n_nodes) estimate
+        for curve in (streamed, stored):
+            assert curve.per_node.tobytes() == rp.mean(axis=0).tobytes()
+            assert curve.sup_moment == float(rp.max(axis=1).mean())
+            assert curve.terminal.tobytes() == np.ascontiguousarray(ens.terminal).tobytes()
+
     def test_constant_paths(self):
         model = linear_meanfield_model(0.0, 0.0, 0.0, dim=2)
         mu0 = EmpiricalMeasure.point_mass([3.0, 4.0], 8)
