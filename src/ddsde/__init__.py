@@ -12,7 +12,7 @@ from .harnack import (
     verify_log_harnack,
     xi_schedule,
 )
-from .measure import EmpiricalMeasure, TransportPlan, moment, wasserstein
+from .measure import EmpiricalMeasure, TransportPlan, wasserstein
 from .models import (
     CoefficientModel,
     ModelBounds,
@@ -23,7 +23,7 @@ from .models import (
     linear_meanfield_model,
 )
 from .rng import NoiseSpec
-from .sde import NumericalBlowupError, PathEnsemble, TimeGrid, euler_maruyama, synchronous_pair
+from .sde import NumericalBlowupError, PathEnsemble, TimeGrid, euler_maruyama
 from .solver import (
     LawCurve,
     PicardReport,
@@ -61,7 +61,6 @@ __all__ = [
     "landau_model",
     "landau_sigma0",
     "linear_meanfield_model",
-    "moment",
     "moment_curve",
     "particle_solve",
     "phi",
@@ -69,7 +68,6 @@ __all__ = [
     "picard_solve",
     "power_harnack_constant",
     "shift_coupling_verify",
-    "synchronous_pair",
     "verify_log_harnack",
     "wasserstein",
     "xi_schedule",

@@ -28,12 +28,14 @@ import numpy as np
 from . import harnack, models, solver
 from .measure import EmpiricalMeasure
 from .rng import NoiseSpec, normal_block
-from .sde import NumericalBlowupError, TimeGrid, check_finite, em_path
+from .sde import MAX_STATE, NumericalBlowupError, TimeGrid, check_finite, em_path
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
+
+MAX_COUNT = np.iinfo(np.intp).max  # largest particle or step count an index can hold
 
 _INIT_TAG = 0x1517
 
@@ -135,8 +137,9 @@ def _check_init(init, where: str, dim: int) -> None:
     for key in ("value", "mean"):
         if key in init:
             _vector(init[key], f"{where}.{key}", dim)
-    if "std" in init and not (_is_number(init["std"]) and init["std"] > 0):
-        raise ConfigError(f"{where}.std must be a number > 0, got {init['std']!r}")
+    if "std" in init and not (_is_number(init["std"]) and 0 < init["std"] <= MAX_STATE):
+        raise ConfigError(f"{where}.std must be a number in (0, {MAX_STATE:g}], "
+                          f"got {init['std']!r}")
     if init.get("kind") == "csv":
         path = init.get("path")
         if not os.path.isfile(str(path)):
@@ -179,6 +182,9 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("sim block needs dt > 0 and 0 <= t_start < t_end")
     if sim["n_particles"] < 2 or sim.get("theta", 2.0) < 1:
         raise ConfigError("sim block needs n_particles >= 2 and theta >= 1")
+    if not sim["n_particles"] <= MAX_COUNT:
+        raise ConfigError(f"sim block needs at most {MAX_COUNT} particles, "
+                          f"got {sim['n_particles']:g}")
 
     exp = cfg["experiment"]
     etype = exp.get("type")
@@ -229,6 +235,10 @@ def validate_config(cfg: dict) -> dict:
     for key, default in spec.items():
         if isinstance(default, list) and key in exp:
             _vector(exp[key], f"experiment.{key}", built.dim)
+    if etype in ("shift_harnack", "ibp") and any(
+            abs(c) > MAX_STATE for c in _vector(full["v"], "experiment.v", built.dim)):
+        raise ConfigError(f"experiment.v must have coordinates of magnitude at most "
+                          f"{MAX_STATE:g}, got {full['v']!r}")
     grid = _time_grid(sim)
     window = full.get("fit_window")
     if window is not None and not (isinstance(window, list) and len(window) == 2
@@ -239,8 +249,14 @@ def validate_config(cfg: dict) -> dict:
             harnack.CouplingConfig.from_model(built, horizon=sim["t_end"])
         if etype in ("shift_harnack", "ibp"):
             harnack._require_additive(built)
+        if etype == "shift_harnack":
+            harnack.shift_harnack_constant(built, _shift_vector(full["v"], built.dim, "v"),
+                                           float(full["p"]), grid.s, grid.t_end,
+                                           full["log_form"])
         if etype == "invariant":
             solver._require_dissipative(built)
+            for key in ("burn_in", "check_horizon"):
+                _step_count(float(full[key]), float(sim["dt"]), f"experiment.{key}")
         if etype == "bounds":
             # Evaluating the bound checks each param against the range its formula needs.
             _run_bounds(quantity, params, built, float(sim["t_end"]))
@@ -304,13 +320,16 @@ def build_init(init_cfg: dict | None, dim: int, n: int, noise: NoiseSpec) -> Emp
     return EmpiricalMeasure.from_csv(init_cfg["path"]).resample(n)
 
 
+def _step_count(span: float, dt: float, where: str) -> int:
+    steps = span / dt
+    if not steps <= MAX_COUNT:  # also rejects inf and nan
+        raise ConfigError(f"{where} needs at most {MAX_COUNT} steps, got {steps:g}")
+    return max(1, round(steps))
+
+
 def _time_grid(sim: dict) -> TimeGrid:
     t0, t_end = float(sim.get("t_start", 0.0)), float(sim["t_end"])
-    steps = (t_end - t0) / float(sim["dt"])
-    limit = np.iinfo(np.intp).max
-    if not steps <= limit:  # also rejects inf and nan
-        raise ConfigError(f"sim block needs at most {limit} steps, got {steps:g}")
-    return TimeGrid(t0, t_end, max(1, round(steps)))
+    return TimeGrid(t0, t_end, _step_count(t_end - t0, float(sim["dt"]), "sim block"))
 
 
 def _shift_vector(shift, dim: int, key: str) -> np.ndarray:
@@ -359,6 +378,7 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
                        theta=float(sim.get("theta", 2.0)), model_echo=cfg["model"])
             curve = solver.moment_curve(ens, p)
         else:  # streamed: only the current states are kept
+            check_finite(mu0.points, noise.step0, model.state_radius)  # before its moment
             steps = em_path(model, mu0.points, grid.s, grid.dt, grid.n_steps, noise)
             curve = solver.moment_curve(chain([mu0.points], (x for *_, x in steps)), p)
         if csv_on:

@@ -214,7 +214,7 @@ class CouplingResult:
     weight_entropy: float      # E[R_T log R_T]
     weight_entropy_se: float
     phi_bound: float           # phi(s, T) * W2(mu0, nu0)^2
-    ess: float                 # (sum R)^2 / sum R^2
+    ess: float                 # (sum R)^2 / sum R^2; nan when every R^2 underflows
     success: bool
     series: dict | None = None
     clip_fraction: float | None = None
@@ -246,7 +246,8 @@ def coupled_girsanov(model: CoefficientModel, x0_pairs, config: CouplingConfig,
     gap_q, _ = _mean_se(sample.r_penultimate * sample.gap_sq_penultimate)
     phi_bound = phi(grid.s, grid.t_end, config.lambda_, config.kappa1, config.kappa2) \
         * sample.w2_sq_initial
-    ess = float(r.sum() ** 2 / (r * r).sum())
+    r_sq = (r * r).sum()
+    ess = float(r.sum() ** 2 / r_sq) if r_sq > 0 else math.nan  # every weight underflowed
     success = (abs(weight_mean - 1.0) <= 3.0 * max(weight_mean_se, 1e-15)
                and entropy <= phi_bound + 3.0 * entropy_se)
     clip_fraction = None
@@ -401,6 +402,31 @@ def _gradient_cost_integral(model: CoefficientModel, s: float, t: float) -> floa
     return lam ** 2 * (span + gb * span ** 2 + gb ** 2 * span ** 3 / 3.0)
 
 
+def shift_harnack_constant(model: CoefficientModel, v: np.ndarray, p: float,
+                           s: float, t: float, log_form: bool = False) -> float:
+    """The shift Harnack constant: exp(p sqrt(p) |v|^2 I / (2 (p-1) (sqrt(p)+1) (t-s)^2))
+    in the power form, |v|^2 I / (2 (t-s)^2) in the log form.
+
+    Raises:
+        OverflowError: if the constant is not a finite number.
+    """
+    integral = _gradient_cost_integral(model, s, t)
+    span = t - s
+    vsq = float(v @ v)
+    if log_form:
+        constant = vsq * integral / (2.0 * span ** 2)
+    else:
+        sp = math.sqrt(p)
+        try:
+            constant = math.exp(p * sp * vsq * integral
+                                / (2.0 * (p - 1.0) * (sp + 1.0) * span ** 2))
+        except OverflowError:
+            constant = math.inf
+    if not math.isfinite(constant):
+        raise OverflowError(f"the shift Harnack constant overflows at |v|^2 = {vsq:g}")
+    return constant
+
+
 def shift_coupling_verify(model: CoefficientModel, f, v, mu0: EmpiricalMeasure,
                           p: float, grid: TimeGrid, noise: NoiseSpec,
                           n_samples: int, log_form: bool = False) -> ShiftHarnackResult:
@@ -415,26 +441,20 @@ def shift_coupling_verify(model: CoefficientModel, f, v, mu0: EmpiricalMeasure,
     if not log_form and p <= 1:
         raise ValueError(f"power form needs p > 1, got {p}")
     v = np.asarray(v, dtype=np.float64)
+    constant = shift_harnack_constant(model, v, p, grid.s, grid.t_end, log_form)
     x0 = mu0.resample(n_samples).points
     x_t = evolve_states(model, x0, grid.s, grid.n_steps, grid.dt, noise)
     fx = np.asarray(f(x_t), dtype=np.float64)
     fxv = np.asarray(f(x_t + v), dtype=np.float64)
     if fx.min() <= 0 or fxv.min() <= 0:
         raise ValueError("shift Harnack needs a positive test function")
-    integral = _gradient_cost_integral(model, grid.s, grid.t_end)
-    span = grid.t_end - grid.s
-    vsq = float(v @ v)
 
     if log_form:
-        constant = vsq * integral / (2.0 * span ** 2)
         lhs, lhs_se = _mean_se(np.log(fx))
         mean_fv, mean_fv_se = _mean_se(fxv)
         rhs = math.log(mean_fv) + constant
         rhs_se = mean_fv_se / mean_fv
     else:
-        sp = math.sqrt(p)
-        constant = math.exp(p * sp * vsq * integral
-                            / (2.0 * (p - 1.0) * (sp + 1.0) * span ** 2))
         mean_f, mean_f_se = _mean_se(fx)
         lhs = mean_f ** p
         lhs_se = p * mean_f ** (p - 1.0) * mean_f_se

@@ -192,11 +192,3 @@ def optimal_pairing(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     """Permutation realizing W_theta: point i of mu pairs with perm[i] of nu."""
     return transport_plan(mu, nu, theta=theta).permutation
 
-
-def moment(mu: EmpiricalMeasure, p: float) -> float:
-    """(1/N) sum |x_i|^p, the p-th radial moment."""
-    if p < 0:
-        raise ValueError(f"moment order must be >= 0, got {p}")
-    r = np.linalg.norm(mu.points, axis=1)
-    return float(np.mean(r ** p))
-

@@ -67,7 +67,8 @@ class CoefficientModel:
 
     drift(t, X, mu) maps (float, (M, d), EmpiricalMeasure) -> (M, d);
     diffusion(t, X, mu) -> (M, d, d), or (d, d) when shared by all
-    trajectories.  Flags must be truthful.
+    trajectories.  Flags must be truthful.  ``joint``, where set, returns
+    both from one evaluation; ``coefficients`` uses it.
     """
 
     name: str
@@ -82,6 +83,13 @@ class CoefficientModel:
     grad_b: Callable | None = None     # (t, X, mu, v) -> (M, d), x-gradient in direction v
     sigma_inverse: Callable | None = None  # t -> (d, d), additive models only
     state_radius: float | None = None  # abort guard for locally-Lipschitz drifts
+    joint: Callable | None = None      # (t, X, mu) -> (drift, diffusion)
+
+    def coefficients(self, t, x, mu) -> tuple[np.ndarray, np.ndarray]:
+        """(drift, diffusion) at (t, x, mu)."""
+        if self.joint is not None:
+            return self.joint(t, x, mu)
+        return self.drift(t, x, mu), self.diffusion(t, x, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +136,61 @@ def _pair_weights(x: np.ndarray, z: np.ndarray, scale: float,
     return w
 
 
+# Row panels of the upper triangle of a self-interaction distance matrix.
+SELF_PANELS = 8
+
+
+def _self_pair_weights(x: np.ndarray, powers):
+    """Yield the (N, N) matrix |x_i - x_j|^p for each p in ``powers``, in one
+    array that is overwritten for the next p.
+
+    The squared distances are bitwise symmetric ((a - b)^2 = (b - a)^2, summed
+    over coordinates in the same order), so only the upper-triangle row panels
+    are computed and raised, and each raised panel is mirrored into the rows
+    below it.  The panels are kept for the next p and raised in place for the
+    last one, so at most one (N, N) array and the panels are alive at a time.
+    """
+    n = len(x)
+    rows = -(-n // SELF_PANELS)
+    cdist = _scipy_extension("spatial", "_distance_pybind").cdist_sqeuclidean
+    panels = [(i0, cdist(x[i0:i0 + rows], x[i0:])) for i0 in range(0, n, rows)]
+    w = np.empty((n, n))
+    for k, p in enumerate(powers):
+        for i0, d in panels:
+            i1 = i0 + len(d)
+            if k + 1 < len(powers):
+                d = d ** (p / 2.0)  # the panel is kept for the next power
+            else:
+                d **= p / 2.0
+            w[i0:i1, i0:] = d
+            w[i1:, i0:i1] = d[:, i1 - i0:].T
+        yield w
+
+
+def _convolved(x: np.ndarray, z: np.ndarray, scale: float, w: np.ndarray) -> np.ndarray:
+    """x * rowmean(W) - scale W z / N: a kernel's linear part convolved with weights W."""
+    return x * w.mean(axis=1)[:, None] - scale * (w @ z) / z.shape[0]
+
+
 def _landau_drift_pairwise(x: np.ndarray, z: np.ndarray, alpha: float,
                            gamma: float) -> np.ndarray:
-    w = _pair_weights(x, z, alpha, gamma)
-    return -2.0 * (x * w.mean(axis=1)[:, None] - alpha * (w @ z) / z.shape[0])
+    return -2.0 * _convolved(x, z, alpha, _pair_weights(x, z, alpha, gamma))
 
 
 def _landau_sigma_pairwise(x: np.ndarray, z: np.ndarray, beta: float,
                            gamma: float) -> np.ndarray:
-    v = _pair_weights(x, z, beta, gamma / 2.0)
-    return landau_sigma0(x * v.mean(axis=1)[:, None] - beta * (v @ z) / z.shape[0], 0.0)
+    return landau_sigma0(_convolved(x, z, beta, _pair_weights(x, z, beta, gamma / 2.0)), 0.0)
+
+
+def _landau_coefficients_pairwise(x: np.ndarray, z: np.ndarray, alpha: float, beta: float,
+                                  gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Drift and diffusion: half of one distance pass against the ensemble's
+    own law at alpha = beta = 1, otherwise one full pass each."""
+    if z is not x or not alpha == beta == 1.0:
+        return _landau_drift_pairwise(x, z, alpha, gamma), _landau_sigma_pairwise(x, z, beta, gamma)
+    weights = _self_pair_weights(x, (gamma, gamma / 2.0))
+    drift = -2.0 * _convolved(x, x, 1.0, next(weights))
+    return drift, landau_sigma0(_convolved(x, x, 1.0, next(weights)), 0.0)
 
 
 def landau_model(gamma: float, alpha: float, beta: float,
@@ -152,9 +205,12 @@ def landau_model(gamma: float, alpha: float, beta: float,
     each kernel is |w|^p times a map linear in w, so the convolution is that
     map applied to x * rowmean(W) - s W z / N, with the (M, N) weight matrix
     W_ij = |x_i - s z_j|^p and s = alpha (p = gamma) for the drift, s = beta
-    (p = gamma / 2) for the diffusion; W is built in place, with no second
-    (M, N) temporary.  A state-radius guard applies there (the drift is only
-    locally Lipschitz, so no rate claims are made).
+    (p = gamma / 2) for the diffusion.  Against the ensemble's own law at
+    alpha = beta = 1, ``joint`` computes the upper triangle of one matrix of
+    squared distances and reads both W from it; otherwise each W is built in
+    place from its own distances, one after the other, so that no two (M, N)
+    matrices are alive at once.  A state-radius guard applies there (the
+    drift is only locally Lipschitz, so no rate claims are made).
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
@@ -170,12 +226,16 @@ def landau_model(gamma: float, alpha: float, beta: float,
 
         def grad_b(t, x, mu, v):
             return np.broadcast_to(-2.0 * np.asarray(v, dtype=np.float64), x.shape).copy()
+        joint = None
     else:
         def drift(t, x, mu):
             return _landau_drift_pairwise(x, mu.points, alpha, gamma)
 
         def diffusion(t, x, mu):
             return _landau_sigma_pairwise(x, mu.points, beta, gamma)
+
+        def joint(t, x, mu):
+            return _landau_coefficients_pairwise(x, mu.points, alpha, beta, gamma)
 
         grad_b = None
 
@@ -199,6 +259,7 @@ def landau_model(gamma: float, alpha: float, beta: float,
         params={"gamma": gamma, "alpha": alpha, "beta": beta},
         grad_b=grad_b,
         state_radius=state_radius,
+        joint=joint,
     )
 
 

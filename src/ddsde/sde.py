@@ -100,8 +100,7 @@ def check_finite(states: np.ndarray, step: int, radius: float | None = None) -> 
 def em_step(model, t: float, states: np.ndarray, mu: EmpiricalMeasure,
             dt: float, dw: np.ndarray) -> np.ndarray:
     """One Euler-Maruyama step of every trajectory against the measure mu."""
-    drift = model.drift(t, states, mu)
-    sigma = model.diffusion(t, states, mu)
+    drift, sigma = model.coefficients(t, states, mu)
     new = drift * dt  # one fresh array, summed into in place: addition commutes bitwise
     new += states
     new += apply_sigma(sigma, dw)
@@ -156,17 +155,3 @@ def euler_maruyama(model, law, init, grid: TimeGrid, noise: NoiseSpec) -> PathEn
     law.require_grid(grid)
     return path_ensemble(model, np.asarray(init, dtype=np.float64), grid, noise, law)
 
-
-def synchronous_pair(model, law_x, law_y, init_x, init_y,
-                     grid: TimeGrid, noise: NoiseSpec) -> tuple[PathEnsemble, PathEnsemble]:
-    """Two runs driven by identical increments per (trajectory, step).
-
-    Marginally each run is ``euler_maruyama`` against its own law curve; the
-    shared noise makes the pair a synchronous coupling.
-    """
-    x = np.asarray(init_x, dtype=np.float64)
-    y = np.asarray(init_y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"initial ensembles differ in shape: {x.shape} vs {y.shape}")
-    return (euler_maruyama(model, law_x, x, grid, noise),
-            euler_maruyama(model, law_y, y, grid, noise))

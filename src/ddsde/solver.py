@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import EmpiricalMeasure, optimal_pairing, transport_plan, wasserstein
+from .measure import EmpiricalMeasure, transport_plan, wasserstein
 from .models import CoefficientModel
 from .rng import NoiseSpec, normal_block
-from .sde import (PathEnsemble, TimeGrid, check_finite, em_path, em_step, euler_maruyama,
-                  path_ensemble)
+from .sde import (NumericalBlowupError, PathEnsemble, TimeGrid, check_finite, em_path, em_step,
+                  euler_maruyama, path_ensemble)
 
 
 class InvariantSearchError(RuntimeError):
@@ -313,7 +313,8 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     The two particle systems start from the optimally coupled pairing of
     mu0 and nu0 (so the initial mean-square gap equals W2(mu0, nu0)^2) and
     consume identical increments.  Exact W2 is solved only at the W2 nodes,
-    chosen before stepping: node 0 (the envelope's start), at most
+    chosen before stepping: node 0 (the envelope's start, the initial
+    pairing's own cost), at most
     CONTRACT_FIT_NODES nodes at an integer stride across ``fit_window``
     (default: skip the first 10% of the horizon, a transient) and the
     window's last node.  ``times`` and ``w2_sq`` hold just those nodes, and
@@ -328,8 +329,8 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
         nu0 = nu0.resample(mu0.n)
     for law in (mu0, nu0):  # before their W2 costs can overflow
         check_finite(law.points, noise.step0, model.state_radius)
-    perm = optimal_pairing(mu0, nu0, theta=2.0)
-    y = nu0.points[perm]
+    plan = transport_plan(mu0, nu0, theta=2.0)  # node 0's W2 is this plan's cost
+    y = nu0.points[plan.permutation]
 
     kept = set(nodes.tolist())
     xs, ys = [mu0.points], [y]
@@ -346,7 +347,7 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     def w2_at(i):
         return wasserstein(EmpiricalMeasure(xs[i]), EmpiricalMeasure(ys[i]), theta=2.0)
 
-    w2 = np.asarray(_thread_map(w2_at, range(len(nodes)), threads))
+    w2 = np.asarray([plan.distance] + _thread_map(w2_at, range(1, len(nodes)), threads))
     w2_sq = w2 * w2
     bound_rate = model.bounds.contraction_exponent
 
@@ -431,14 +432,22 @@ def moment_curve(nodes, p: float) -> MomentCurve:
 
     ``nodes`` is a PathEnsemble, or yields the (M, d) states node by node;
     between nodes only the running maximum is kept.
+
+    Raises:
+        NumericalBlowupError: if a moment overflows, naming the trajectory and
+            the node (as the step).
     """
     if p < 0:
         raise ValueError(f"moment order must be >= 0, got {p}")
     if isinstance(nodes, PathEnsemble):
         nodes = nodes.paths.transpose(1, 0, 2)
     per_node, running_max = [], None
-    for x in nodes:
-        rp = np.linalg.norm(x, axis=1) ** p
+    for k, x in enumerate(nodes):
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            rp = np.linalg.norm(x, axis=1) ** p
+        if not np.isfinite(rp).all():
+            raise NumericalBlowupError(f"moment of order {p:g} overflows",
+                                       int(np.argmax(~np.isfinite(rp))), k)
         # A sequential sum over paths, as mean(axis=0) of a stored (M, n_nodes) array.
         per_node.append(np.cumsum(rp)[-1] / len(rp))
         running_max = rp if running_max is None else np.maximum(running_max, rp, out=running_max)

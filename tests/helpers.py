@@ -3,8 +3,11 @@
 import itertools
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from ddsde.measure import EmpiricalMeasure
+from ddsde.models import landau_sigma0
+from ddsde.sde import PathEnsemble, TimeGrid, euler_maruyama
 
 
 def brute_force_wasserstein(x: np.ndarray, y: np.ndarray, theta: float) -> float:
@@ -75,3 +78,42 @@ def verify_flags(model, n_probes: int = 8, seed: int = 0) -> None:
                 raise ValueError(
                     f"{model.name}: invertible_sigma declared but a probe is singular"
                 )
+
+
+def moment(mu: EmpiricalMeasure, p: float) -> float:
+    """(1/N) sum |x_i|^p, the p-th radial moment."""
+    if p < 0:
+        raise ValueError(f"moment order must be >= 0, got {p}")
+    r = np.linalg.norm(mu.points, axis=1)
+    return float(np.mean(r ** p))
+
+
+def synchronous_pair(model, law_x, law_y, init_x, init_y,
+                     grid: TimeGrid, noise) -> tuple[PathEnsemble, PathEnsemble]:
+    """Two runs driven by identical increments per (trajectory, step).
+
+    Marginally each run is ``euler_maruyama`` against its own law curve; the
+    shared noise makes the pair a synchronous coupling.
+    """
+    x = np.asarray(init_x, dtype=np.float64)
+    y = np.asarray(init_y, dtype=np.float64)
+    if x.shape != y.shape:
+        raise ValueError(f"initial ensembles differ in shape: {x.shape} vs {y.shape}")
+    return (euler_maruyama(model, law_x, x, grid, noise),
+            euler_maruyama(model, law_y, y, grid, noise))
+
+
+def landau_pairwise_two_pass(x: np.ndarray, z: np.ndarray, alpha: float, beta: float,
+                             gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Landau drift and diffusion for gamma > 0, each from its own full matrix of
+    squared distances (two passes), in the arithmetic the shared kernel keeps."""
+    def weights(scale, power):
+        w = cdist(x, scale * z, "sqeuclidean")
+        w **= power / 2.0
+        return w
+
+    w = weights(alpha, gamma)
+    drift = -2.0 * (x * w.mean(axis=1)[:, None] - alpha * (w @ z) / z.shape[0])
+    v = weights(beta, gamma / 2.0)
+    sigma = landau_sigma0(x * v.mean(axis=1)[:, None] - beta * (v @ z) / z.shape[0], 0.0)
+    return drift, sigma

@@ -169,8 +169,13 @@ def test_verification_failure_exits_two(tmp_path):
      {"type": "log_harnack", "f": "one_plus_tanh",
       "init2": {"kind": "gaussian", "mean": 1e200}},
      "squared distances overflow (trajectory 0, step 0)"),
+    ({"name": "linear_meanfield", "a": 1.0, "c": 0.0, "sigma": 1.0, "dim": 1},
+     {"n_particles": 8, "dt": 0.01, "t_end": 0.05, "seed": 1,
+      "init": {"kind": "point", "value": 2.0}},
+     {"type": "simulate", "moment_p": 1e4},
+     "moment of order 10000 overflows (trajectory 0, step 0)"),
 ], ids=["radius_guard", "squared_distance_overflow", "contract_init2_overflow",
-        "couple_init2_overflow", "log_harnack_init2_overflow"])
+        "couple_init2_overflow", "log_harnack_init2_overflow", "moment_overflow"])
 def test_numerical_abort_exits_three(tmp_path, capsys, model, sim, experiment, named):
     cfg = {"model": model, "sim": sim, "experiment": experiment,
            "output": {"directory": str(tmp_path / "out")}}
@@ -325,6 +330,13 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
     ({"type": "bounds", "quantity": "cc", "params": {"alpha": 1e308, "beta": 0.0}}, {}, {},
      "cc is inf at these params"),
     ({"type": "simulate"}, {"dt": float("nan")}, {}, "NaN is not a JSON number"),
+    ({"type": "shift_harnack", "v": 1e4}, {}, {"sigma": 0.01},
+     "the shift Harnack constant overflows"),
+    ({"type": "ibp", "v": 1e308}, {}, {}, "experiment.v must have coordinates"),
+    ({"type": "simulate"}, {"init": {"kind": "gaussian", "std": 1e308}}, {},
+     "sim.init.std must be a number in (0, 1e+150]"),
+    ({"type": "simulate"}, {"n_particles": 1e308}, {}, "particles, got 1e+308"),
+    ({"type": "invariant", "burn_in": 1e308}, {}, {}, "experiment.burn_in needs at most"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -344,7 +356,8 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "default_fit_window_empty", "t_start_negative", "log_form_string",
         "export_law_string", "bounds_param_unknown", "init_csv_text", "init_csv_nan",
         "init_csv_columns", "sigma_list_dim_conflict", "bounds_value_infinite",
-        "dt_nan_literal"])
+        "dt_nan_literal", "shift_harnack_constant_overflow", "ibp_v_beyond_max_state",
+        "init_std_beyond_max_state", "n_particles_overflow", "burn_in_overflow"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
                                                       named):

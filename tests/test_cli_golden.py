@@ -7,9 +7,12 @@ config echo, its hash, the metrics, the ok flag and the dt/2 companion) and
 of every CSV file, with values recorded before the CLI's experiment table
 was introduced. A refactor of the CLI must leave all of them unchanged.
 
-The bundled configs are all gamma = 0, so two small gamma = 0.5 Landau runs
-are pinned the same way, with values recorded before the distance kernels
-were loaded without their scipy packages; they cover the pairwise kernel.
+The bundled configs are all gamma = 0, so small gamma > 0 Landau runs are
+pinned the same way; they cover the pairwise kernel.  The gamma = 0.5 pins
+were recorded before the distance kernels were loaded without their scipy
+packages; the gamma = 1.0 pin (the square-root power) and the beta = 0.5 pin
+(drift and diffusion on different distance matrices) before drift and
+diffusion shared one distance pass.
 """
 
 import hashlib
@@ -104,6 +107,10 @@ GAMMA_CONFIGS = {
                  "experiment": {"type": "simulate", "moment_p": 2.0}},
     "picard": {"model": LANDAU_GAMMA, "sim": GAMMA_SIM,
                "experiment": {"type": "picard", "max_iter": 4, "tol": 1e-3}},
+    "simulate_gamma1": {"model": {**LANDAU_GAMMA, "gamma": 1.0}, "sim": GAMMA_SIM,
+                        "experiment": {"type": "simulate", "moment_p": 2.0}},
+    "simulate_beta_half": {"model": {**LANDAU_GAMMA, "beta": 0.5}, "sim": GAMMA_SIM,
+                           "experiment": {"type": "simulate", "moment_p": 2.0}},
 }
 
 GAMMA_PINS = {
@@ -118,6 +125,18 @@ GAMMA_PINS = {
         "report": "c9c07f28054e05a0",
         "refined/simulate.csv": "06bdd33e2ab96320",
         "simulate.csv": "d6856edd7e8820f2",
+    },
+    "simulate_beta_half": {
+        "exit": 0,
+        "report": "1db3d0d8b6e03817",
+        "refined/simulate.csv": "9f0975362dbf280d",
+        "simulate.csv": "14027b2fbc933d15",
+    },
+    "simulate_gamma1": {
+        "exit": 0,
+        "report": "808c978f217e9756",
+        "refined/simulate.csv": "11ce38770dea8ba3",
+        "simulate.csv": "49bb35aded5ad6bd",
     },
 }
 

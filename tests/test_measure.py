@@ -6,12 +6,11 @@ from scipy.spatial.distance import cdist
 from ddsde.measure import (
     EmpiricalMeasure,
     _cost_matrix,
-    moment,
     optimal_pairing,
     wasserstein,
 )
 
-from helpers import brute_force_wasserstein
+from helpers import brute_force_wasserstein, moment
 
 
 class TestWasserstein:

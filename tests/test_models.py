@@ -8,6 +8,7 @@ from ddsde.models import (
     _landau_drift_pairwise,
     _landau_sigma_pairwise,
     _pair_weights,
+    _self_pair_weights,
     contraction_exponent_cc,
     contraction_exponent_tn,
     landau_b0,
@@ -16,7 +17,7 @@ from ddsde.models import (
     linear_meanfield_model,
 )
 
-from helpers import landau_a, verify_flags
+from helpers import landau_a, landau_pairwise_two_pass, verify_flags
 
 
 class TestLandauKernel:
@@ -167,6 +168,36 @@ class TestLandauModel:
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError, match="gamma"):
             landau_model(1.5, 1.0, 1.0)
+
+
+class TestLandauJointCoefficients:
+    """The gamma > 0 drift and diffusion from one evaluation, bitwise equal to
+    two full passes: at alpha = beta = 1 on the ensemble's own law only the
+    upper triangle of the distances is computed."""
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 512])
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.5), (0.5, 0.5)])
+    def test_match_two_pass_oracle_bitwise(self, n, gamma, alpha, beta):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3))
+        model = landau_model(gamma, alpha, beta)
+        own = EmpiricalMeasure(x)
+        assert own.points is x  # how the particle system builds its law
+        for mu in (own, EmpiricalMeasure(rng.normal(size=(n, 3)))):  # and a frozen law
+            want = landau_pairwise_two_pass(x, mu.points, alpha, beta, gamma)
+            for got in (model.coefficients(0.0, x, mu),
+                        (model.drift(0.0, x, mu), model.diffusion(0.0, x, mu))):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_self_weights_are_mirrored_upper_panels(self):
+        x = np.random.default_rng(3).normal(size=(37, 3))
+        weights = _self_pair_weights(x, (0.5, 0.25))
+        w = next(weights)
+        assert np.array_equal(w, w.T)
+        assert w.tobytes() == _pair_weights(x, x.copy(), 1.0, 0.5).tobytes()
+        assert next(weights) is w  # one array, overwritten for the next power
+        assert w.tobytes() == _pair_weights(x, x.copy(), 1.0, 0.25).tobytes()
 
 
 class TestLinearMeanfield:

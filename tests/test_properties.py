@@ -163,7 +163,7 @@ def _key_paths(block, prefix=()):
 
 
 def _mutations(value):
-    names = ["drop", "string"]
+    names = ["drop", "string", "null", "half", "empty", "huge"]
     if not isinstance(value, (dict, list)):
         names.append("wrap")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -184,8 +184,8 @@ def test_mutated_bundled_config_fails_closed(name, data):
     if mutation == "drop":
         del parent[path[-1]]
     else:
-        parent[path[-1]] = {"string": "x", "wrap": [value], "zero": 0,
-                            "negative": -1}[mutation]
+        parent[path[-1]] = {"string": "x", "wrap": [value], "zero": 0, "negative": -1,
+                            "null": None, "half": 0.5, "empty": {}, "huge": 1e308}[mutation]
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         cfg_path = os.path.join(tmp, "config.json")

@@ -8,12 +8,12 @@ from ddsde.sde import (
     NumericalBlowupError,
     TimeGrid,
     apply_sigma,
+    em_step,
     euler_maruyama,
-    synchronous_pair,
 )
 from ddsde.solver import LawCurve, particle_solve
 
-from helpers import fit_slope
+from helpers import fit_slope, synchronous_pair
 
 
 def make_model(drift, diffusion, dim=1, **kwargs):
@@ -217,3 +217,20 @@ def test_apply_sigma_matches_matmul_bitwise(d, m):
     stacked = rng.standard_normal((m, d, d))
     reference = np.einsum("mij,mj->mi", stacked, dw)
     assert apply_sigma(stacked, dw).tobytes() == reference.tobytes()
+
+
+def test_em_step_evaluates_a_joint_model_once():
+    calls = []
+
+    def joint(t, x, mu):
+        calls.append(t)
+        return -x, np.ones((1, 1))
+
+    def unused(t, x, mu):
+        raise AssertionError("em_step evaluated a coefficient separately")
+
+    model = make_model(unused, unused, joint=joint)
+    x = np.array([[1.0], [2.0]])
+    new = em_step(model, 0.5, x, EmpiricalMeasure(x), 0.1, np.array([[0.2], [-0.2]]))
+    assert calls == [0.5]
+    assert np.array_equal(new, x - 0.1 * x + np.array([[0.2], [-0.2]]))
