@@ -4,11 +4,14 @@ from .harnack import (
     CouplingConfig,
     CouplingResult,
     coupled_girsanov,
+    coupled_pairs_from_measures,
     density_bound_rhs,
-    integration_by_parts_check,
+    ibp_weights,
     phi,
     power_harnack_constant,
     shift_coupling_verify,
+    simulate_coupled,
+    verify_ibp,
     verify_log_harnack,
     xi_schedule,
 )
@@ -28,6 +31,7 @@ from .solver import (
     LawCurve,
     PicardReport,
     estimate_contraction,
+    evolve_states,
     find_invariant,
     moment_curve,
     particle_solve,
@@ -53,11 +57,13 @@ __all__ = [
     "contraction_exponent_cc",
     "contraction_exponent_tn",
     "coupled_girsanov",
+    "coupled_pairs_from_measures",
     "density_bound_rhs",
     "estimate_contraction",
     "euler_maruyama",
+    "evolve_states",
     "find_invariant",
-    "integration_by_parts_check",
+    "ibp_weights",
     "landau_model",
     "landau_sigma0",
     "linear_meanfield_model",
@@ -68,6 +74,8 @@ __all__ = [
     "picard_solve",
     "power_harnack_constant",
     "shift_coupling_verify",
+    "simulate_coupled",
+    "verify_ibp",
     "verify_log_harnack",
     "wasserstein",
     "xi_schedule",

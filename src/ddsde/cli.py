@@ -127,7 +127,7 @@ def _vector(value, where: str, dim: int) -> list:
     return values
 
 
-def _check_init(init, where: str, dim: int) -> None:
+def _check_init(init, where: str, dim: int, n: int) -> None:
     """Reject an initial-law block that ``build_init`` could not build."""
     if not isinstance(init, dict):
         raise ConfigError(f"{where} must be an object, got {init!r}")
@@ -145,12 +145,15 @@ def _check_init(init, where: str, dim: int) -> None:
         if not os.path.isfile(str(path)):
             raise ConfigError(f"{where}.path must name a CSV file, got {path!r}")
         try:
-            columns = EmpiricalMeasure.from_csv(path).dim
+            law = EmpiricalMeasure.from_csv(path)
         except ValueError as err:
             raise ConfigError(f"{where}.path {path!r}: {err}") from None
-        if columns != dim:
-            raise ConfigError(f"{where}.path {path!r} has {columns} columns, "
+        if law.dim != dim:
+            raise ConfigError(f"{where}.path {path!r} has {law.dim} columns, "
                               f"but the model has dimension {dim}")
+        if n % law.n:
+            raise ConfigError(f"{where}.path {path!r} has {law.n} rows, which do not "
+                              f"divide n_particles {n}")
 
 
 def validate_config(cfg: dict) -> dict:
@@ -229,9 +232,9 @@ def validate_config(cfg: dict) -> dict:
     except (ValueError, TypeError) as err:
         raise ConfigError(f"model {name!r}: {err}") from None
     if "init" in sim:
-        _check_init(sim["init"], "sim.init", built.dim)
+        _check_init(sim["init"], "sim.init", built.dim, int(sim["n_particles"]))
     if "init2" in exp:
-        _check_init(exp["init2"], "experiment.init2", built.dim)
+        _check_init(exp["init2"], "experiment.init2", built.dim, int(sim["n_particles"]))
     for key, default in spec.items():
         if isinstance(default, list) and key in exp:
             _vector(exp[key], f"experiment.{key}", built.dim)
@@ -316,8 +319,9 @@ def build_init(init_cfg: dict | None, dim: int, n: int, noise: NoiseSpec) -> Emp
             NoiseSpec(seed=stream.seed, dim=dim), np.arange(n), 0
         )
         return EmpiricalMeasure(pts)
-    # csv; validate_config admits no other kind
-    return EmpiricalMeasure.from_csv(init_cfg["path"]).resample(n)
+    # csv, whose row count divides n (validate_config): tiling keeps the empirical law
+    points = EmpiricalMeasure.from_csv(init_cfg["path"]).points
+    return EmpiricalMeasure(np.tile(points, (n // len(points), 1)))
 
 
 def _step_count(span: float, dt: float, where: str) -> int:
@@ -373,7 +377,7 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
     if etype == "simulate":
         p = float(exp["moment_p"])
         if exp["export_law"]:
-            law, ens = solver.particle_solve(model, mu0, grid, noise, n)
+            law, ens = solver.particle_solve(model, mu0, grid, noise)
             law.export(os.path.join(out_dir, "law_curve"),
                        theta=float(sim.get("theta", 2.0)), model_echo=cfg["model"])
             curve = solver.moment_curve(ens, p)
@@ -463,56 +467,52 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
         }
         return metrics, residual <= tol
 
-    if etype == "couple":
+    if etype in ("couple", "log_harnack"):
         nu0 = _second_init(exp, mu0, model.dim, n, noise)
-        config = harnack.CouplingConfig.from_model(
-            model, horizon=t_end, weight_clip=exp["weight_clip"]
-        )
-        for law in (mu0, nu0):
+        config = harnack.CouplingConfig.from_model(model, horizon=t_end,
+                                                   weight_clip=exp.get("weight_clip"))
+        for law in (mu0, nu0):  # before their W2 costs can overflow
             check_finite(law.points, noise.step0, model.state_radius)
-        pairs = harnack.coupled_pairs_from_measures(mu0, nu0, n)
-        result = harnack.coupled_girsanov(model, pairs, config, grid, noise)
-        if csv_on and result.series is not None:
-            s = result.series
+        sample = harnack.simulate_coupled(
+            model, *harnack.coupled_pairs_from_measures(mu0, nu0), config, grid, noise,
+            record_series=etype == "couple" and csv_on)
+        if etype == "log_harnack":
+            result = harnack.verify_log_harnack(sample, harnack.TEST_FUNCTIONS[exp["f"]],
+                                                config, grid, f_min=float(exp["f_min"]))
+            metrics = {
+                "lhs": result.lhs, "rhs": result.rhs, "slack": result.slack,
+                "lhs_se": result.lhs_se, "rhs_se": result.rhs_se,
+                "slack_se": result.slack_se,
+                "phi": result.phi_value, "w2_sq": result.w2_sq,
+            }
+            return metrics, result.slack >= -harnack.VERDICT_SIGMAS * result.slack_se
+        result = harnack.coupled_girsanov(sample, config, grid)
+        if sample.series is not None:
+            s = sample.series
             _write_csv(os.path.join(out_dir, "couple.csv"),
                        ["t", "gap_q", "weight_mean", "weight_entropy"],
                        [s["t"], s["gap_q"], s["weight_mean"], s["weight_entropy"]])
-        metrics = {key: value for key, value in vars(result).items()
-                   if key != "series" and value is not None}
-        if result.ess < n / 10:
+        metrics = {key: value for key, value in vars(result).items() if value is not None}
+        if math.isnan(result.ess):
+            metrics["ess_warning"] = "effective sample size undefined: every weight underflowed"
+        elif result.ess < n / 10:
             metrics["ess_warning"] = f"effective sample size {result.ess:.1f} < M/10"
         return metrics, result.success
 
-    if etype == "log_harnack":
-        nu0 = _second_init(exp, mu0, model.dim, n, noise)
-        config = harnack.CouplingConfig.from_model(model, horizon=t_end)
-        result = harnack.verify_log_harnack(
-            model, harnack.TEST_FUNCTIONS[exp["f"]], mu0, nu0, config, grid, noise, n,
-            f_min=float(exp["f_min"]),
-        )
-        metrics = {
-            "lhs": result.lhs, "rhs": result.rhs, "slack": result.slack,
-            "lhs_se": result.lhs_se, "rhs_se": result.rhs_se,
-            "slack_se": result.slack_se,
-            "phi": result.phi_value, "w2_sq": result.w2_sq,
-        }
-        return metrics, result.slack >= -3.0 * result.slack_se
-
     if etype == "shift_harnack":
+        x_t = solver.evolve_states(model, mu0.points, grid.s, grid.n_steps, grid.dt, noise)
         result = harnack.shift_coupling_verify(
             model, harnack.TEST_FUNCTIONS[exp["f"]], _shift_vector(exp["v"], model.dim, "v"),
-            mu0, p=float(exp["p"]), grid=grid, noise=noise, n_samples=n,
-            log_form=exp["log_form"],
+            x_t, p=float(exp["p"]), grid=grid, log_form=exp["log_form"],
         )
-        return asdict(result), result.slack >= -3.0 * result.slack_se
+        return asdict(result), result.slack >= -harnack.VERDICT_SIGMAS * result.slack_se
 
     if etype == "ibp":
         f, grad_f = harnack.IBP_FUNCTIONS[exp["f"]]
         v = _shift_vector(exp["v"], model.dim, "v")
-        result = harnack.integration_by_parts_check(
-            model, f, grad_f, v, mu0, grid, noise, n
-        )
-        return {**asdict(result), "f": exp["f"]}, abs(result.z_score) <= 3.0
+        x_t, weight = harnack.ibp_weights(model, v, mu0.points, grid, noise)
+        result = harnack.verify_ibp(f, grad_f, v, x_t, weight)
+        return {**asdict(result), "f": exp["f"]}, abs(result.z_score) <= harnack.VERDICT_SIGMAS
 
     # bounds; validate_config admits no other type
     return _run_bounds(exp["quantity"], exp["params"], model, t_end)

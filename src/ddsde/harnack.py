@@ -8,6 +8,16 @@ the log-Harnack inequality, the entropy bound on E[R log R], the shift
 Harnack inequality for additive noise, and the integration-by-parts
 identity; companion calculators evaluate the analytic constants.
 
+Each Monte-Carlo check is a sample and a pure estimator over it.  The sample
+steps once from the initial states the caller gives, so the caller alone
+decides how many paths there are and where they start:
+``simulate_coupled`` gives (X_T, R_T), over which ``coupled_girsanov`` and
+``verify_log_harnack`` estimate; ``solver.evolve_states`` gives the X_T of
+``shift_coupling_verify``; ``ibp_weights`` gives X_T and the
+integration-by-parts weight of a direction v, over which ``verify_ibp``
+estimates.  The test function and the shift enter only at the terminal
+time, so one sample serves every f, and every v of the Harnack checks.
+
 Models with law-dependent or non-invertible diffusion (the Landau family)
 are excluded by flag: the coupling construction requires sigma = sigma_t(x)
 invertible.
@@ -25,7 +35,8 @@ from .models import CoefficientModel
 from .rng import NoiseSpec, normal_block  # noqa: F401 (perfbench/test_perfbench.py reads it)
 from .sde import TimeGrid, apply_sigma, check_finite, em_path
 from .sde import em_step  # noqa: F401 (perfbench/test_perfbench.py reads it)
-from .solver import evolve_states
+
+VERDICT_SIGMAS = 3.0  # a Monte-Carlo verdict fails beyond this many standard errors
 
 _NU_FLOW_TAG = 0x57EA4  # substream tag for the independent nu-flow particle run
 
@@ -216,7 +227,6 @@ class CouplingResult:
     phi_bound: float           # phi(s, T) * W2(mu0, nu0)^2
     ess: float                 # (sum R)^2 / sum R^2; nan when every R^2 underflows
     success: bool
-    series: dict | None = None
     clip_fraction: float | None = None
 
 
@@ -226,20 +236,15 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return m, se
 
 
-def coupled_girsanov(model: CoefficientModel, x0_pairs, config: CouplingConfig,
-                     grid: TimeGrid, noise: NoiseSpec,
-                     record_series: bool = True) -> CouplingResult:
-    """Simulate the coupling and report weight/entropy/gap statistics.
+def coupled_girsanov(sample: CoupledSample, config: CouplingConfig,
+                     grid: TimeGrid) -> CouplingResult:
+    """Weight, entropy and gap statistics of one ``simulate_coupled`` sample on ``grid``.
 
-    ``x0_pairs`` is a pair of (M, d) arrays of optimally coupled initial
-    states (the pairing realizes W2(mu0, nu0)^2 as the mean square gap).
-    Q-expectations are importance-weighted under P (multiplied by R), never
-    resampled; weight degeneracy shows up in the reported effective sample
-    size.
+    The pairs start optimally coupled (the pairing realizes W2(mu0, nu0)^2 as
+    the mean square gap).  Q-expectations are importance-weighted under P
+    (multiplied by R); weight degeneracy shows up in the reported effective
+    sample size.
     """
-    x0, y0 = x0_pairs
-    sample = simulate_coupled(model, x0, y0, config, grid, noise,
-                              record_series=record_series)
     r = np.exp(sample.log_r)
     weight_mean, weight_mean_se = _mean_se(r)
     entropy, entropy_se = _mean_se(r * sample.log_r)
@@ -248,8 +253,8 @@ def coupled_girsanov(model: CoefficientModel, x0_pairs, config: CouplingConfig,
         * sample.w2_sq_initial
     r_sq = (r * r).sum()
     ess = float(r.sum() ** 2 / r_sq) if r_sq > 0 else math.nan  # every weight underflowed
-    success = (abs(weight_mean - 1.0) <= 3.0 * max(weight_mean_se, 1e-15)
-               and entropy <= phi_bound + 3.0 * entropy_se)
+    success = (abs(weight_mean - 1.0) <= VERDICT_SIGMAS * max(weight_mean_se, 1e-15)
+               and entropy <= phi_bound + VERDICT_SIGMAS * entropy_se)
     clip_fraction = None
     if config.weight_clip is not None:
         clip_fraction = float(np.mean(np.abs(sample.log_r) > config.weight_clip))
@@ -262,7 +267,6 @@ def coupled_girsanov(model: CoefficientModel, x0_pairs, config: CouplingConfig,
         phi_bound=phi_bound,
         ess=ess,
         success=success,
-        series=sample.series,
         clip_fraction=clip_fraction,
     )
 
@@ -284,30 +288,22 @@ class LogHarnackResult:
     log_mean_f: float  # the rhs without the phi term, for sharp-constant oracles
 
 
-def coupled_pairs_from_measures(mu0: EmpiricalMeasure, nu0: EmpiricalMeasure,
-                                n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """(M, d) initial pairs realizing the optimal W2 coupling of the resampled laws."""
-    x0 = mu0.resample(n_samples)
-    y0 = nu0.resample(n_samples)
-    perm = optimal_pairing(x0, y0, theta=2.0)
-    return x0.points.copy(), y0.points[perm].copy()
+def coupled_pairs_from_measures(mu0: EmpiricalMeasure,
+                                nu0: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """(N, d) initial pairs realizing the exact W2 coupling of two equal-size laws."""
+    return mu0.points, nu0.points[optimal_pairing(mu0, nu0, theta=2.0)]
 
 
-def verify_log_harnack(model: CoefficientModel, f, mu0: EmpiricalMeasure,
-                       nu0: EmpiricalMeasure, config: CouplingConfig,
-                       grid: TimeGrid, noise: NoiseSpec, n_samples: int,
+def verify_log_harnack(sample: CoupledSample, f, config: CouplingConfig, grid: TimeGrid,
                        f_min: float = 1e-12) -> LogHarnackResult:
-    """Monte-Carlo check of the log-Harnack inequality.
+    """Monte-Carlo check of the log-Harnack inequality over one ``simulate_coupled``
+    sample on ``grid``.
 
     lhs estimates the semigroup acting on log f at nu0 via E[R_T log f(X_T)]
     (X_T = Y_T under Q); rhs is log E[f(X_T)] + phi(s, T) W2(mu0, nu0)^2.
     A negative slack beyond its standard error flags bad constants or a
     too-coarse step.
     """
-    for law in (mu0, nu0):
-        check_finite(law.points, noise.step0, model.state_radius)
-    x0, y0 = coupled_pairs_from_measures(mu0, nu0, n_samples)
-    sample = simulate_coupled(model, x0, y0, config, grid, noise)
     fx = np.asarray(f(sample.x_terminal), dtype=np.float64)
     if fx.min() < f_min:
         raise ValueError(
@@ -427,10 +423,11 @@ def shift_harnack_constant(model: CoefficientModel, v: np.ndarray, p: float,
     return constant
 
 
-def shift_coupling_verify(model: CoefficientModel, f, v, mu0: EmpiricalMeasure,
-                          p: float, grid: TimeGrid, noise: NoiseSpec,
-                          n_samples: int, log_form: bool = False) -> ShiftHarnackResult:
-    """Monte-Carlo check of the shift Harnack inequality.
+def shift_coupling_verify(model: CoefficientModel, f, v, x_terminal: np.ndarray,
+                          p: float, grid: TimeGrid,
+                          log_form: bool = False) -> ShiftHarnackResult:
+    """Monte-Carlo check of the shift Harnack inequality over X_T, the terminal
+    states of ``solver.evolve_states`` on ``grid``.
 
     Power form:  (E f(X_T))^p  <=  E[f(X_T + v)^p] * C(p, v),
     log form:    E log f(X_T)  <=  log E[f(X_T + v)] + |v|^2 I / (2 (t-s)^2),
@@ -442,10 +439,8 @@ def shift_coupling_verify(model: CoefficientModel, f, v, mu0: EmpiricalMeasure,
         raise ValueError(f"power form needs p > 1, got {p}")
     v = np.asarray(v, dtype=np.float64)
     constant = shift_harnack_constant(model, v, p, grid.s, grid.t_end, log_form)
-    x0 = mu0.resample(n_samples).points
-    x_t = evolve_states(model, x0, grid.s, grid.n_steps, grid.dt, noise)
-    fx = np.asarray(f(x_t), dtype=np.float64)
-    fxv = np.asarray(f(x_t + v), dtype=np.float64)
+    fx = np.asarray(f(x_terminal), dtype=np.float64)
+    fxv = np.asarray(f(x_terminal + v), dtype=np.float64)
     if fx.min() <= 0 or fxv.min() <= 0:
         raise ValueError("shift Harnack needs a positive test function")
 
@@ -479,19 +474,14 @@ class IBPResult:
     z_score: float
 
 
-def integration_by_parts_check(model: CoefficientModel, f, grad_f, v,
-                               mu0: EmpiricalMeasure, grid: TimeGrid,
-                               noise: NoiseSpec, n_samples: int) -> IBPResult:
-    """Monte-Carlo check of the integration-by-parts identity.
+def ibp_weights(model: CoefficientModel, v, states: np.ndarray, grid: TimeGrid,
+                noise: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """X_T and the integration-by-parts weight of each path started at ``states``.
 
-    lhs = E[(grad_v f)(X_T)];
-    rhs = E[ f(X_T)/(t-s) * sum_k <sigma^{-1}(v - (t_k - s) grad_v b(t_k, X_k, mu_k)), dW_k> ],
+    weight = sum_k <sigma^{-1}(v - (t_k - s) grad_v b(t_k, X_k, mu_k)), dW_k> / (t-s),
     with the left-point (Ito) discretization of the stochastic integral.
     The weight is the epsilon-derivative of the Girsanov density of the
-    interpolating shift X + eps (r-s) v/(t-s); at b = 0 it reduces to the
-    classical Gaussian identity E[grad_v f] = E[f <v, W_T>]/T.  This is an
-    equality, so it is sensitive to sign and indexing mistakes in the
-    accumulation.
+    interpolating shift X + eps (r-s) v/(t-s); at b = 0 it reduces to <v, W_T>/T.
     """
     _require_additive(model)
     if model.grad_b is None:
@@ -499,9 +489,9 @@ def integration_by_parts_check(model: CoefficientModel, f, grad_f, v,
     if model.sigma_inverse is None:
         raise ValueError(f"{model.name}: needs sigma_inverse for IBP")
     v = np.asarray(v, dtype=np.float64)
-    x0 = mu0.resample(n_samples).points
-    weight, term = np.zeros(x0.shape[0]), np.empty(x0.shape[0])
-    for t_k, x, mu_k, dw, states in em_path(model, x0, grid.s, grid.dt, grid.n_steps, noise):
+    weight, term = np.zeros(states.shape[0]), np.empty(states.shape[0])
+    for t_k, x, mu_k, dw, states in em_path(model, states, grid.s, grid.dt, grid.n_steps,
+                                            noise):
         direction = (t_k - grid.s) * model.grad_b(t_k, x, mu_k, v)
         np.subtract(v[None, :], direction, out=direction)
         direction = apply_sigma(model.sigma_inverse(t_k), direction)
@@ -509,9 +499,21 @@ def integration_by_parts_check(model: CoefficientModel, f, grad_f, v,
         weight += direction.sum(axis=1, out=term)
         del x, mu_k, dw, direction  # lets em_path free X_k and its increments before the next step
     weight /= (grid.t_end - grid.s)
+    return states, weight
 
-    fx = np.asarray(f(states), dtype=np.float64)
-    directional = np.asarray(grad_f(states), dtype=np.float64) @ v
+
+def verify_ibp(f, grad_f, v, x_terminal: np.ndarray, weight: np.ndarray) -> IBPResult:
+    """Monte-Carlo check of the integration-by-parts identity over one
+    ``ibp_weights`` sample of the same direction v.
+
+    lhs = E[(grad_v f)(X_T)], rhs = E[f(X_T) weight]; at b = 0 this is the
+    classical Gaussian identity E[grad_v f] = E[f <v, W_T>]/T.  This is an
+    equality, so it is sensitive to sign and indexing mistakes in the
+    weight's accumulation.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    fx = np.asarray(f(x_terminal), dtype=np.float64)
+    directional = np.asarray(grad_f(x_terminal), dtype=np.float64) @ v
     lhs, lhs_se = _mean_se(directional)
     rhs, rhs_se = _mean_se(fx * weight)
     denom = math.hypot(lhs_se, rhs_se)

@@ -53,15 +53,6 @@ class EmpiricalMeasure:
     def mean(self) -> np.ndarray:
         return self.points.mean(axis=0)
 
-    def resample(self, n: int) -> "EmpiricalMeasure":
-        """Deterministic resize: strided subsample down, cyclic tile up."""
-        if n == self.n:
-            return self
-        if n < self.n:
-            return EmpiricalMeasure(self.points[(np.arange(n) * self.n) // n])
-        reps = -(-n // self.n)
-        return EmpiricalMeasure(np.tile(self.points, (reps, 1))[:n])
-
     def shifted(self, v) -> "EmpiricalMeasure":
         return EmpiricalMeasure(self.points + np.asarray(v, dtype=np.float64))
 
@@ -158,7 +149,7 @@ def transport_plan(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.n != nu.n:
-        raise ValueError(f"size mismatch: {mu.n} vs {nu.n} points; resample one first")
+        raise ValueError(f"size mismatch: {mu.n} vs {nu.n} points")
     if theta < 1:
         raise ValueError(f"theta must be >= 1, got {theta}")
     x, y = mu.points, nu.points

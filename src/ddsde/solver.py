@@ -249,18 +249,16 @@ def evolve_states(model: CoefficientModel, states: np.ndarray, t0: float,
 
 
 def particle_solve(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGrid,
-                   noise: NoiseSpec, n_particles: int | None = None
-                   ) -> tuple[LawCurve, PathEnsemble]:
+                   noise: NoiseSpec) -> tuple[LawCurve, PathEnsemble]:
     """Interacting particle approximation of the nonlinear flow.
 
-    Drift and diffusion of each particle are evaluated against the empirical
-    measure of all current particles; the returned law curve shares memory
-    with the ensemble's paths.
+    One particle starts at each point of mu0.  Drift and diffusion of each
+    particle are evaluated against the empirical measure of all current
+    particles; the returned law curve shares memory with the ensemble's paths.
     """
-    n = n_particles if n_particles is not None else mu0.n
-    if n < 2:
-        raise ValueError(f"particle system needs N >= 2, got {n}")
-    ens = path_ensemble(model, mu0.resample(n).points, grid, noise)
+    if mu0.n < 2:
+        raise ValueError(f"particle system needs N >= 2, got {mu0.n}")
+    ens = path_ensemble(model, mu0.points, grid, noise)
     return LawCurve.from_ensemble(ens), ens
 
 
@@ -311,8 +309,9 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     """Synchronous-coupling estimate of the W2 contraction/growth rate.
 
     The two particle systems start from the optimally coupled pairing of
-    mu0 and nu0 (so the initial mean-square gap equals W2(mu0, nu0)^2) and
-    consume identical increments.  Exact W2 is solved only at the W2 nodes,
+    mu0 and nu0, two laws of equal size (so the initial mean-square gap
+    equals W2(mu0, nu0)^2), and consume identical increments.  Exact W2 is
+    solved only at the W2 nodes,
     chosen before stepping: node 0 (the envelope's start, the initial
     pairing's own cost), at most
     CONTRACT_FIT_NODES nodes at an integer stride across ``fit_window``
@@ -325,8 +324,6 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     fit_window = _fit_window(grid, fit_window)
     nodes = _w2_nodes(grid, fit_window)
     times = grid.nodes[nodes]
-    if mu0.n != nu0.n:
-        nu0 = nu0.resample(mu0.n)
     for law in (mu0, nu0):  # before their W2 costs can overflow
         check_finite(law.points, noise.step0, model.state_radius)
     plan = transport_plan(mu0, nu0, theta=2.0)  # node 0's W2 is this plan's cost

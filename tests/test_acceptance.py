@@ -18,11 +18,14 @@ from ddsde.harnack import (
     TEST_FUNCTIONS,
     CouplingConfig,
     coupled_girsanov,
+    coupled_pairs_from_measures,
     density_bound_rhs,
-    integration_by_parts_check,
+    ibp_weights,
     phi,
     power_harnack_constant,
     shift_coupling_verify,
+    simulate_coupled,
+    verify_ibp,
     verify_log_harnack,
 )
 from ddsde.measure import EmpiricalMeasure, wasserstein
@@ -36,6 +39,7 @@ from ddsde.rng import NoiseSpec, normal_block
 from ddsde.sde import TimeGrid
 from ddsde.solver import (
     estimate_contraction,
+    evolve_states,
     find_invariant,
     particle_solve,
     picard_solve,
@@ -90,7 +94,7 @@ def test_criterion_03_picard_particle_oracle_agreement():
     for n_steps in (1000, 2000):          # dt and dt/2 refinement pass
         grid = TimeGrid(0.0, 1.0, n_steps)
         noise = NoiseSpec(seed=23, dim=1)
-        law_p, ens = particle_solve(model, mu0, grid, noise, 512)
+        law_p, ens = particle_solve(model, mu0, grid, noise)
         m_part, se_part = mean_se(ens.terminal[:, 0])
         tol = max(3 * se_part, 5 * grid.dt)
         assert abs(m_part - target) < tol
@@ -160,10 +164,13 @@ def test_criterion_06_girsanov_coupling():
     x0 = np.zeros((m, 1))
     y0 = np.ones((m, 1))         # W2(mu0, nu0) = 1
     noise = NoiseSpec(seed=31, dim=1)
-    coarse = coupled_girsanov(model, (x0, y0), config, TimeGrid(0.0, 1.0, 1000), noise)
+    coarse_grid, fine_grid = TimeGrid(0.0, 1.0, 1000), TimeGrid(0.0, 1.0, 2000)
+    coarse = coupled_girsanov(simulate_coupled(model, x0, y0, config, coarse_grid, noise),
+                              config, coarse_grid)
     assert abs(coarse.weight_mean - 1.0) <= 3 * coarse.weight_mean_se
     assert coarse.weight_entropy <= coarse.phi_bound + 3 * coarse.weight_entropy_se
-    fine = coupled_girsanov(model, (x0, y0), config, TimeGrid(0.0, 1.0, 2000), noise)
+    fine = coupled_girsanov(simulate_coupled(model, x0, y0, config, fine_grid, noise),
+                            config, fine_grid)
     ratio = coarse.terminal_gap_q / fine.terminal_gap_q
     assert ratio >= 1.3
     report(6, f"E[R]={coarse.weight_mean:.4f}+-{coarse.weight_mean_se:.4f}; "
@@ -177,10 +184,11 @@ def test_criterion_07_log_harnack():
     grid = TimeGrid(0.0, 1.0, 1000)
     mu0 = EmpiricalMeasure.point_mass([0.0], 5000)
     nu0 = EmpiricalMeasure.point_mass([1.0], 5000)
+    sample = simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0), config, grid,
+                              NoiseSpec(seed=32, dim=1))
     slacks = {}
-    for name in sorted(TEST_FUNCTIONS):
-        res = verify_log_harnack(model, TEST_FUNCTIONS[name], mu0, nu0, config,
-                                 grid, NoiseSpec(seed=32, dim=1), 5000)
+    for name in sorted(TEST_FUNCTIONS):  # one sample serves every test function
+        res = verify_log_harnack(sample, TEST_FUNCTIONS[name], config, grid)
         assert res.slack >= -3.0 * res.slack_se, name
         slacks[name] = round(res.slack, 3)
 
@@ -190,11 +198,11 @@ def test_criterion_07_log_harnack():
     bgrid = TimeGrid(0.0, 1.0, 200)
     m = 40_000
     u, x0_val, y0_val = 1.0, 0.0, 1.0
+    pairs = coupled_pairs_from_measures(EmpiricalMeasure.point_mass([x0_val], m),
+                                        EmpiricalMeasure.point_mass([y0_val], m))
     res = verify_log_harnack(
-        brown, lambda x: np.exp(u * x[:, 0]),
-        EmpiricalMeasure.point_mass([x0_val], m),
-        EmpiricalMeasure.point_mass([y0_val], m),
-        bconfig, bgrid, NoiseSpec(seed=33, dim=1), m,
+        simulate_coupled(brown, *pairs, bconfig, bgrid, NoiseSpec(seed=33, dim=1)),
+        lambda x: np.exp(u * x[:, 0]), bconfig, bgrid,
     )
     lhs_closed = u * y0_val
     log_mean_closed = u * x0_val + u * u * bgrid.t_end / 2.0
@@ -211,11 +219,11 @@ def test_criterion_08_integration_by_parts():
     grid = TimeGrid(0.0, 1.0, 1000)
     mu0 = EmpiricalMeasure.point_mass([0.0], 100_000)
     noise = NoiseSpec(seed=34, dim=1)
+    x_t, weight = ibp_weights(model, [1.0], mu0.points, grid, noise)
     lines = []
-    for name in ("linear", "sin"):
+    for name in ("linear", "sin"):  # one weight pass serves both test functions
         f, grad_f = IBP_FUNCTIONS[name]
-        res = integration_by_parts_check(model, f, grad_f, [1.0], mu0, grid,
-                                         noise, 100_000)
+        res = verify_ibp(f, grad_f, [1.0], x_t, weight)
         assert abs(res.lhs - res.rhs) <= 3 * math.hypot(res.lhs_se, res.rhs_se)
         if name == "linear":
             assert res.lhs == 1.0     # exact <u, v> with u = v = e_1
@@ -228,14 +236,13 @@ def test_criterion_09_shift_harnack():
     grid = TimeGrid(0.0, 1.0, 1000)
     mu0 = EmpiricalMeasure.point_mass([0.5], 20_000)
     noise = NoiseSpec(seed=35, dim=1)
+    x_t = evolve_states(model, mu0.points, grid.s, grid.n_steps, grid.dt, noise)
     slacks = []
-    for v in (0.25, -0.5, 1.0):
-        res = shift_coupling_verify(model, TEST_FUNCTIONS["gauss_bump"], [v],
-                                    mu0, 2.0, grid, noise, 20_000)
+    for v in (0.25, -0.5, 1.0):  # one terminal sample serves every shift
+        res = shift_coupling_verify(model, TEST_FUNCTIONS["gauss_bump"], [v], x_t, 2.0, grid)
         assert res.slack >= -3.0 * res.slack_se
         slacks.append(round(res.slack, 4))
-    res0 = shift_coupling_verify(model, TEST_FUNCTIONS["gauss_bump"], [0.0],
-                                 mu0, 2.0, grid, noise, 20_000)
+    res0 = shift_coupling_verify(model, TEST_FUNCTIONS["gauss_bump"], [0.0], x_t, 2.0, grid)
     assert res0.constant == 1.0
     assert res0.slack >= 0.0          # Jensen, holds exactly
     report(9, f"slacks {slacks} >= -3 s.e. for |v| <= 1; v=0 Jensen slack "

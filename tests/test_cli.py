@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ddsde.cli import (
@@ -13,9 +14,12 @@ from ddsde.cli import (
     EXIT_OK,
     EXIT_VERIFY,
     ConfigError,
+    build_init,
     main,
     validate_config,
 )
+from ddsde.measure import EmpiricalMeasure
+from ddsde.rng import NoiseSpec
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -103,6 +107,26 @@ def test_non_finite_metrics_are_null_in_strict_json(tmp_path, experiment, model_
     report = json.loads(text, parse_constant=_reject_constant)
     for metrics in (report["metrics"], report["refinement"]["metrics"]):
         assert metrics[null_key] is None and metrics[named_key] is not None
+
+
+def test_couple_warns_when_every_weight_underflows(tmp_path):
+    cfg = small_simulate_config(tmp_path / "out", experiment={"type": "couple", "shift": 1e4})
+    cfg["model"].update(a=1.0, c=0.25, sigma=0.01)
+    cfg["sim"].update(n_particles=16, t_end=0.2)
+    assert main(["run", write_config(tmp_path, cfg)]) == EXIT_VERIFY
+    metrics = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
+    assert metrics["ess"] is None
+    assert "every weight underflowed" in metrics["ess_warning"]
+
+
+def test_csv_law_is_tiled_to_n_particles(tmp_path):
+    rows = np.array([[0.5], [1.0], [2.5], [-1.0]])
+    path = tmp_path / "law.csv"
+    EmpiricalMeasure(rows).to_csv(path)
+    noise = NoiseSpec(seed=1, dim=1)
+    for n in (4, 12):
+        law = build_init({"kind": "csv", "path": str(path)}, 1, n, noise)
+        assert np.array_equal(law.points, np.tile(rows, (n // 4, 1)))
 
 
 def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
@@ -236,7 +260,7 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
 
 
 MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
-                 "two_columns.csv": "0.5,1.0\n1.5,2.0\n"}
+                 "two_columns.csv": "0.5,1.0\n1.5,2.0\n", "three_rows.csv": "0.5\n1.0\n1.5\n"}
 
 
 @pytest.mark.parametrize("experiment, sim_update, model_update, named", [
@@ -337,6 +361,8 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
      "sim.init.std must be a number in (0, 1e+150]"),
     ({"type": "simulate"}, {"n_particles": 1e308}, {}, "particles, got 1e+308"),
     ({"type": "invariant", "burn_in": 1e308}, {}, {}, "experiment.burn_in needs at most"),
+    ({"type": "simulate"}, {"init": {"kind": "csv", "path": "three_rows.csv"}}, {},
+     "has 3 rows, which do not divide n_particles 64"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -357,7 +383,8 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "export_law_string", "bounds_param_unknown", "init_csv_text", "init_csv_nan",
         "init_csv_columns", "sigma_list_dim_conflict", "bounds_value_infinite",
         "dt_nan_literal", "shift_harnack_constant_overflow", "ibp_v_beyond_max_state",
-        "init_std_beyond_max_state", "n_particles_overflow", "burn_in_overflow"])
+        "init_std_beyond_max_state", "n_particles_overflow", "burn_in_overflow",
+        "init_csv_rows_not_dividing"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
                                                       named):

@@ -11,12 +11,13 @@ from ddsde.harnack import (
     coupled_girsanov,
     coupled_pairs_from_measures,
     density_bound_rhs,
-    integration_by_parts_check,
+    ibp_weights,
     phi,
     power_harnack_constant,
     power_harnack_threshold,
     shift_coupling_verify,
     simulate_coupled,
+    verify_ibp,
     verify_log_harnack,
     xi_schedule,
 )
@@ -33,6 +34,19 @@ def delta_pairs(x_val, y_val, m, d=1):
     x = np.full((m, d), float(x_val))
     y = np.full((m, d), float(y_val))
     return x, y
+
+
+def girsanov(model, pairs, config, grid, noise):
+    """``coupled_girsanov`` over one ``simulate_coupled`` sample of ``pairs``."""
+    return coupled_girsanov(simulate_coupled(model, *pairs, config, grid, noise), config, grid)
+
+
+def log_harnack_sample(model, mu0, nu0, config, grid, noise):
+    return simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0), config, grid, noise)
+
+
+def terminal_states(model, mu0, grid, noise):
+    return evolve_states(model, mu0.points, grid.s, grid.n_steps, grid.dt, noise)
 
 
 class TestXiSchedule:
@@ -98,7 +112,7 @@ class TestCoupledGirsanov:
 
     def test_equal_initials_are_exactly_trivial(self):
         x0, y0 = delta_pairs(0.3, 0.3, 64)
-        res = coupled_girsanov(self.model, (x0, y0), self.config, self.grid, self.noise)
+        res = girsanov(self.model, (x0, y0), self.config, self.grid, self.noise)
         assert res.weight_mean == 1.0
         assert res.weight_mean_se == 0.0
         assert res.weight_entropy == 0.0
@@ -109,20 +123,22 @@ class TestCoupledGirsanov:
     def test_martingale_and_entropy_bound(self):
         m = 3000
         x0, y0 = delta_pairs(0.0, 1.0, m)
-        res = coupled_girsanov(self.model, (x0, y0), self.config, self.grid, self.noise)
+        sample = simulate_coupled(self.model, x0, y0, self.config, self.grid, self.noise,
+                                  record_series=True)
+        res = coupled_girsanov(sample, self.config, self.grid)
         assert abs(res.weight_mean - 1.0) <= 3 * res.weight_mean_se
         assert res.weight_entropy <= res.phi_bound + 3 * res.weight_entropy_se
         assert res.ess > m / 10
         # the weight is a martingale: E[R_t] = 1 along the whole grid
-        drift = np.abs(np.asarray(res.series["weight_mean"]) - 1.0)
+        drift = np.abs(np.asarray(sample.series["weight_mean"]) - 1.0)
         assert drift.max() <= 4 * max(res.weight_mean_se, 1e-12)
 
     def test_gap_shrinks_when_dt_halves(self):
         x0, y0 = delta_pairs(0.0, 1.0, 2000)
-        coarse = coupled_girsanov(self.model, (x0, y0), self.config,
-                                  TimeGrid(0.0, 1.0, 100), self.noise)
-        fine = coupled_girsanov(self.model, (x0, y0), self.config,
-                                TimeGrid(0.0, 1.0, 200), self.noise)
+        coarse = girsanov(self.model, (x0, y0), self.config, TimeGrid(0.0, 1.0, 100),
+                          self.noise)
+        fine = girsanov(self.model, (x0, y0), self.config, TimeGrid(0.0, 1.0, 200),
+                        self.noise)
         assert coarse.terminal_gap_q / fine.terminal_gap_q >= 1.3
         # the pre-merge gap is O(dt) relative to the initial squared gap
         initial_gap_sq = 1.0
@@ -134,7 +150,7 @@ class TestCoupledGirsanov:
         config = CouplingConfig(horizon=1.0, kappa1=0.0, kappa2=2.0, lambda_=1.0)
         x0 = np.zeros((4, 3))
         with pytest.raises(ValueError, match="excluded"):
-            coupled_girsanov(model, (x0, x0 + 1.0), config, TimeGrid(0, 1.0, 10),
+            simulate_coupled(model, x0, x0 + 1.0, config, TimeGrid(0, 1.0, 10),
                              NoiseSpec(seed=1, dim=3))
 
     def test_state_dependent_invertible_sigma(self):
@@ -150,53 +166,57 @@ class TestCoupledGirsanov:
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(1500, 2))
         y0 = x0 + np.array([0.5, -0.5])
-        res = coupled_girsanov(model, (x0, y0), config, TimeGrid(0.0, 0.5, 200),
-                               NoiseSpec(seed=7, dim=2))
+        res = girsanov(model, (x0, y0), config, TimeGrid(0.0, 0.5, 200),
+                       NoiseSpec(seed=7, dim=2))
         assert abs(res.weight_mean - 1.0) <= 3 * res.weight_mean_se
         assert res.weight_entropy <= res.phi_bound + 3 * res.weight_entropy_se
 
     def test_horizon_mismatch_rejected(self):
         x0, y0 = delta_pairs(0.0, 1.0, 8)
         with pytest.raises(ValueError, match="horizon"):
-            coupled_girsanov(self.model, (x0, y0), self.config,
-                             TimeGrid(0.0, 2.0, 100), self.noise)
+            simulate_coupled(self.model, x0, y0, self.config, TimeGrid(0.0, 2.0, 100),
+                             self.noise)
 
     def test_weight_clip_diagnostic(self):
         x0, y0 = delta_pairs(0.0, 1.0, 500)
         config = CouplingConfig.from_model(self.model, horizon=1.0, weight_clip=1e-6)
-        res = coupled_girsanov(self.model, (x0, y0), config, self.grid, self.noise)
+        res = girsanov(self.model, (x0, y0), config, self.grid, self.noise)
         assert res.clip_fraction is not None
         assert res.clip_fraction > 0.5  # nearly every weight exceeds a tiny cap
 
 
 class TestLogHarnack:
-    def setup_method(self):
-        self.model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
-        self.grid = TimeGrid(0.0, 1.0, 400)
-        self.noise = NoiseSpec(seed=202, dim=1)
-        self.config = CouplingConfig.from_model(self.model, horizon=1.0)
-        self.mu0 = EmpiricalMeasure.point_mass([0.0], 2000)
-        self.nu0 = EmpiricalMeasure.point_mass([1.0], 2000)
+    model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
+    grid = TimeGrid(0.0, 1.0, 400)
+    noise = NoiseSpec(seed=202, dim=1)
+    config = CouplingConfig.from_model(model, horizon=1.0)
+
+    def sample(self, m):
+        return log_harnack_sample(self.model, EmpiricalMeasure.point_mass([0.0], m),
+                                  EmpiricalMeasure.point_mass([1.0], m), self.config,
+                                  self.grid, self.noise)
+
+    @pytest.fixture(scope="class")
+    def shared(self):
+        """One sample of 2000 pairs for every bundled test function."""
+        return self.sample(2000)
 
     def test_unit_constant_slack_is_exactly_phi_w2(self):
-        res = verify_log_harnack(self.model, lambda x: np.ones(x.shape[0]),
-                                 self.mu0, self.nu0, self.config, self.grid,
-                                 self.noise, 512)
+        res = verify_log_harnack(self.sample(512), lambda x: np.ones(x.shape[0]),
+                                 self.config, self.grid)
         assert res.lhs == 0.0
         assert res.slack == pytest.approx(res.phi_value * res.w2_sq)
         assert res.slack >= 0.0
 
     @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
-    def test_bundled_functions_satisfy_inequality(self, name):
-        res = verify_log_harnack(self.model, TEST_FUNCTIONS[name], self.mu0,
-                                 self.nu0, self.config, self.grid, self.noise, 2000)
+    def test_bundled_functions_satisfy_inequality(self, name, shared):
+        res = verify_log_harnack(shared, TEST_FUNCTIONS[name], self.config, self.grid)
         assert res.slack >= -3.0 * res.slack_se
 
     def test_function_touching_zero_rejected(self):
         with pytest.raises(ValueError, match="f_min"):
-            verify_log_harnack(self.model, lambda x: np.maximum(x[:, 0], 0.0),
-                               self.mu0, self.nu0, self.config, self.grid,
-                               self.noise, 256)
+            verify_log_harnack(self.sample(256), lambda x: np.maximum(x[:, 0], 0.0),
+                               self.config, self.grid)
 
     def test_brownian_case_matches_gaussian_oracle(self):
         # b = 0, sigma = I: closed forms for f = exp(u x); the sharp constant
@@ -208,8 +228,8 @@ class TestLogHarnack:
         x0_val, y0_val, u = 0.0, 1.0, 1.0
         mu0 = EmpiricalMeasure.point_mass([x0_val], m)
         nu0 = EmpiricalMeasure.point_mass([y0_val], m)
-        res = verify_log_harnack(model, lambda x: np.exp(u * x[:, 0]),
-                                 mu0, nu0, config, grid, NoiseSpec(seed=303, dim=1), m)
+        sample = log_harnack_sample(model, mu0, nu0, config, grid, NoiseSpec(seed=303, dim=1))
+        res = verify_log_harnack(sample, lambda x: np.exp(u * x[:, 0]), config, grid)
         lhs_closed = u * y0_val
         log_mean_closed = u * x0_val + u * u * grid.t_end / 2.0
         assert abs(res.lhs - lhs_closed) <= 1e-3 + 3 * res.lhs_se
@@ -259,28 +279,31 @@ class TestPowerHarnack:
 
 
 class TestShiftHarnack:
-    def setup_method(self):
-        self.model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
-        self.grid = TimeGrid(0.0, 1.0, 400)
-        self.noise = NoiseSpec(seed=404, dim=1)
-        self.mu0 = EmpiricalMeasure.point_mass([0.5], 4000)
+    model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
+    grid = TimeGrid(0.0, 1.0, 400)
+    noise = NoiseSpec(seed=404, dim=1)
 
-    def test_zero_shift_reduces_to_jensen(self):
+    @pytest.fixture(scope="class")
+    def x_t(self):
+        """X_T of 4000 paths from 0.5, shared by every f, v and p of the class."""
+        return terminal_states(self.model, EmpiricalMeasure.point_mass([0.5], 4000),
+                               self.grid, self.noise)
+
+    def test_zero_shift_reduces_to_jensen(self, x_t):
         res = shift_coupling_verify(self.model, TEST_FUNCTIONS["one_plus_tanh"],
-                                    [0.0], self.mu0, 2.0, self.grid, self.noise, 4000)
+                                    [0.0], x_t, 2.0, self.grid)
         assert res.constant == 1.0
         assert res.slack >= 0.0
 
     @pytest.mark.parametrize("v", [0.3, -0.8, 1.0])
-    def test_inequality_holds_for_shifts(self, v):
+    def test_inequality_holds_for_shifts(self, v, x_t):
         res = shift_coupling_verify(self.model, TEST_FUNCTIONS["gauss_bump"],
-                                    [v], self.mu0, 2.0, self.grid, self.noise, 4000)
+                                    [v], x_t, 2.0, self.grid)
         assert res.slack >= -3.0 * res.slack_se
 
-    def test_log_form(self):
+    def test_log_form(self, x_t):
         res = shift_coupling_verify(self.model, TEST_FUNCTIONS["one_plus_tanh"],
-                                    [0.5], self.mu0, 2.0, self.grid, self.noise,
-                                    4000, log_form=True)
+                                    [0.5], x_t, 2.0, self.grid, log_form=True)
         assert res.slack >= -3.0 * res.slack_se
 
     def test_brownian_gaussian_bump_closed_form(self):
@@ -290,9 +313,8 @@ class TestShiftHarnack:
         m = 40_000
         mu0 = EmpiricalMeasure.point_mass([0.0], m)
         v, p, big_t = 0.5, 2.0, 1.0
-        res = shift_coupling_verify(model, lambda x: np.exp(-x[:, 0] ** 2),
-                                    [v], mu0, p, grid, NoiseSpec(seed=505, dim=1), m)
-
+        x_t = terminal_states(model, mu0, grid, NoiseSpec(seed=505, dim=1))
+        res = shift_coupling_verify(model, lambda x: np.exp(-x[:, 0] ** 2), [v], x_t, p, grid)
         def gauss_mean(scale, mean_shift):
             # E exp(-scale (Z + mean_shift)^2), Z ~ N(0, T)
             return math.exp(-scale * mean_shift ** 2 / (1 + 2 * scale * big_t)) \
@@ -304,65 +326,62 @@ class TestShiftHarnack:
         assert abs(res.rhs - rhs_closed) <= 3 * res.rhs_se + 1e-3
         assert rhs_closed - lhs_closed >= 0.0
 
-    def test_power_requires_p_above_one(self):
+    def test_power_requires_p_above_one(self, x_t):
         with pytest.raises(ValueError, match="p > 1"):
-            shift_coupling_verify(self.model, TEST_FUNCTIONS["const"], [0.1],
-                                  self.mu0, 1.0, self.grid, self.noise, 64)
+            shift_coupling_verify(self.model, TEST_FUNCTIONS["const"], [0.1], x_t, 1.0,
+                                  self.grid)
 
     def test_multiplicative_model_rejected(self):
         model = landau_model(0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="additive"):
             shift_coupling_verify(model, TEST_FUNCTIONS["const"], [0.1, 0, 0],
-                                  EmpiricalMeasure.point_mass([0.0, 0, 0], 8),
-                                  2.0, TimeGrid(0, 1, 10), NoiseSpec(seed=1, dim=3), 8)
+                                  np.zeros((8, 3)), 2.0, TimeGrid(0, 1, 10))
 
 
 class TestIntegrationByParts:
-    def setup_method(self):
-        self.model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
-        self.grid = TimeGrid(0.0, 1.0, 500)
-        self.noise = NoiseSpec(seed=606, dim=1)
-        self.mu0 = EmpiricalMeasure.point_mass([0.0], 10_000)
+    model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
+    grid = TimeGrid(0.0, 1.0, 500)
+    noise = NoiseSpec(seed=606, dim=1)
+    x0 = EmpiricalMeasure.point_mass([0.0], 10_000).points
 
-    def test_constant_function_gives_zero_both_sides(self):
-        res = integration_by_parts_check(
-            self.model, lambda x: np.ones(x.shape[0]),
-            lambda x: np.zeros_like(x), [1.0], self.mu0, self.grid,
-            self.noise, 10_000,
-        )
+    @pytest.fixture(scope="class")
+    def sample(self):
+        """X_T and the weight of v = 1 for the paths from x0, shared by every f."""
+        return ibp_weights(self.model, [1.0], self.x0, self.grid, self.noise)
+
+    def test_constant_function_gives_zero_both_sides(self, sample):
+        res = verify_ibp(lambda x: np.ones(x.shape[0]), lambda x: np.zeros_like(x), [1.0],
+                         *sample)
         assert res.lhs == 0.0
         assert abs(res.rhs) <= 3 * res.rhs_se
 
-    def test_linear_function_exact_lhs(self):
+    def test_linear_function_exact_lhs(self, sample):
         f, grad_f = IBP_FUNCTIONS["linear"]
-        res = integration_by_parts_check(self.model, f, grad_f, [1.0],
-                                         self.mu0, self.grid, self.noise, 10_000)
+        res = verify_ibp(f, grad_f, [1.0], *sample)
         assert res.lhs == pytest.approx(1.0)
         assert res.lhs_se == 0.0
         assert abs(res.z_score) <= 3.0
 
-    def test_sin_function(self):
+    def test_sin_function(self, sample):
         f, grad_f = IBP_FUNCTIONS["sin"]
-        res = integration_by_parts_check(self.model, f, grad_f, [1.0],
-                                         self.mu0, self.grid, self.noise, 10_000)
+        res = verify_ibp(f, grad_f, [1.0], *sample)
         assert abs(res.z_score) <= 3.0
 
     def test_brownian_closed_form(self):
         # b = 0: lhs = E[cos(W_1)] = e^{-1/2}; rhs must agree.
         model = linear_meanfield_model(0.0, 0.0, 1.0, dim=1)
         f, grad_f = IBP_FUNCTIONS["sin"]
-        res = integration_by_parts_check(model, f, grad_f, [1.0], self.mu0,
-                                         TimeGrid(0.0, 1.0, 200), self.noise, 20_000)
+        x0 = EmpiricalMeasure.point_mass([0.0], 20_000).points
+        res = verify_ibp(f, grad_f, [1.0],
+                         *ibp_weights(model, [1.0], x0, TimeGrid(0.0, 1.0, 200), self.noise))
         assert abs(res.lhs - math.exp(-0.5)) <= 3 * res.lhs_se
         assert abs(res.z_score) <= 3.0
 
     def test_landau_rejected(self):
         model = landau_model(0.0, 0.5, 0.0)
-        f, grad_f = IBP_FUNCTIONS["linear"]
         with pytest.raises(ValueError, match="additive"):
-            integration_by_parts_check(model, f, grad_f, [1.0, 0, 0],
-                                       EmpiricalMeasure.point_mass([0.0, 0, 0], 8),
-                                       TimeGrid(0, 1, 10), NoiseSpec(seed=1, dim=3), 8)
+            ibp_weights(model, [1.0, 0, 0], np.zeros((8, 3)), TimeGrid(0, 1, 10),
+                        NoiseSpec(seed=1, dim=3))
 
 
 class TestDensityBounds:
@@ -480,7 +499,7 @@ class TestCoupledPairs:
         rng = np.random.default_rng(3)
         mu = EmpiricalMeasure(rng.normal(size=(32, 2)))
         nu = EmpiricalMeasure(rng.normal(size=(32, 2)) + 1.0)
-        x0, y0 = coupled_pairs_from_measures(mu, nu, 32)
+        x0, y0 = coupled_pairs_from_measures(mu, nu)
         paired = float(np.mean(np.sum((x0 - y0) ** 2, axis=1)))
         assert paired == pytest.approx(wasserstein(mu, nu, theta=2.0) ** 2, rel=1e-9)
 
@@ -490,7 +509,7 @@ class TestCoupledPairs:
         rng = np.random.default_rng(5)
         mu = EmpiricalMeasure(rng.normal(size=(600, 2)))
         nu = EmpiricalMeasure(rng.normal(size=(600, 2)) * [2.0, 0.5] + 1.0)
-        x0, y0 = coupled_pairs_from_measures(mu, nu, 600)
+        x0, y0 = coupled_pairs_from_measures(mu, nu)
         paired = float(np.mean(np.sum((x0 - y0) ** 2, axis=1)))
         assert paired == pytest.approx(wasserstein(mu, nu, theta=2.0) ** 2, rel=1e-9)
 

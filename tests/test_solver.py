@@ -180,7 +180,7 @@ class TestParticle:
         model = linear_meanfield_model(2.0, 1.0, 0.2, dim=1)
         mu0 = EmpiricalMeasure.point_mass([1.0], 2000)
         grid = TimeGrid(0.0, 1.0, 1000)
-        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=11, dim=1), 2000)
+        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=11, dim=1))
         m, se = mean_se(ens.terminal[:, 0])
         assert abs(m - np.exp(-1.0)) < max(3 * se, 5 * grid.dt)
 
@@ -188,7 +188,7 @@ class TestParticle:
         model = landau_model(0.0, 0.0, 0.0)
         mu0 = gaussian_measure(2000, 3, seed=12)
         grid = TimeGrid(0.0, 0.5, 100)
-        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=13, dim=3), 2000)
+        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=13, dim=3))
         first = ens.terminal[0::2, 0]
         second = ens.terminal[1::2, 0]
         rho = np.corrcoef(first, second)[0, 1]
@@ -199,7 +199,7 @@ class TestParticle:
         mu0 = EmpiricalMeasure.point_mass([1.0], 512)
         grid = TimeGrid(0.0, 1.0, 1000)
         noise = NoiseSpec(seed=14, dim=1)
-        law_p, _ = particle_solve(model, mu0, grid, noise, 512)
+        law_p, _ = particle_solve(model, mu0, grid, noise)
         report = picard_solve(model, mu0, grid, noise, max_iter=10, tol=1e-4)
         w2 = wasserstein(law_p.measure_at(grid.n_steps),
                          report.iterates[-1].measure_at(grid.n_steps), theta=2.0)
@@ -211,7 +211,7 @@ class TestParticle:
         mu0 = gaussian_measure(512, 3, seed=40)
         grid = TimeGrid(0.0, 0.25, 250)
         noise = NoiseSpec(seed=41, dim=3)
-        law_p, _ = particle_solve(model, mu0, grid, noise, 512)
+        law_p, _ = particle_solve(model, mu0, grid, noise)
         report = picard_solve(model, mu0, grid, noise, max_iter=8, tol=1e-3)
         assert report.converged
         w2 = wasserstein(law_p.measure_at(grid.n_steps),
@@ -222,7 +222,7 @@ class TestParticle:
         model = linear_meanfield_model(1.0, 0.0, 1.0, dim=1)
         with pytest.raises(ValueError, match="N >= 2"):
             particle_solve(model, EmpiricalMeasure.point_mass([0.0], 1),
-                           TimeGrid(0.0, 0.1, 10), NoiseSpec(seed=1, dim=1), 1)
+                           TimeGrid(0.0, 0.1, 10), NoiseSpec(seed=1, dim=1))
 
     def test_semigroup_restart_bitwise(self):
         # Running [0, T] equals running [0, T/2] and restarting from the
@@ -231,12 +231,12 @@ class TestParticle:
         mu0 = gaussian_measure(64, 2, seed=15)
         noise = NoiseSpec(seed=16, dim=2)
         full = TimeGrid(0.0, 1.0, 200)
-        law_full, ens_full = particle_solve(model, mu0, full, noise, 64)
+        law_full, ens_full = particle_solve(model, mu0, full, noise)
         first = TimeGrid(0.0, 0.5, 100)
-        _, ens1 = particle_solve(model, mu0, first, noise, 64)
+        _, ens1 = particle_solve(model, mu0, first, noise)
         second = TimeGrid(0.5, 1.0, 100)
         mid = EmpiricalMeasure(ens1.terminal)
-        _, ens2 = particle_solve(model, mid, second, noise.with_step_offset(100), 64)
+        _, ens2 = particle_solve(model, mid, second, noise.with_step_offset(100))
         assert np.array_equal(ens_full.paths[:, 100:, :], ens2.paths)
 
     def test_nonlinearity_witness(self):
@@ -252,11 +252,11 @@ class TestParticle:
             mixture0 = EmpiricalMeasure(
                 np.concatenate([np.full((half, 1), -2.0), np.full((half, 1), 2.0)])
             )
-            _, ens_mix = particle_solve(model, mixture0, grid, noise, n)
+            _, ens_mix = particle_solve(model, mixture0, grid, noise)
             _, ens_x = particle_solve(model, EmpiricalMeasure.point_mass([-2.0], half),
-                                      grid, noise.substream(1), half)
+                                      grid, noise.substream(1))
             _, ens_y = particle_solve(model, EmpiricalMeasure.point_mass([2.0], half),
-                                      grid, noise.substream(2), half)
+                                      grid, noise.substream(2))
             mixed_laws = EmpiricalMeasure(
                 np.concatenate([ens_x.terminal, ens_y.terminal])
             )
@@ -298,6 +298,13 @@ class TestContraction:
         assert est.empirical_rate == float("-inf")
         assert est.merge_time == 0.0
         assert np.all(est.w2_sq == 0.0)
+
+    def test_unequal_laws_raise(self):
+        model = linear_meanfield_model(1.0, 0.0, 0.3, dim=1)
+        with pytest.raises(ValueError, match="size mismatch: 8 vs 4"):
+            estimate_contraction(model, EmpiricalMeasure.point_mass([0.0], 8),
+                                 EmpiricalMeasure.point_mass([1.0], 4),
+                                 TimeGrid(0.0, 0.2, 20), NoiseSpec(seed=22, dim=1))
 
     def test_threaded_w2_curve_identical(self):
         model = landau_model(0.0, 0.5, 0.5)
@@ -413,7 +420,7 @@ class TestMomentCurve:
         model = linear_meanfield_model(0.0, 0.0, 0.0, dim=2)
         mu0 = EmpiricalMeasure.point_mass([3.0, 4.0], 8)
         grid = TimeGrid(0.0, 1.0, 10)
-        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=31, dim=2), 8)
+        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=31, dim=2))
         curve = moment_curve(ens, 2.0)
         assert np.allclose(curve.per_node, 25.0)
         assert curve.sup_moment == pytest.approx(25.0)
@@ -422,7 +429,7 @@ class TestMomentCurve:
         model = linear_meanfield_model(0.0, 0.0, 1.0, dim=3)
         mu0 = EmpiricalMeasure.point_mass([0.0, 0.0, 0.0], 4000)
         grid = TimeGrid(0.0, 1.0, 500)
-        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=32, dim=3), 4000)
+        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=32, dim=3))
         curve = moment_curve(ens, 2.0)
         se = np.sqrt(6.0 / 4000)  # Var of chi^2_3 is 6
         assert abs(curve.per_node[-1] - 3.0) < 3 * se
@@ -432,7 +439,7 @@ class TestMomentCurve:
         mu0 = gaussian_measure(128, 3, seed=33)
         for n_steps in (200, 400):
             grid = TimeGrid(0.0, 1.0, n_steps)
-            _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=34, dim=3), 128)
+            _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=34, dim=3))
             curve = moment_curve(ens, 2.0)
             assert np.isfinite(curve.per_node).all()
             assert curve.sup_moment < 50.0
@@ -443,7 +450,7 @@ class TestLawCurve:
         model = linear_meanfield_model(1.0, 0.2, 0.5, dim=2)
         mu0 = gaussian_measure(16, 2, seed=35)
         grid = TimeGrid(0.0, 0.2, 4)
-        law, _ = particle_solve(model, mu0, grid, NoiseSpec(seed=36, dim=2), 16)
+        law, _ = particle_solve(model, mu0, grid, NoiseSpec(seed=36, dim=2))
         out = tmp_path / "law"
         law.export(out, theta=2.0, model_echo={"name": "linear_meanfield"})
         manifest = json.loads((out / "manifest.json").read_text())

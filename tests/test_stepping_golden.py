@@ -15,8 +15,9 @@ from ddsde.harnack import (
     IBP_FUNCTIONS,
     CouplingConfig,
     coupled_pairs_from_measures,
-    integration_by_parts_check,
+    ibp_weights,
     simulate_coupled,
+    verify_ibp,
 )
 from ddsde.measure import EmpiricalMeasure
 from ddsde.models import CoefficientModel, linear_meanfield_model
@@ -55,11 +56,12 @@ def stepping_digests() -> dict:
     mu0 = EmpiricalMeasure(0.3 + normal_block(NoiseSpec(seed=7, dim=1), np.arange(64), 0))
     nu0 = mu0.shifted([0.8])
     law = LawCurve.constant(nu0, grid)
-    coupled = simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0, 64),
+    coupled = simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0),
                                CouplingConfig.from_model(model, horizon=grid.t_end),
                                grid, noise)
     f, grad_f = IBP_FUNCTIONS["linear"]
-    ibp = integration_by_parts_check(model, f, grad_f, [1.0], mu0, grid, noise, 500)
+    ibp_x0 = np.tile(mu0.points, (8, 1))[:500]  # 500 paths: the 64-point law, tiled
+    ibp = verify_ibp(f, grad_f, [1.0], *ibp_weights(model, [1.0], ibp_x0, grid, noise))
     return {
         "euler_maruyama_offset": _digest(
             euler_maruyama(model, law, mu0.points, grid, noise.with_step_offset(37)).paths),
