@@ -26,15 +26,13 @@ from .models import (
     linear_meanfield_model,
 )
 from .rng import NoiseSpec
-from .sde import NumericalBlowupError, PathEnsemble, TimeGrid, euler_maruyama
+from .sde import LawCurve, NumericalBlowupError, TimeGrid, euler_maruyama
 from .solver import (
-    LawCurve,
     PicardReport,
     estimate_contraction,
     evolve_states,
     find_invariant,
     moment_curve,
-    particle_solve,
     picard_chain,
     picard_solve,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "ModelBounds",
     "NoiseSpec",
     "NumericalBlowupError",
-    "PathEnsemble",
     "PicardReport",
     "TimeGrid",
     "TransportPlan",
@@ -68,7 +65,6 @@ __all__ = [
     "landau_sigma0",
     "linear_meanfield_model",
     "moment_curve",
-    "particle_solve",
     "phi",
     "picard_chain",
     "picard_solve",

@@ -28,7 +28,7 @@ import numpy as np
 from . import harnack, models, solver
 from .measure import EmpiricalMeasure
 from .rng import NoiseSpec, normal_block
-from .sde import MAX_STATE, NumericalBlowupError, TimeGrid, check_finite, em_path
+from .sde import MAX_STATE, NumericalBlowupError, TimeGrid, check_finite, em_path, euler_maruyama
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -377,10 +377,10 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
     if etype == "simulate":
         p = float(exp["moment_p"])
         if exp["export_law"]:
-            law, ens = solver.particle_solve(model, mu0, grid, noise)
+            law = euler_maruyama(model, mu0.points, grid, noise)
             law.export(os.path.join(out_dir, "law_curve"),
                        theta=float(sim.get("theta", 2.0)), model_echo=cfg["model"])
-            curve = solver.moment_curve(ens, p)
+            curve = solver.moment_curve(law.states, p)
         else:  # streamed: only the current states are kept
             check_finite(mu0.points, noise.step0, model.state_radius)  # before its moment
             steps = em_path(model, mu0.points, grid.s, grid.dt, grid.n_steps, noise)

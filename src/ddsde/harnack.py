@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import EmpiricalMeasure, optimal_pairing
+from .measure import EmpiricalMeasure, transport_plan
 from .models import CoefficientModel
 from .rng import NoiseSpec, normal_block  # noqa: F401 (perfbench/test_perfbench.py reads it)
-from .sde import TimeGrid, apply_sigma, check_finite, em_path
+from .sde import NumericalBlowupError, TimeGrid, apply_sigma, check_finite, em_path
 from .sde import em_step  # noqa: F401 (perfbench/test_perfbench.py reads it)
 
 VERDICT_SIGMAS = 3.0  # a Monte-Carlo verdict fails beyond this many standard errors
@@ -291,7 +291,7 @@ class LogHarnackResult:
 def coupled_pairs_from_measures(mu0: EmpiricalMeasure,
                                 nu0: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
     """(N, d) initial pairs realizing the exact W2 coupling of two equal-size laws."""
-    return mu0.points, nu0.points[optimal_pairing(mu0, nu0, theta=2.0)]
+    return mu0.points, nu0.points[transport_plan(mu0, nu0, theta=2.0).permutation]
 
 
 def verify_log_harnack(sample: CoupledSample, f, config: CouplingConfig, grid: TimeGrid,
@@ -303,13 +303,17 @@ def verify_log_harnack(sample: CoupledSample, f, config: CouplingConfig, grid: T
     (X_T = Y_T under Q); rhs is log E[f(X_T)] + phi(s, T) W2(mu0, nu0)^2.
     A negative slack beyond its standard error flags bad constants or a
     too-coarse step.
+
+    Raises:
+        NumericalBlowupError: if f dips below ``f_min`` at a terminal state,
+            naming the first such sample and the grid's last step.
     """
     fx = np.asarray(f(sample.x_terminal), dtype=np.float64)
     if fx.min() < f_min:
-        raise ValueError(
+        raise NumericalBlowupError(
             f"test function dips to {fx.min():.3g} < f_min={f_min}; "
-            "log-Harnack needs f bounded away from zero"
-        )
+            "log-Harnack needs f bounded away from zero",
+            int(np.argmax(fx < f_min)), grid.n_steps)
     r = np.exp(sample.log_r)
     lhs, lhs_se = _mean_se(r * np.log(fx))
     mean_f, mean_f_se = _mean_se(fx)
@@ -433,6 +437,10 @@ def shift_coupling_verify(model: CoefficientModel, f, v, x_terminal: np.ndarray,
     log form:    E log f(X_T)  <=  log E[f(X_T + v)] + |v|^2 I / (2 (t-s)^2),
     where I integrates lambda_r^2 (1 + (r-s)||grad b_r||)^2 over [s, t], in
     closed form for the constant lambda and gradient bound of model metadata.
+
+    Raises:
+        NumericalBlowupError: if f(X_T) or f(X_T + v) is not positive, naming
+            the first such sample and the grid's last step.
     """
     _require_additive(model)
     if not log_form and p <= 1:
@@ -442,7 +450,8 @@ def shift_coupling_verify(model: CoefficientModel, f, v, x_terminal: np.ndarray,
     fx = np.asarray(f(x_terminal), dtype=np.float64)
     fxv = np.asarray(f(x_terminal + v), dtype=np.float64)
     if fx.min() <= 0 or fxv.min() <= 0:
-        raise ValueError("shift Harnack needs a positive test function")
+        raise NumericalBlowupError("shift Harnack needs a positive test function",
+                                   int(np.argmax((fx <= 0) | (fxv <= 0))), grid.n_steps)
 
     if log_form:
         lhs, lhs_se = _mean_se(np.log(fx))

@@ -177,9 +177,3 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, theta: float = 2.0) 
     """Exact W_theta between two empirical measures of equal size."""
     return transport_plan(mu, nu, theta=theta).distance
 
-
-def optimal_pairing(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
-                    theta: float = 2.0) -> np.ndarray:
-    """Permutation realizing W_theta: point i of mu pairs with perm[i] of nu."""
-    return transport_plan(mu, nu, theta=theta).permutation
-

@@ -1,13 +1,18 @@
-"""Euler-Maruyama stepping on a fixed time grid.
+"""Euler-Maruyama stepping on a fixed time grid, and the law curve it stores.
 
-Coefficients may read a frozen law curve; the lookup is piecewise constant in
-time (node k uses the measure stored at node k).  All stepping is driven by
-the counter-based streams in :mod:`ddsde.rng`, so a full ensemble is a pure
-function of (model, law, init, grid, seed).
+A ``LawCurve`` holds one empirical measure per grid node, node-major; it is
+the only container of stored paths.  ``euler_maruyama`` fills one, either as
+the interacting particle system (each step reads the ensemble's own measure)
+or as one Picard step against a frozen law curve, whose lookup is piecewise
+constant in time (node k uses the measure stored at node k).  All stepping is
+driven by the counter-based streams in :mod:`ddsde.rng`, so a stored curve is
+a pure function of (model, law, init, grid, seed).
 """
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +27,8 @@ MAX_STATE = 1e150
 
 
 class NumericalBlowupError(RuntimeError):
-    """A state became non-finite, or left the radius guard or MAX_STATE.
+    """A state became non-finite, or left the radius guard or MAX_STATE; or a
+    Harnack test function is not positive on a terminal sample.
 
     Carries the first offending trajectory and the step at which it happened;
     blow-up usually means the growth condition is violated or dt is too large.
@@ -64,15 +70,67 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class PathEnsemble:
-    """M simulated trajectories on a grid."""
+class LawCurve:
+    """A time grid with one empirical measure per node (a stored law curve)."""
 
     grid: TimeGrid
-    paths: np.ndarray  # (M, n_nodes, d)
+    states: np.ndarray  # (n_nodes, N, d)
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.paths[:, -1, :]
+    def __post_init__(self):
+        if self.states.ndim != 3:
+            raise ValueError(f"states must be (n_nodes, N, d), got {self.states.shape}")
+        if self.states.shape[0] != self.grid.n_nodes:
+            raise ValueError(
+                f"law curve has {self.states.shape[0]} nodes, grid has {self.grid.n_nodes}"
+            )
+
+    def measure_at(self, k: int) -> EmpiricalMeasure:
+        return EmpiricalMeasure(self.states[k])
+
+    def require_grid(self, grid: TimeGrid) -> None:
+        g = self.grid
+        if g.n_steps != grid.n_steps or not (
+            np.isclose(g.s, grid.s, atol=1e-12) and np.isclose(g.t_end, grid.t_end, atol=1e-12)
+        ):
+            raise ValueError(f"law curve grid {g} does not cover simulation grid {grid}")
+
+    @classmethod
+    def constant(cls, mu0: EmpiricalMeasure, grid: TimeGrid) -> "LawCurve":
+        states = np.broadcast_to(mu0.points, (grid.n_nodes,) + mu0.points.shape)
+        return cls(grid=grid, states=states)
+
+    def export(self, directory, theta: float = 2.0, model_echo: dict | None = None) -> None:
+        """Per-node CSV point files plus a JSON manifest."""
+        os.makedirs(directory, exist_ok=True)
+        files = []
+        for k in range(self.grid.n_nodes):
+            name = f"node_{k:05d}.csv"
+            np.savetxt(os.path.join(directory, name), self.states[k],
+                       fmt="%.17g", delimiter=",")
+            files.append(name)
+        manifest = {
+            "grid": {"s": self.grid.s, "t_end": self.grid.t_end, "n_steps": self.grid.n_steps},
+            "theta": theta,
+            "n_points": self.states.shape[1],
+            "dim": self.states.shape[2],
+            "model": model_echo or {},
+            "files": files,
+        }
+        with open(os.path.join(directory, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+
+    @classmethod
+    def load(cls, directory) -> "LawCurve":
+        with open(os.path.join(directory, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        g = manifest["grid"]
+        grid = TimeGrid(g["s"], g["t_end"], g["n_steps"])
+        states = np.stack([
+            np.loadtxt(os.path.join(directory, name), delimiter=",", ndmin=2)
+            for name in manifest["files"]
+        ])
+        states.flags.writeable = False
+        return cls(grid=grid, states=states)
 
 
 def apply_sigma(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -133,25 +191,24 @@ def em_path(model, states: np.ndarray, t0: float, dt: float, n_steps: int,
         states = new
 
 
-def path_ensemble(model, states: np.ndarray, grid: TimeGrid, noise: NoiseSpec,
-                  law=None) -> PathEnsemble:
-    """Run ``em_path`` over ``grid`` and keep every node, starting with ``states``."""
-    paths = np.empty((len(states), grid.n_nodes, noise.dim))
+def euler_maruyama(model, states, grid: TimeGrid, noise: NoiseSpec, law=None) -> LawCurve:
+    """Run ``em_path`` over ``grid`` from the (N, d) ``states`` and store every node.
+
+    With ``law`` None this is the interacting particle system: each step reads
+    the ensemble's own empirical measure, so it needs N >= 2.  A ``law``
+    covering ``grid`` is one Picard step: step k reads its measure at node k.
+    Stepping and blow-up reports are those of ``em_path``.  The returned
+    curve's states are C-contiguous and read-only.
+    """
+    states = np.asarray(states, dtype=np.float64)
+    if law is not None:
+        law.require_grid(grid)
+    elif len(states) < 2:
+        raise ValueError(f"particle system needs N >= 2, got {len(states)}")
+    nodes = np.empty((grid.n_nodes, len(states), noise.dim))
     steps = em_path(model, states, grid.s, grid.dt, grid.n_steps, noise, law)
     for k, (*_, new) in enumerate(steps, start=1):
-        paths[:, k, :] = new
-    paths[:, 0, :] = states  # after em_path has checked the shape
-    paths.flags.writeable = False  # ensembles are immutable once built
-    return PathEnsemble(grid=grid, paths=paths)
-
-
-def euler_maruyama(model, law, init, grid: TimeGrid, noise: NoiseSpec) -> PathEnsemble:
-    """Simulate the classical SDE with coefficients frozen to a law curve.
-
-    ``law`` is a LawCurve covering ``grid``: step k reads its measure at node
-    k.  ``init`` is an (M, d) array.  Stepping and blow-up reports are those
-    of ``em_path``.
-    """
-    law.require_grid(grid)
-    return path_ensemble(model, np.asarray(init, dtype=np.float64), grid, noise, law)
-
+        nodes[k] = new
+    nodes[0] = states  # after em_path has checked the shape
+    nodes.flags.writeable = False  # law curves are immutable once built
+    return LawCurve(grid=grid, states=nodes)

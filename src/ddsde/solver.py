@@ -1,105 +1,31 @@
 """Solution schemes for the distribution-dependent SDE.
 
-Two routes to the law curve t -> mu_t: Picard iteration in distribution
-(solve classical SDEs against the previous iterate's frozen law) and the
-interacting particle system (each particle reads the ensemble's own
-empirical measure).  On top of these sit the synchronous-coupling
-contraction estimator and the invariant-measure fixed-point search.
+Two routes to the law curve t -> mu_t, both stored as an ``sde.LawCurve``:
+Picard iteration in distribution (``picard_solve``: solve classical SDEs
+against the previous iterate's frozen law) and the interacting particle
+system (``sde.euler_maruyama`` with ``law=None``: each particle reads the
+ensemble's own empirical measure).  On top of these sit the
+synchronous-coupling contraction estimator and the invariant-measure
+fixed-point search.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .measure import EmpiricalMeasure, transport_plan, wasserstein
 from .models import CoefficientModel
 from .rng import NoiseSpec, normal_block
-from .sde import (NumericalBlowupError, PathEnsemble, TimeGrid, check_finite, em_path, em_step,
-                  euler_maruyama, path_ensemble)
+from .sde import (LawCurve, NumericalBlowupError, TimeGrid, check_finite, em_path, em_step,
+                  euler_maruyama)
 
 
 class InvariantSearchError(RuntimeError):
     """Fixed-point residual failed to decrease when the burn-in doubled."""
-
-
-@dataclass(frozen=True)
-class LawCurve:
-    """A time grid with one empirical measure per node (frozen law curve)."""
-
-    grid: TimeGrid
-    states: np.ndarray  # (n_nodes, N, d)
-
-    def __post_init__(self):
-        if self.states.ndim != 3:
-            raise ValueError(f"states must be (n_nodes, N, d), got {self.states.shape}")
-        if self.states.shape[0] != self.grid.n_nodes:
-            raise ValueError(
-                f"law curve has {self.states.shape[0]} nodes, grid has {self.grid.n_nodes}"
-            )
-
-    @property
-    def n_points(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
-
-    def measure_at(self, k: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states[k])
-
-    def require_grid(self, grid: TimeGrid) -> None:
-        g = self.grid
-        if g.n_steps != grid.n_steps or not (
-            np.isclose(g.s, grid.s, atol=1e-12) and np.isclose(g.t_end, grid.t_end, atol=1e-12)
-        ):
-            raise ValueError(f"law curve grid {g} does not cover simulation grid {grid}")
-
-    @classmethod
-    def constant(cls, mu0: EmpiricalMeasure, grid: TimeGrid) -> "LawCurve":
-        states = np.broadcast_to(mu0.points, (grid.n_nodes,) + mu0.points.shape)
-        return cls(grid=grid, states=states)
-
-    @classmethod
-    def from_ensemble(cls, ens: PathEnsemble) -> "LawCurve":
-        return cls(grid=ens.grid, states=ens.paths.transpose(1, 0, 2))
-
-    def export(self, directory, theta: float = 2.0, model_echo: dict | None = None) -> None:
-        """Per-node CSV point files plus a JSON manifest."""
-        os.makedirs(directory, exist_ok=True)
-        files = []
-        for k in range(self.grid.n_nodes):
-            name = f"node_{k:05d}.csv"
-            np.savetxt(os.path.join(directory, name), self.states[k],
-                       fmt="%.17g", delimiter=",")
-            files.append(name)
-        manifest = {
-            "grid": {"s": self.grid.s, "t_end": self.grid.t_end, "n_steps": self.grid.n_steps},
-            "theta": theta,
-            "n_points": self.n_points,
-            "dim": self.dim,
-            "model": model_echo or {},
-            "files": files,
-        }
-        with open(os.path.join(directory, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, directory) -> "LawCurve":
-        with open(os.path.join(directory, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        g = manifest["grid"]
-        grid = TimeGrid(g["s"], g["t_end"], g["n_steps"])
-        states = np.stack([
-            np.loadtxt(os.path.join(directory, name), delimiter=",", ndmin=2)
-            for name in manifest["files"]
-        ])
-        return cls(grid=grid, states=states)
 
 
 @dataclass
@@ -179,8 +105,7 @@ def picard_solve(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGrid,
     converged = False
     diverging = False
     for _ in range(max_iter):
-        ens = euler_maruyama(model, iterates[-1], mu0.points, grid, noise)
-        cur = LawCurve.from_ensemble(ens)
+        cur = euler_maruyama(model, mu0.points, grid, noise, law=iterates[-1])
         deltas.append(_sup_wasserstein(cur, iterates[-1], theta))
         iterates.append(cur)
         if deltas[-1] <= tol:
@@ -235,31 +160,16 @@ def picard_chain(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGrid,
 
 
 def evolve_states(model: CoefficientModel, states: np.ndarray, t0: float,
-                  n_steps: int, dt: float, noise: NoiseSpec, step0: int = 0):
+                  n_steps: int, dt: float, noise: NoiseSpec):
     """Stream the particle system forward without storing the path history.
 
     Returns the final states; each step reads the ensemble's own empirical
-    measure.  ``step0`` offsets the noise stream so chained calls consume
+    measure.  A chained call passes ``noise.with_step_offset`` to consume
     exactly the increments of the matching global steps.
     """
-    ns = noise.with_step_offset(noise.step0 + step0)
-    for *_, states in em_path(model, states, t0, dt, n_steps, ns):
+    for *_, states in em_path(model, states, t0, dt, n_steps, noise):
         pass
     return states
-
-
-def particle_solve(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGrid,
-                   noise: NoiseSpec) -> tuple[LawCurve, PathEnsemble]:
-    """Interacting particle approximation of the nonlinear flow.
-
-    One particle starts at each point of mu0.  Drift and diffusion of each
-    particle are evaluated against the empirical measure of all current
-    particles; the returned law curve shares memory with the ensemble's paths.
-    """
-    if mu0.n < 2:
-        raise ValueError(f"particle system needs N >= 2, got {mu0.n}")
-    ens = path_ensemble(model, mu0.points, grid, noise)
-    return LawCurve.from_ensemble(ens), ens
 
 
 @dataclass
@@ -381,11 +291,11 @@ def find_invariant(model: CoefficientModel, grid_step: float, noise: NoiseSpec,
                    tol: float) -> tuple[EmpiricalMeasure, float]:
     """Fixed-point search for the invariant law of a dissipative model.
 
-    Evolves the particle system from a standard-normal ensemble for
-    ``burn_in``, snapshots mu_hat, evolves ``check_horizon`` further and
-    returns W2(mu_hat, evolved) as the fixed-point residual.  If the
-    residual exceeds tol, the burn-in is doubled once; a residual that does
-    not decrease raises InvariantSearchError (non-convergence report).
+    Evolves the particle system, on one noise stream, from a standard-normal
+    ensemble for ``burn_in``, snapshots mu_hat, evolves ``check_horizon``
+    further and returns W2(mu_hat, evolved) as the fixed-point residual.  If
+    the residual exceeds tol, the burn-in is doubled once; a residual that
+    does not decrease raises InvariantSearchError (non-convergence report).
     """
     _require_dissipative(model)
     init_stream = noise.substream(0xA11CE)
@@ -394,22 +304,22 @@ def find_invariant(model: CoefficientModel, grid_step: float, noise: NoiseSpec,
     burn_steps = max(1, round(burn_in / grid_step))
     check_steps = max(1, round(check_horizon / grid_step))
 
-    states = evolve_states(model, states, 0.0, burn_steps, grid_step, noise)
-    mu_hat = EmpiricalMeasure(states.copy())
-    states = evolve_states(model, states, burn_in, check_steps, grid_step, noise,
-                           step0=burn_steps)
-    residual = wasserstein(mu_hat, EmpiricalMeasure(states), theta=2.0)
+    # One stream: burn-in, check, and on doubling burn-in and check again.
+    steps = em_path(model, states, 0.0, grid_step, 2 * (burn_steps + check_steps), noise)
+
+    def advance(n):
+        for *_, x in islice(steps, n):
+            pass
+        return EmpiricalMeasure(x)
+
+    mu_hat = advance(burn_steps)
+    residual = wasserstein(mu_hat, advance(check_steps), theta=2.0)
     if residual <= tol:
         return mu_hat, float(residual)
 
     # One doubling: keep evolving from where we stopped.
-    offset = burn_steps + check_steps
-    states = evolve_states(model, states, burn_in + check_horizon, burn_steps,
-                           grid_step, noise, step0=offset)
-    mu_hat2 = EmpiricalMeasure(states.copy())
-    states = evolve_states(model, states, 2 * burn_in + check_horizon, check_steps,
-                           grid_step, noise, step0=offset + burn_steps)
-    residual2 = wasserstein(mu_hat2, EmpiricalMeasure(states), theta=2.0)
+    mu_hat2 = advance(burn_steps)
+    residual2 = wasserstein(mu_hat2, advance(check_steps), theta=2.0)
     if residual2 >= residual:
         raise InvariantSearchError(
             f"residual did not decrease as burn-in doubled: {residual:.3g} -> {residual2:.3g}"
@@ -427,8 +337,8 @@ class MomentCurve:
 def moment_curve(nodes, p: float) -> MomentCurve:
     """Per-node p-th radial moments and the expected pathwise supremum.
 
-    ``nodes`` is a PathEnsemble, or yields the (M, d) states node by node;
-    between nodes only the running maximum is kept.
+    ``nodes`` yields the (M, d) states node by node (``LawCurve.states`` is
+    one such iterable); between nodes only the running maximum is kept.
 
     Raises:
         NumericalBlowupError: if a moment overflows, naming the trajectory and
@@ -436,8 +346,6 @@ def moment_curve(nodes, p: float) -> MomentCurve:
     """
     if p < 0:
         raise ValueError(f"moment order must be >= 0, got {p}")
-    if isinstance(nodes, PathEnsemble):
-        nodes = nodes.paths.transpose(1, 0, 2)
     per_node, running_max = [], None
     for k, x in enumerate(nodes):
         with np.errstate(over="ignore"):  # an overflow is reported below

@@ -7,7 +7,7 @@ from scipy.spatial.distance import cdist
 
 from ddsde.measure import EmpiricalMeasure
 from ddsde.models import landau_sigma0
-from ddsde.sde import PathEnsemble, TimeGrid, euler_maruyama
+from ddsde.sde import LawCurve, TimeGrid, euler_maruyama
 
 
 def brute_force_wasserstein(x: np.ndarray, y: np.ndarray, theta: float) -> float:
@@ -89,7 +89,7 @@ def moment(mu: EmpiricalMeasure, p: float) -> float:
 
 
 def synchronous_pair(model, law_x, law_y, init_x, init_y,
-                     grid: TimeGrid, noise) -> tuple[PathEnsemble, PathEnsemble]:
+                     grid: TimeGrid, noise) -> tuple[LawCurve, LawCurve]:
     """Two runs driven by identical increments per (trajectory, step).
 
     Marginally each run is ``euler_maruyama`` against its own law curve; the
@@ -99,8 +99,8 @@ def synchronous_pair(model, law_x, law_y, init_x, init_y,
     y = np.asarray(init_y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError(f"initial ensembles differ in shape: {x.shape} vs {y.shape}")
-    return (euler_maruyama(model, law_x, x, grid, noise),
-            euler_maruyama(model, law_y, y, grid, noise))
+    return (euler_maruyama(model, x, grid, noise, law=law_x),
+            euler_maruyama(model, y, grid, noise, law=law_y))
 
 
 def landau_pairwise_two_pass(x: np.ndarray, z: np.ndarray, alpha: float, beta: float,

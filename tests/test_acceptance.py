@@ -36,12 +36,11 @@ from ddsde.models import (
     linear_meanfield_model,
 )
 from ddsde.rng import NoiseSpec, normal_block
-from ddsde.sde import TimeGrid
+from ddsde.sde import TimeGrid, euler_maruyama
 from ddsde.solver import (
     estimate_contraction,
     evolve_states,
     find_invariant,
-    particle_solve,
     picard_solve,
 )
 
@@ -94,8 +93,8 @@ def test_criterion_03_picard_particle_oracle_agreement():
     for n_steps in (1000, 2000):          # dt and dt/2 refinement pass
         grid = TimeGrid(0.0, 1.0, n_steps)
         noise = NoiseSpec(seed=23, dim=1)
-        law_p, ens = particle_solve(model, mu0, grid, noise)
-        m_part, se_part = mean_se(ens.terminal[:, 0])
+        law_p = euler_maruyama(model, mu0.points, grid, noise)
+        m_part, se_part = mean_se(law_p.states[-1, :, 0])
         tol = max(3 * se_part, 5 * grid.dt)
         assert abs(m_part - target) < tol
         rep = picard_solve(model, mu0, grid, noise, max_iter=10, tol=1e-4)

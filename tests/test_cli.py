@@ -198,8 +198,19 @@ def test_verification_failure_exits_two(tmp_path):
       "init": {"kind": "point", "value": 2.0}},
      {"type": "simulate", "moment_p": 1e4},
      "moment of order 10000 overflows (trajectory 0, step 0)"),
+    # 1 + tanh(x) underflows to 0 near the terminal states of a law started at -40.
+    ({"name": "linear_meanfield", "a": 1.0, "c": 0.0, "sigma": 1.0, "dim": 1},
+     {"n_particles": 16, "dt": 0.01, "t_end": 0.2, "seed": 1,
+      "init": {"kind": "point", "value": -40.0}},
+     {"type": "shift_harnack", "f": "one_plus_tanh"},
+     "positive test function (trajectory 0, step 20)"),
+    ({"name": "linear_meanfield", "a": 1.0, "c": 0.0, "sigma": 1.0, "dim": 1},
+     {"n_particles": 16, "dt": 0.01, "t_end": 0.2, "seed": 1},
+     {"type": "log_harnack", "f": "const", "f_min": 5.0},
+     "< f_min=5.0; log-Harnack needs f bounded away from zero (trajectory 0, step 20)"),
 ], ids=["radius_guard", "squared_distance_overflow", "contract_init2_overflow",
-        "couple_init2_overflow", "log_harnack_init2_overflow", "moment_overflow"])
+        "couple_init2_overflow", "log_harnack_init2_overflow", "moment_overflow",
+        "shift_harnack_f_not_positive", "log_harnack_f_below_f_min"])
 def test_numerical_abort_exits_three(tmp_path, capsys, model, sim, experiment, named):
     cfg = {"model": model, "sim": sim, "experiment": experiment,
            "output": {"directory": str(tmp_path / "out")}}

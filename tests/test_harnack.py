@@ -24,7 +24,7 @@ from ddsde.harnack import (
 from ddsde.measure import EmpiricalMeasure, wasserstein
 from ddsde.models import CoefficientModel, ModelBounds, landau_model, linear_meanfield_model
 from ddsde.rng import NoiseSpec, normal_block
-from ddsde.sde import TimeGrid
+from ddsde.sde import NumericalBlowupError, TimeGrid
 from ddsde.solver import evolve_states
 
 from helpers import mean_se
@@ -214,7 +214,7 @@ class TestLogHarnack:
         assert res.slack >= -3.0 * res.slack_se
 
     def test_function_touching_zero_rejected(self):
-        with pytest.raises(ValueError, match="f_min"):
+        with pytest.raises(NumericalBlowupError, match="f_min"):
             verify_log_harnack(self.sample(256), lambda x: np.maximum(x[:, 0], 0.0),
                                self.config, self.grid)
 

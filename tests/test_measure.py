@@ -6,7 +6,7 @@ from scipy.spatial.distance import cdist
 from ddsde.measure import (
     EmpiricalMeasure,
     _cost_matrix,
-    optimal_pairing,
+    transport_plan,
     wasserstein,
 )
 
@@ -98,11 +98,11 @@ class TestWasserstein:
         want = cdist(x, y) if theta == 1.0 else cdist(x, y) ** theta
         assert _cost_matrix(cdist(x, y), theta).tobytes() == want.tobytes()
 
-    def test_optimal_pairing_is_permutation(self):
+    def test_plan_permutation_realizes_w2(self):
         rng = np.random.default_rng(13)
         mu = EmpiricalMeasure(rng.normal(size=(10, 3)))
         nu = EmpiricalMeasure(rng.normal(size=(10, 3)))
-        perm = optimal_pairing(mu, nu)
+        perm = transport_plan(mu, nu).permutation
         assert sorted(perm) == list(range(10))
         paired_cost = np.mean(np.sum((mu.points - nu.points[perm]) ** 2, axis=1))
         assert np.sqrt(paired_cost) == pytest.approx(wasserstein(mu, nu), rel=1e-12)

@@ -8,14 +8,13 @@ from ddsde import sde, solver
 from ddsde.measure import EmpiricalMeasure, wasserstein
 from ddsde.models import landau_model, linear_meanfield_model
 from ddsde.rng import NoiseSpec, normal_block
-from ddsde.sde import TimeGrid
+from ddsde.sde import LawCurve, TimeGrid, euler_maruyama
 from ddsde.solver import (
     InvariantSearchError,
-    LawCurve,
     estimate_contraction,
+    evolve_states,
     find_invariant,
     moment_curve,
-    particle_solve,
     picard_solve,
 )
 
@@ -180,17 +179,17 @@ class TestParticle:
         model = linear_meanfield_model(2.0, 1.0, 0.2, dim=1)
         mu0 = EmpiricalMeasure.point_mass([1.0], 2000)
         grid = TimeGrid(0.0, 1.0, 1000)
-        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=11, dim=1))
-        m, se = mean_se(ens.terminal[:, 0])
+        law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=11, dim=1))
+        m, se = mean_se(law.states[-1, :, 0])
         assert abs(m - np.exp(-1.0)) < max(3 * se, 5 * grid.dt)
 
     def test_no_interaction_particles_uncorrelated(self):
         model = landau_model(0.0, 0.0, 0.0)
         mu0 = gaussian_measure(2000, 3, seed=12)
         grid = TimeGrid(0.0, 0.5, 100)
-        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=13, dim=3))
-        first = ens.terminal[0::2, 0]
-        second = ens.terminal[1::2, 0]
+        law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=13, dim=3))
+        first = law.states[-1, 0::2, 0]
+        second = law.states[-1, 1::2, 0]
         rho = np.corrcoef(first, second)[0, 1]
         assert abs(rho) < 3.0 / np.sqrt(len(first))
 
@@ -199,7 +198,7 @@ class TestParticle:
         mu0 = EmpiricalMeasure.point_mass([1.0], 512)
         grid = TimeGrid(0.0, 1.0, 1000)
         noise = NoiseSpec(seed=14, dim=1)
-        law_p, _ = particle_solve(model, mu0, grid, noise)
+        law_p = euler_maruyama(model, mu0.points, grid, noise)
         report = picard_solve(model, mu0, grid, noise, max_iter=10, tol=1e-4)
         w2 = wasserstein(law_p.measure_at(grid.n_steps),
                          report.iterates[-1].measure_at(grid.n_steps), theta=2.0)
@@ -211,7 +210,7 @@ class TestParticle:
         mu0 = gaussian_measure(512, 3, seed=40)
         grid = TimeGrid(0.0, 0.25, 250)
         noise = NoiseSpec(seed=41, dim=3)
-        law_p, _ = particle_solve(model, mu0, grid, noise)
+        law_p = euler_maruyama(model, mu0.points, grid, noise)
         report = picard_solve(model, mu0, grid, noise, max_iter=8, tol=1e-3)
         assert report.converged
         w2 = wasserstein(law_p.measure_at(grid.n_steps),
@@ -221,8 +220,8 @@ class TestParticle:
     def test_needs_two_particles(self):
         model = linear_meanfield_model(1.0, 0.0, 1.0, dim=1)
         with pytest.raises(ValueError, match="N >= 2"):
-            particle_solve(model, EmpiricalMeasure.point_mass([0.0], 1),
-                           TimeGrid(0.0, 0.1, 10), NoiseSpec(seed=1, dim=1))
+            euler_maruyama(model, np.zeros((1, 1)), TimeGrid(0.0, 0.1, 10),
+                           NoiseSpec(seed=1, dim=1))
 
     def test_semigroup_restart_bitwise(self):
         # Running [0, T] equals running [0, T/2] and restarting from the
@@ -231,13 +230,12 @@ class TestParticle:
         mu0 = gaussian_measure(64, 2, seed=15)
         noise = NoiseSpec(seed=16, dim=2)
         full = TimeGrid(0.0, 1.0, 200)
-        law_full, ens_full = particle_solve(model, mu0, full, noise)
+        law_full = euler_maruyama(model, mu0.points, full, noise)
         first = TimeGrid(0.0, 0.5, 100)
-        _, ens1 = particle_solve(model, mu0, first, noise)
+        law1 = euler_maruyama(model, mu0.points, first, noise)
         second = TimeGrid(0.5, 1.0, 100)
-        mid = EmpiricalMeasure(ens1.terminal)
-        _, ens2 = particle_solve(model, mid, second, noise.with_step_offset(100))
-        assert np.array_equal(ens_full.paths[:, 100:, :], ens2.paths)
+        law2 = euler_maruyama(model, law1.states[-1], second, noise.with_step_offset(100))
+        assert np.array_equal(law_full.states[100:], law2.states)
 
     def test_nonlinearity_witness(self):
         # The semigroup acts on measures: evolving the two-point mixture
@@ -252,16 +250,14 @@ class TestParticle:
             mixture0 = EmpiricalMeasure(
                 np.concatenate([np.full((half, 1), -2.0), np.full((half, 1), 2.0)])
             )
-            _, ens_mix = particle_solve(model, mixture0, grid, noise)
-            _, ens_x = particle_solve(model, EmpiricalMeasure.point_mass([-2.0], half),
-                                      grid, noise.substream(1))
-            _, ens_y = particle_solve(model, EmpiricalMeasure.point_mass([2.0], half),
-                                      grid, noise.substream(2))
+            law_mix = euler_maruyama(model, mixture0.points, grid, noise)
+            law_x = euler_maruyama(model, np.full((half, 1), -2.0), grid, noise.substream(1))
+            law_y = euler_maruyama(model, np.full((half, 1), 2.0), grid, noise.substream(2))
             mixed_laws = EmpiricalMeasure(
-                np.concatenate([ens_x.terminal, ens_y.terminal])
+                np.concatenate([law_x.states[-1], law_y.states[-1]])
             )
             w2_vals.append(
-                wasserstein(EmpiricalMeasure(ens_mix.terminal), mixed_laws, theta=2.0)
+                wasserstein(law_mix.measure_at(grid.n_steps), mixed_laws, theta=2.0)
             )
         m, se = mean_se(w2_vals)
         assert m > 5 * se
@@ -344,7 +340,40 @@ class TestContraction:
         assert np.isin(est.times, grid.nodes).all()
 
 
+def four_segment_invariant(model, grid_step, noise, n_particles, burn_in, check_horizon, tol):
+    """find_invariant as four evolve_states segments on explicit step offsets,
+    all four run; returns (mu_hat, residual, whether the burn-in doubled)."""
+    states = normal_block(noise.substream(0xA11CE), np.arange(n_particles), 0)
+    burn, check = (max(1, round(h / grid_step)) for h in (burn_in, check_horizon))
+    snaps = []
+    for t0, offset, n_steps in [(0.0, 0, burn), (burn_in, burn, check),
+                               (burn_in + check_horizon, burn + check, burn),
+                               (2 * burn_in + check_horizon, 2 * burn + check, check)]:
+        states = evolve_states(model, states, t0, n_steps, grid_step,
+                               noise.with_step_offset(offset))
+        snaps.append(EmpiricalMeasure(states))
+    residual = wasserstein(snaps[0], snaps[1], theta=2.0)
+    if residual <= tol:
+        return snaps[0], residual, False
+    return snaps[2], wasserstein(snaps[2], snaps[3], theta=2.0), True
+
+
 class TestInvariant:
+    @pytest.mark.parametrize("model, grid_step, n, burn_in, tol, doubles", [
+        (linear_meanfield_model(1.0, 0.0, 1.0, dim=1), 1e-2, 256, 2.0, 0.15, False),
+        (landau_model(0.0, 0.1, 0.0), 1e-2, 64, 2.0, 0.05, True),
+        (linear_meanfield_model(1.0, 0.0, 0.0, dim=1), 1e-2, 64, 5.0, 1e-6, True),
+    ], ids=["ou", "landau_doubles", "deterministic_doubles"])
+    def test_one_stream_is_bitwise_the_four_offset_segments(self, model, grid_step, n,
+                                                            burn_in, tol, doubles):
+        noise = NoiseSpec(seed=50, dim=model.dim)
+        args = (model, grid_step, noise, n, burn_in, 0.5, tol)
+        mu_hat, residual = find_invariant(*args)
+        ref_mu, ref_residual, ref_doubles = four_segment_invariant(*args)
+        assert ref_doubles == doubles
+        assert mu_hat.points.tobytes() == ref_mu.points.tobytes()
+        assert residual == ref_residual
+
     def test_ou_stationary_law(self):
         model = linear_meanfield_model(1.0, 0.0, 1.0, dim=1)
         mu_hat, residual = find_invariant(
@@ -406,22 +435,23 @@ class TestMomentCurve:
     def test_streamed_curve_is_bitwise_the_stored_one(self, model, mu0, n_steps, p):
         grid = TimeGrid(0.0, 0.2, n_steps)
         noise = NoiseSpec(seed=40, dim=model.dim)
-        _, ens = particle_solve(model, mu0, grid, noise)
+        law = euler_maruyama(model, mu0.points, grid, noise)
         steps = sde.em_path(model, mu0.points, grid.s, grid.dt, grid.n_steps, noise)
         streamed = moment_curve(itertools.chain([mu0.points], (x for *_, x in steps)), p)
-        stored = moment_curve(ens, p)
-        rp = np.linalg.norm(ens.paths, axis=2) ** p  # the one-shot (M, n_nodes) estimate
+        stored = moment_curve(law.states, p)
+        paths = np.ascontiguousarray(law.states.transpose(1, 0, 2))  # (M, n_nodes, d)
+        rp = np.linalg.norm(paths, axis=2) ** p  # the one-shot (M, n_nodes) estimate
         for curve in (streamed, stored):
             assert curve.per_node.tobytes() == rp.mean(axis=0).tobytes()
             assert curve.sup_moment == float(rp.max(axis=1).mean())
-            assert curve.terminal.tobytes() == np.ascontiguousarray(ens.terminal).tobytes()
+            assert curve.terminal.tobytes() == law.states[-1].tobytes()
 
     def test_constant_paths(self):
         model = linear_meanfield_model(0.0, 0.0, 0.0, dim=2)
         mu0 = EmpiricalMeasure.point_mass([3.0, 4.0], 8)
         grid = TimeGrid(0.0, 1.0, 10)
-        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=31, dim=2))
-        curve = moment_curve(ens, 2.0)
+        law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=31, dim=2))
+        curve = moment_curve(law.states, 2.0)
         assert np.allclose(curve.per_node, 25.0)
         assert curve.sup_moment == pytest.approx(25.0)
 
@@ -429,8 +459,8 @@ class TestMomentCurve:
         model = linear_meanfield_model(0.0, 0.0, 1.0, dim=3)
         mu0 = EmpiricalMeasure.point_mass([0.0, 0.0, 0.0], 4000)
         grid = TimeGrid(0.0, 1.0, 500)
-        _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=32, dim=3))
-        curve = moment_curve(ens, 2.0)
+        law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=32, dim=3))
+        curve = moment_curve(law.states, 2.0)
         se = np.sqrt(6.0 / 4000)  # Var of chi^2_3 is 6
         assert abs(curve.per_node[-1] - 3.0) < 3 * se
 
@@ -439,8 +469,8 @@ class TestMomentCurve:
         mu0 = gaussian_measure(128, 3, seed=33)
         for n_steps in (200, 400):
             grid = TimeGrid(0.0, 1.0, n_steps)
-            _, ens = particle_solve(model, mu0, grid, NoiseSpec(seed=34, dim=3))
-            curve = moment_curve(ens, 2.0)
+            law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=34, dim=3))
+            curve = moment_curve(law.states, 2.0)
             assert np.isfinite(curve.per_node).all()
             assert curve.sup_moment < 50.0
 
@@ -450,7 +480,7 @@ class TestLawCurve:
         model = linear_meanfield_model(1.0, 0.2, 0.5, dim=2)
         mu0 = gaussian_measure(16, 2, seed=35)
         grid = TimeGrid(0.0, 0.2, 4)
-        law, _ = particle_solve(model, mu0, grid, NoiseSpec(seed=36, dim=2))
+        law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=36, dim=2))
         out = tmp_path / "law"
         law.export(out, theta=2.0, model_echo={"name": "linear_meanfield"})
         manifest = json.loads((out / "manifest.json").read_text())

@@ -22,13 +22,13 @@ from ddsde.harnack import (
 from ddsde.measure import EmpiricalMeasure
 from ddsde.models import CoefficientModel, linear_meanfield_model
 from ddsde.rng import NoiseSpec, normal_block
-from ddsde.sde import NumericalBlowupError, TimeGrid, euler_maruyama
-from ddsde.solver import LawCurve, estimate_contraction, evolve_states, particle_solve
+from ddsde.sde import LawCurve, NumericalBlowupError, TimeGrid, euler_maruyama
+from ddsde.solver import estimate_contraction, evolve_states
 
 GOLDEN = {
     "euler_maruyama_offset":
         "ecd24c7306d4be2128ab39dff3bd189e547a812579c5d04a26f976259234c379",
-    "particle_solve_paths":
+    "particle_system_paths":
         "bcba99fe2e6e4cc1df237e195631ba502f5e512afd0006a7b471eb1bf4ec88ef",
     "evolve_states":
         "d41123115b8db5d51c8ca9b9924d2832be378b6861d696ed5921b0fdaff2fd7f",
@@ -49,6 +49,11 @@ def _digest(values) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
+def _paths(law: LawCurve) -> np.ndarray:
+    """The node-major states as the (M, n_nodes, d) paths the digests were taken on."""
+    return law.states.transpose(1, 0, 2)
+
+
 def stepping_digests() -> dict:
     model = linear_meanfield_model(1.5, 0.25, 0.7, dim=1)
     grid = TimeGrid(0.0, 0.5, 50)
@@ -63,11 +68,11 @@ def stepping_digests() -> dict:
     ibp_x0 = np.tile(mu0.points, (8, 1))[:500]  # 500 paths: the 64-point law, tiled
     ibp = verify_ibp(f, grad_f, [1.0], *ibp_weights(model, [1.0], ibp_x0, grid, noise))
     return {
-        "euler_maruyama_offset": _digest(
-            euler_maruyama(model, law, mu0.points, grid, noise.with_step_offset(37)).paths),
-        "particle_solve_paths": _digest(particle_solve(model, mu0, grid, noise)[1].paths),
+        "euler_maruyama_offset": _digest(_paths(
+            euler_maruyama(model, mu0.points, grid, noise.with_step_offset(37), law=law))),
+        "particle_system_paths": _digest(_paths(euler_maruyama(model, mu0.points, grid, noise))),
         "evolve_states": _digest(
-            evolve_states(model, mu0.points, 0.25, 40, 0.01, noise, step0=13)),
+            evolve_states(model, mu0.points, 0.25, 40, 0.01, noise.with_step_offset(13))),
         "contraction_w2_sq": _digest(estimate_contraction(model, mu0, nu0, grid, noise).w2_sq),
         "coupled_x_terminal": _digest(coupled.x_terminal),
         "coupled_log_r": _digest(coupled.log_r),
@@ -90,10 +95,10 @@ def _exploding_model() -> CoefficientModel:
 
 
 @pytest.mark.parametrize("run", [
-    lambda m, mu, g, n: euler_maruyama(m, LawCurve.constant(mu, g), mu.points, g, n),
-    lambda m, mu, g, n: particle_solve(m, mu, g, n),
+    lambda m, mu, g, n: euler_maruyama(m, mu.points, g, n, law=LawCurve.constant(mu, g)),
+    lambda m, mu, g, n: euler_maruyama(m, mu.points, g, n),
     lambda m, mu, g, n: evolve_states(m, mu.points, g.s, g.n_steps, g.dt, n),
-], ids=["euler_maruyama", "particle_solve", "evolve_states"])
+], ids=["euler_maruyama", "particle_system", "evolve_states"])
 def test_blowup_names_the_global_step(run):
     grid = TimeGrid(0.0, 1.0, 10)
     mu0 = EmpiricalMeasure(np.ones((4, 1)))
