@@ -13,6 +13,7 @@ import importlib.util
 import os
 import sys
 import threading
+import types
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -90,26 +91,44 @@ _EXTENSION_LOCK = threading.Lock()  # transport_plan runs on a thread pool under
 def _scipy_extension(package: str, name: str):
     """The compiled module ``scipy.<package>.<name>``, without importing its package.
 
-    3-D runs call one function each of ``scipy.optimize`` and ``scipy.spatial``,
-    whose imports would also load ``scipy.sparse`` and ``scipy.linalg`` (about
-    20 MB).  The module is registered under its own name, so a later
-    ``import scipy.<package>`` reuses it.  Without a compiled file, the module
-    is imported the usual way.
+    The noise needs only ``ndtri`` of ``scipy.special``, whose import clones
+    numpy for scipy's array-API support (about 0.3 s and 17 MB); 3-D runs call
+    one function each of ``scipy.optimize`` and ``scipy.spatial``, whose
+    imports would also load ``scipy.sparse`` and ``scipy.linalg`` (about
+    20 MB).  The module is registered under its own name before it runs, as
+    importlib does, so a later ``import scipy.<package>`` reuses it.
+
+    A module whose init imports its compiled siblings (``_ufuncs``) needs a
+    parent package to find them.  If ``scipy.<package>`` is not imported yet,
+    a bare stub package whose ``__path__`` is the real directory stands in for
+    it during the load only, and is removed when the load ends.  If the load
+    raises ImportError, the module is removed too, and it is imported the
+    usual way, as it is when there is no compiled file.
     """
     full_name = f"scipy.{package}.{name}"
     with _EXTENSION_LOCK:
         module = sys.modules.get(full_name)
         if module is not None:
             return module
-        finder = FileFinder(os.path.join(os.path.dirname(scipy.__file__), package),
-                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
-        spec = finder.find_spec(full_name)
+        directory = os.path.join(os.path.dirname(scipy.__file__), package)
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full_name)
         if spec is None:
             return importlib.import_module(full_name)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[full_name] = module
-        return module
+        parent = f"scipy.{package}"
+        stub = None
+        if parent not in sys.modules:
+            stub = sys.modules[parent] = types.ModuleType(parent)
+            stub.__path__ = [directory]
+        try:
+            module = sys.modules[full_name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:  # an import the stub parent cannot satisfy
+            sys.modules.pop(full_name, None)
+        finally:
+            if stub is not None:
+                sys.modules.pop(parent, None)
+        return importlib.import_module(full_name)
 
 
 def _cost_matrix(d: np.ndarray, theta: float) -> np.ndarray:

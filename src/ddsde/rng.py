@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
+
+from .measure import _scipy_extension
+
+ndtri = _scipy_extension("special", "_ufuncs").ndtri
 
 _U64 = np.uint64
 _GOLDEN = _U64(0x9E3779B97F4A7C15)

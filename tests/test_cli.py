@@ -432,15 +432,24 @@ def test_experiment_range_edges_accepted(tmp_path, experiment):
 
 
 def test_run_imports_only_what_it_uses(tmp_path):
-    # A 1-D linear run needs no quadrature, assignment or cdist. A d = 2 W2 and a
+    # A 1-D linear run needs no quadrature, assignment or cdist, and draws its noise
+    # through scipy's compiled special-function module alone. A d = 2 W2 and a
     # gamma > 0 Landau drift load only scipy's compiled assignment and distance
-    # modules, and a later import of their packages reuses them.
+    # modules. A later import of their packages reuses them: an ET2 bound imports
+    # scipy.integrate, hence scipy.special, and still reports the value it always has.
     cfg_path = write_config(tmp_path, small_simulate_config(tmp_path / "out"))
+    bounds_path = write_config(tmp_path, {
+        "model": {"name": "linear_meanfield", "a": 1.0, "c": 0.5, "sigma": 1.0, "dim": 1},
+        "sim": {"n_particles": 2, "dt": 0.01, "t_end": 1.0, "seed": 1},
+        "experiment": {"type": "bounds", "quantity": "ET2",
+                       "params": {"lambda": 1.1, "grad_b": 0.4, "p": 2.0}},
+        "output": {"directory": str(tmp_path / "bounds")}}, name="bounds.json")
     script = f"""
+import json
 import sys
 import numpy as np
-from ddsde import cli, measure, models
-lazy = ("scipy.integrate", "scipy.optimize", "scipy.spatial")
+from ddsde import cli, measure, models, rng
+lazy = ("scipy.integrate", "scipy.optimize", "scipy.spatial", "scipy.special")
 assert cli.run({cfg_path!r}) == 0
 print(sorted(m for m in lazy if m in sys.modules))
 pts = measure.EmpiricalMeasure(np.arange(8.0).reshape(4, 2))
@@ -452,29 +461,86 @@ print(sorted(m for m in sys.modules if m in ("scipy.optimize._lsap", "scipy.spat
 solver = sys.modules["scipy.optimize._lsap"].linear_sum_assignment
 import scipy.optimize
 print(scipy.optimize.linear_sum_assignment is solver)
+assert cli.run({bounds_path!r}) == 0
+with open({str(tmp_path / "bounds" / "report.json")!r}) as fh:
+    value = json.load(fh)["metrics"]["value"]
+import scipy.special
+print(value, scipy.special.ndtri is rng.ndtri)
 """
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-5:] == [
+    lines = result.stdout.splitlines()  # each cli.run also prints a line of its own
+    assert lines[-7:-2] == [
         "[]", "1.0", "[]", "['scipy.optimize._lsap', 'scipy.spatial._distance_pybind']", "True"]
+    assert lines[-1] == "0.40490675723825564 True"
 
 
-def test_scipy_extension_falls_back_to_package_import(tmp_path):
-    # Where no compiled file is found, the module comes from the package import.
-    script = f"""
+# measure imports no ddsde module, so it loads alone, before any scipy.<package> is imported.
+LOAD_MEASURE_ALONE = f"""
+import importlib.util
 import sys
+spec = importlib.util.spec_from_file_location(
+    "measure", {str(Path(__file__).resolve().parent.parent / "src" / "ddsde" / "measure.py")!r})
+measure = sys.modules["measure"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(measure)
+"""
+
+
+@pytest.mark.parametrize("package, name", [("optimize", "_lsap"), ("special", "_ufuncs")])
+def test_scipy_extension_falls_back_to_package_import(tmp_path, package, name):
+    # Where no compiled file is found, the module comes from the package import.
+    script = LOAD_MEASURE_ALONE + f"""
 import types
-from ddsde import measure
 measure.scipy = types.SimpleNamespace(__file__={str(tmp_path / "scipy" / "__init__.py")!r})
-module = measure._scipy_extension("optimize", "_lsap")
-import scipy.optimize
-print(module is scipy.optimize._lsap, "scipy.optimize" in sys.modules)
+module = measure._scipy_extension({package!r}, {name!r})
+parent = importlib.import_module("scipy.{package}")
+print(module is getattr(parent, {name!r}), hasattr(parent, "__file__"))
 """
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "True True"
+
+
+def test_scipy_extension_failed_load_leaves_no_stub():
+    # A compiled module whose init fails under the stub parent is dropped with the
+    # stub before the package import, which then loads both for real.
+    script = LOAD_MEASURE_ALONE + """
+import types
+from importlib.machinery import ExtensionFileLoader
+real_exec = ExtensionFileLoader.exec_module
+failed = []
+def exec_module(self, module):
+    if module.__name__ == "scipy.special._ufuncs" and not failed:
+        failed.append(True)
+        raise ImportError("init failed")
+    real_exec(self, module)
+ExtensionFileLoader.exec_module = exec_module
+def import_module(name):
+    print("scipy.special" in sys.modules, "scipy.special._ufuncs" in sys.modules)
+    return importlib.import_module(name)
+measure.importlib = types.SimpleNamespace(util=importlib.util, import_module=import_module)
+module = measure._scipy_extension("special", "_ufuncs")
+import scipy.special
+print(failed, module is sys.modules["scipy.special._ufuncs"], scipy.special.ndtri is module.ndtri)
+"""
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["False False", "[True] True True"]
+
+
+def test_noise_reuses_an_imported_scipy_special():
+    script = """
+import scipy.special
+from ddsde import rng
+print(rng.ndtri is scipy.special.ndtri)
+"""
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "True"
 
 
 def test_scipy_extension_loads_once_across_threads():
