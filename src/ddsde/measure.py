@@ -116,6 +116,13 @@ def _scipy_extension(package: str, name: str):
             return importlib.import_module(full_name)
         parent = f"scipy.{package}"
         stub = None
+        # The siblings loaded under the stub (_ufuncs_cxx, _special_ufuncs,
+        # _gufuncs, _ellip_harm_2) stay in sys.modules but are not attributes
+        # of a scipy.special imported later, since importlib binds a submodule
+        # to its parent only when it loads it: hasattr(scipy.special,
+        # "_gufuncs") is False, while "from scipy.special import _gufuncs"
+        # works.  Neither ddsde nor scipy outside its tests reads them as
+        # attributes.
         if parent not in sys.modules:
             stub = sys.modules[parent] = types.ModuleType(parent)
             stub.__path__ = [directory]

@@ -136,35 +136,9 @@ def _pair_weights(x: np.ndarray, z: np.ndarray, scale: float,
     return w
 
 
-# Row panels of the upper triangle of a self-interaction distance matrix.
+# Row panels of the upper triangle of a self-interaction distance matrix, each
+# of at most ceil(N / SELF_PANELS) rows; the kernel works on one at a time.
 SELF_PANELS = 8
-
-
-def _self_pair_weights(x: np.ndarray, powers):
-    """Yield the (N, N) matrix |x_i - x_j|^p for each p in ``powers``, in one
-    array that is overwritten for the next p.
-
-    The squared distances are bitwise symmetric ((a - b)^2 = (b - a)^2, summed
-    over coordinates in the same order), so only the upper-triangle row panels
-    are computed and raised, and each raised panel is mirrored into the rows
-    below it.  The panels are kept for the next p and raised in place for the
-    last one, so at most one (N, N) array and the panels are alive at a time.
-    """
-    n = len(x)
-    rows = -(-n // SELF_PANELS)
-    cdist = _scipy_extension("spatial", "_distance_pybind").cdist_sqeuclidean
-    panels = [(i0, cdist(x[i0:i0 + rows], x[i0:])) for i0 in range(0, n, rows)]
-    w = np.empty((n, n))
-    for k, p in enumerate(powers):
-        for i0, d in panels:
-            i1 = i0 + len(d)
-            if k + 1 < len(powers):
-                d = d ** (p / 2.0)  # the panel is kept for the next power
-            else:
-                d **= p / 2.0
-            w[i0:i1, i0:] = d
-            w[i1:, i0:i1] = d[:, i1 - i0:].T
-        yield w
 
 
 def _convolved(x: np.ndarray, z: np.ndarray, scale: float, w: np.ndarray) -> np.ndarray:
@@ -188,9 +162,26 @@ def _landau_coefficients_pairwise(x: np.ndarray, z: np.ndarray, alpha: float, be
     own law at alpha = beta = 1, otherwise one full pass each."""
     if z is not x or not alpha == beta == 1.0:
         return _landau_drift_pairwise(x, z, alpha, gamma), _landau_sigma_pairwise(x, z, beta, gamma)
-    weights = _self_pair_weights(x, (gamma, gamma / 2.0))
-    drift = -2.0 * _convolved(x, x, 1.0, next(weights))
-    return drift, landau_sigma0(_convolved(x, x, 1.0, next(weights)), 0.0)
+    # W is symmetric, so each upper-triangle row panel P of W serves its own
+    # rows and, transposed, the rows below it: G accumulates W [x | 1], whose
+    # last column is N rowmean(W).  The diffusion weights D^(gamma/4) are the
+    # square roots of the drift weights D^(gamma/2), D the squared distances.
+    n = len(x)
+    rows = -(-n // SELF_PANELS)
+    cdist = _scipy_extension("spatial", "_distance_pybind").cdist_sqeuclidean
+    x1 = np.hstack((x, np.ones((n, 1))))
+    g = np.zeros((2, n, 4))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        p = cdist(x[i0:i1], x[i0:])
+        p **= gamma / 2.0
+        for k in range(2):
+            if k:
+                np.sqrt(p, out=p)
+            g[k, i0:i1] += p @ x1[i0:]
+            g[k, i1:] += p[:, i1 - i0:].T @ x1[i0:i1]
+    drift, sigma = ((x * gk[:, 3:] - gk[:, :3]) / n for gk in g)
+    return -2.0 * drift, landau_sigma0(sigma, 0.0)
 
 
 def landau_model(gamma: float, alpha: float, beta: float,
@@ -206,8 +197,10 @@ def landau_model(gamma: float, alpha: float, beta: float,
     map applied to x * rowmean(W) - s W z / N, with the (M, N) weight matrix
     W_ij = |x_i - s z_j|^p and s = alpha (p = gamma) for the drift, s = beta
     (p = gamma / 2) for the diffusion.  Against the ensemble's own law at
-    alpha = beta = 1, ``joint`` computes the upper triangle of one matrix of
-    squared distances and reads both W from it; otherwise each W is built in
+    alpha = beta = 1, ``joint`` builds no (N, N) matrix: it raises each row
+    panel of the upper triangle of the squared distances once, to gamma / 2,
+    takes the diffusion weights as its square roots, and multiplies the panel,
+    where it lies and transposed, by [x | 1].  Otherwise each W is built in
     place from its own distances, one after the other, so that no two (M, N)
     matrices are alive at once.  A state-radius guard applies there (the
     drift is only locally Lipschitz, so no rate claims are made).

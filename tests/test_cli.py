@@ -242,11 +242,15 @@ def test_threads_flag_reproduces_outputs_bitwise(tmp_path):
 
 
 def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
-    # N = 512 puts the (N, N) @ (N, 3) weight product above OpenBLAS's
-    # single-thread size cutoff, so the default BLAS thread count is exercised.
+    # The self-interaction kernel multiplies row panels of N / 8 rows by the
+    # (N, 4) array [x | 1]. At N = 1536 its largest products, (192 x 1536) @
+    # (1536 x 4) and the transposed (1344 x 192) @ (192 x 4), take 1.18e6 and
+    # 1.03e6 multiply-adds. OpenBLAS 0.3.31 (Haswell kernels) runs a product on
+    # one thread up to between 9.9e5 and 1.03e6 multiply-adds, so these run on
+    # the default BLAS thread count. N = 1024 (5.2e5) would stay below it.
     cfg = {
         "model": {"name": "landau", "gamma": 0.5, "alpha": 1.0, "beta": 1.0},
-        "sim": {"n_particles": 512, "dt": 0.01, "t_end": 0.05, "seed": 9,
+        "sim": {"n_particles": 1536, "dt": 0.01, "t_end": 0.05, "seed": 9,
                 "init": {"kind": "gaussian", "std": 1.0}},
         "experiment": {"type": "simulate", "moment_p": 2.0},
     }
@@ -541,6 +545,23 @@ print(rng.ndtri is scipy.special.ndtri)
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "True"
+
+
+def test_siblings_loaded_under_the_stub_are_not_attributes_of_scipy_special():
+    # importlib binds a submodule to its parent only when it loads it, so the
+    # siblings _ufuncs imported under the stub parent are not attributes of the
+    # real package imported later; they stay importable from sys.modules.
+    script = """
+from ddsde import rng
+import scipy.special
+print(hasattr(scipy.special, "_gufuncs"))
+from scipy.special import _gufuncs
+print(_gufuncs.__name__, scipy.special.ndtri is rng.ndtri)
+"""
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-2:] == ["False", "scipy.special._gufuncs True"]
 
 
 def test_scipy_extension_loads_once_across_threads():

@@ -8,11 +8,15 @@ of every CSV file, with values recorded before the CLI's experiment table
 was introduced. A refactor of the CLI must leave all of them unchanged.
 
 The bundled configs are all gamma = 0, so small gamma > 0 Landau runs are
-pinned the same way; they cover the pairwise kernel.  The gamma = 0.5 pins
-were recorded before the distance kernels were loaded without their scipy
-packages; the gamma = 1.0 pin (the square-root power) and the beta = 0.5 pin
-(drift and diffusion on different distance matrices) before drift and
-diffusion shared one distance pass.
+pinned the same way; they cover the pairwise kernel.  The ``picard`` pin (a
+frozen law curve) was recorded before the distance kernels were loaded without
+their scipy packages, and the beta = 0.5 pin (drift and diffusion on different
+distance matrices) before drift and diffusion shared one distance pass.  The
+``simulate`` and ``simulate_gamma1`` pins (alpha = beta = 1 on the ensemble's
+own law) were re-recorded when that self-interaction kernel began to sum
+W [x | 1] from the upper-triangle panels and to take the diffusion weights as
+square roots of the drift weights: the sums round differently, and the kernel
+stays within 1e-15 (max-norm, relative) of a 40-digit direct sum.
 """
 
 import hashlib
@@ -122,9 +126,9 @@ GAMMA_PINS = {
     },
     "simulate": {
         "exit": 0,
-        "report": "c9c07f28054e05a0",
-        "refined/simulate.csv": "06bdd33e2ab96320",
-        "simulate.csv": "d6856edd7e8820f2",
+        "report": "0c727a394d9822eb",
+        "refined/simulate.csv": "2f80722c024800c2",
+        "simulate.csv": "b58af24e3eaf9436",
     },
     "simulate_beta_half": {
         "exit": 0,
@@ -134,8 +138,8 @@ GAMMA_PINS = {
     },
     "simulate_gamma1": {
         "exit": 0,
-        "report": "808c978f217e9756",
-        "refined/simulate.csv": "11ce38770dea8ba3",
+        "report": "dccb9145abb396c0",
+        "refined/simulate.csv": "6ed8d7d06f24fcbb",
         "simulate.csv": "49bb35aded5ad6bd",
     },
 }

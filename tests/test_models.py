@@ -1,3 +1,6 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from ddsde.models import (
     _landau_drift_pairwise,
     _landau_sigma_pairwise,
     _pair_weights,
-    _self_pair_weights,
     contraction_exponent_cc,
     contraction_exponent_tn,
     landau_b0,
@@ -170,10 +172,32 @@ class TestLandauModel:
             landau_model(1.5, 1.0, 1.0)
 
 
+def landau_self_reference(x: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Landau drift and diffusion of the ensemble x against its own law at
+    alpha = beta = 1, as 40-digit direct sums over the pairs, rounded once."""
+    n = len(x)
+    drift = [[mpmath.mpf(0)] * 3 for _ in range(n)]
+    sigma = [[mpmath.mpf(0)] * 3 for _ in range(n)]
+    with mpmath.workdps(40):
+        for i in range(n):
+            for j in range(i + 1, n):
+                diff = [mpmath.mpf(a) - mpmath.mpf(b) for a, b in zip(x[i], x[j])]
+                d2 = sum(c * c for c in diff)
+                for acc, w in ((drift, d2 ** (mpmath.mpf(gamma) / 2)),
+                               (sigma, d2 ** (mpmath.mpf(gamma) / 4))):
+                    for k in range(3):
+                        acc[i][k] += w * diff[k]
+                        acc[j][k] -= w * diff[k]
+        drift = np.array([[float(-2 * c / n) for c in row] for row in drift])
+        sigma = np.array([[float(c / n) for c in row] for row in sigma])
+    return drift, landau_sigma0(sigma, 0.0)
+
+
 class TestLandauJointCoefficients:
-    """The gamma > 0 drift and diffusion from one evaluation, bitwise equal to
-    two full passes: at alpha = beta = 1 on the ensemble's own law only the
-    upper triangle of the distances is computed."""
+    """The gamma > 0 drift and diffusion from one evaluation.  Against a frozen
+    law, or with alpha != beta, they are bitwise equal to two full passes; at
+    alpha = beta = 1 on the ensemble's own law, where only the upper triangle of
+    the distances is computed, they match a 40-digit direct sum."""
 
     @pytest.mark.parametrize("n", [1, 2, 37, 512])
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
@@ -186,18 +210,38 @@ class TestLandauJointCoefficients:
         assert own.points is x  # how the particle system builds its law
         for mu in (own, EmpiricalMeasure(rng.normal(size=(n, 3)))):  # and a frozen law
             want = landau_pairwise_two_pass(x, mu.points, alpha, beta, gamma)
-            for got in (model.coefficients(0.0, x, mu),
-                        (model.drift(0.0, x, mu), model.diffusion(0.0, x, mu))):
+            runs = [(model.drift(0.0, x, mu), model.diffusion(0.0, x, mu))]
+            if mu is not own or not alpha == beta == 1.0:  # the self path: see below
+                runs.append(model.coefficients(0.0, x, mu))
+            for got in runs:
                 assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
-    def test_self_weights_are_mirrored_upper_panels(self):
-        x = np.random.default_rng(3).normal(size=(37, 3))
-        weights = _self_pair_weights(x, (0.5, 0.25))
-        w = next(weights)
-        assert np.array_equal(w, w.T)
-        assert w.tobytes() == _pair_weights(x, x.copy(), 1.0, 0.5).tobytes()
-        assert next(weights) is w  # one array, overwritten for the next power
-        assert w.tobytes() == _pair_weights(x, x.copy(), 1.0, 0.25).tobytes()
+    # 37 and 61 rows fill 8 panels unevenly; 9 rows make 5 panels of at most 2.
+    @pytest.mark.parametrize("n", [1, 2, 9, 37, 61])
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
+    def test_self_interaction_matches_direct_sum(self, n, gamma):
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        model = landau_model(gamma, 1.0, 1.0)
+        mu = EmpiricalMeasure(x)
+        want = landau_self_reference(x, gamma)
+        for got in (model.coefficients(0.0, x, mu),
+                    (model.drift(0.0, x, mu), model.diffusion(0.0, x, mu))):
+            for a, b in zip(got, want):
+                assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+    def test_self_interaction_allocates_no_square_matrix(self):
+        n = 1024
+        x = np.random.default_rng(3).normal(size=(n, 3))
+        model = landau_model(0.5, 1.0, 1.0)
+        mu = EmpiricalMeasure(x)
+        model.coefficients(0.0, x[:16], EmpiricalMeasure(x[:16]))  # loads the kernel
+        tracemalloc.start()
+        try:
+            model.coefficients(0.0, x, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 class TestLinearMeanfield:
