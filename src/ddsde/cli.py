@@ -634,7 +634,7 @@ def describe(name: str) -> int:
     print(f"  bounds: theta={b.theta}, K0={b.K0}, B0={b.B0}, C0={b.C0}, "
           f"C1={b.C1}, C2={b.C2},")
     print(f"          kappa1={b.kappa1}, kappa2={b.kappa2}, lambda={b.lambda_}, "
-          f"gamma_t={b.gamma_t}, lipschitz_rate={b.lipschitz_rate}")
+          f"gamma_t={b.gamma_t}")
     return EXIT_OK
 
 

@@ -29,8 +29,7 @@ class ModelBounds:
     kappa1/kappa2 are the drift monotonicity constants, lambda_ bounds the
     diffusion inverse, gamma_t the diffusion distortion; C1/C2 are the
     dissipativity constants (contraction exponent C1 - C2); K0/B0/C0 are the
-    kernel constants of the convolution family.  lipschitz_rate is the
-    kappa1 + kappa2 upper-bound surrogate used by the flow-Lipschitz checks.
+    kernel constants of the convolution family.
     """
 
     theta: float = 2.0
@@ -43,12 +42,6 @@ class ModelBounds:
     K0: float | None = None
     B0: float | None = None
     C0: float | None = None
-
-    @property
-    def lipschitz_rate(self) -> float | None:
-        if self.kappa1 is None or self.kappa2 is None:
-            return None
-        return self.kappa1 + self.kappa2
 
     @property
     def contraction_exponent(self) -> float | None:
@@ -128,59 +121,44 @@ def landau_sigma0(x: np.ndarray, gamma: float) -> np.ndarray:
     return r[..., None, None] ** (gamma / 2.0) * m
 
 
-def _pair_weights(x: np.ndarray, z: np.ndarray, scale: float,
-                  power: float) -> np.ndarray:
-    """(M, N) matrix of |x_i - scale z_j|^power, raised to the power in place."""
-    w = _scipy_extension("spatial", "_distance_pybind").cdist_sqeuclidean(x, scale * z)
-    w **= power / 2.0
-    return w
-
-
-# Row panels of the upper triangle of a self-interaction distance matrix, each
-# of at most ceil(N / SELF_PANELS) rows; the kernel works on one at a time.
-SELF_PANELS = 8
-
-
-def _convolved(x: np.ndarray, z: np.ndarray, scale: float, w: np.ndarray) -> np.ndarray:
-    """x * rowmean(W) - scale W z / N: a kernel's linear part convolved with weights W."""
-    return x * w.mean(axis=1)[:, None] - scale * (w @ z) / z.shape[0]
-
-
-def _landau_drift_pairwise(x: np.ndarray, z: np.ndarray, alpha: float,
-                           gamma: float) -> np.ndarray:
-    return -2.0 * _convolved(x, z, alpha, _pair_weights(x, z, alpha, gamma))
-
-
-def _landau_sigma_pairwise(x: np.ndarray, z: np.ndarray, beta: float,
-                           gamma: float) -> np.ndarray:
-    return landau_sigma0(_convolved(x, z, beta, _pair_weights(x, z, beta, gamma / 2.0)), 0.0)
+# Row panels of the evaluation points, each of at most ceil(M / PANELS) rows;
+# the kernel holds the distances of one panel at a time.
+PANELS = 8
 
 
 def _landau_coefficients_pairwise(x: np.ndarray, z: np.ndarray, alpha: float, beta: float,
                                   gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Drift and diffusion: half of one distance pass against the ensemble's
-    own law at alpha = beta = 1, otherwise one full pass each."""
-    if z is not x or not alpha == beta == 1.0:
-        return _landau_drift_pairwise(x, z, alpha, gamma), _landau_sigma_pairwise(x, z, beta, gamma)
-    # W is symmetric, so each upper-triangle row panel P of W serves its own
-    # rows and, transposed, the rows below it: G accumulates W [x | 1], whose
-    # last column is N rowmean(W).  The diffusion weights D^(gamma/4) are the
-    # square roots of the drift weights D^(gamma/2), D the squared distances.
-    n = len(x)
-    rows = -(-n // SELF_PANELS)
+    """Drift and diffusion of the points x against the law of the points z.
+
+    Each row panel P of the drift weights |x_i - alpha z_j|^gamma adds
+    P [z | 1] into G, whose last column is the row sum of the weights, and
+    likewise for the diffusion weights |x_i - beta z_j|^(gamma/2) into G'.  At
+    alpha = beta those are the square roots of the drift weights.  Against
+    the ensemble's own law at alpha = beta = 1 the weights are symmetric, so
+    a panel starts at its diagonal and, transposed, also serves the rows
+    below it.
+    """
+    m, n = len(x), len(z)
+    rows = -(-m // PANELS) or 1
     cdist = _scipy_extension("spatial", "_distance_pybind").cdist_sqeuclidean
-    x1 = np.hstack((x, np.ones((n, 1))))
-    g = np.zeros((2, n, 4))
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        p = cdist(x[i0:i1], x[i0:])
-        p **= gamma / 2.0
+    mirror = z is x and alpha == beta == 1.0
+    scales, powers = (alpha, beta), (gamma / 2.0, gamma / 4.0)
+    scaled = [s * z for s in scales]
+    z1 = np.hstack((z, np.ones((n, 1))))
+    g = np.zeros((2, m, 4))
+    for i0 in range(0, m, rows):
+        i1 = min(i0 + rows, m)
+        j0 = i0 if mirror else 0
         for k in range(2):
-            if k:
+            if k and alpha == beta:
                 np.sqrt(p, out=p)
-            g[k, i0:i1] += p @ x1[i0:]
-            g[k, i1:] += p[:, i1 - i0:].T @ x1[i0:i1]
-    drift, sigma = ((x * gk[:, 3:] - gk[:, :3]) / n for gk in g)
+            else:
+                p = cdist(x[i0:i1], scaled[k][j0:])
+                p **= powers[k]
+            g[k, i0:i1] += p @ z1[j0:]
+            if mirror:
+                g[k, i1:] += p[:, i1 - i0:].T @ z1[i0:i1]
+    drift, sigma = ((x * gk[:, 3:] - s * gk[:, :3]) / n for gk, s in zip(g, scales))
     return -2.0 * drift, landau_sigma0(sigma, 0.0)
 
 
@@ -196,14 +174,14 @@ def landau_model(gamma: float, alpha: float, beta: float,
     each kernel is |w|^p times a map linear in w, so the convolution is that
     map applied to x * rowmean(W) - s W z / N, with the (M, N) weight matrix
     W_ij = |x_i - s z_j|^p and s = alpha (p = gamma) for the drift, s = beta
-    (p = gamma / 2) for the diffusion.  Against the ensemble's own law at
-    alpha = beta = 1, ``joint`` builds no (N, N) matrix: it raises each row
-    panel of the upper triangle of the squared distances once, to gamma / 2,
-    takes the diffusion weights as its square roots, and multiplies the panel,
-    where it lies and transposed, by [x | 1].  Otherwise each W is built in
-    place from its own distances, one after the other, so that no two (M, N)
-    matrices are alive at once.  A state-radius guard applies there (the
-    drift is only locally Lipschitz, so no rate claims are made).
+    (p = gamma / 2) for the diffusion.  ``joint`` builds no (M, N) matrix:
+    it takes the row panels of W one at a time (of the upper triangle only,
+    against the ensemble's own law at alpha = beta = 1), raises the squared
+    distances in place, takes the diffusion weights as the square roots of
+    the drift weights when alpha = beta, and multiplies each panel by
+    [z | 1]; ``drift`` and ``diffusion`` are its two halves.  A state-radius
+    guard applies for gamma > 0 (the drift is only locally Lipschitz, so no
+    rate claims are made).
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
@@ -221,14 +199,14 @@ def landau_model(gamma: float, alpha: float, beta: float,
             return np.broadcast_to(-2.0 * np.asarray(v, dtype=np.float64), x.shape).copy()
         joint = None
     else:
-        def drift(t, x, mu):
-            return _landau_drift_pairwise(x, mu.points, alpha, gamma)
-
-        def diffusion(t, x, mu):
-            return _landau_sigma_pairwise(x, mu.points, beta, gamma)
-
         def joint(t, x, mu):
             return _landau_coefficients_pairwise(x, mu.points, alpha, beta, gamma)
+
+        def drift(t, x, mu):
+            return joint(t, x, mu)[0]
+
+        def diffusion(t, x, mu):
+            return joint(t, x, mu)[1]
 
         grad_b = None
 

@@ -2,8 +2,8 @@
 
 import itertools
 
+import mpmath
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ddsde.measure import EmpiricalMeasure
 from ddsde.models import landau_sigma0
@@ -103,17 +103,28 @@ def synchronous_pair(model, law_x, law_y, init_x, init_y,
             euler_maruyama(model, y, grid, noise, law=law_y))
 
 
-def landau_pairwise_two_pass(x: np.ndarray, z: np.ndarray, alpha: float, beta: float,
-                             gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Landau drift and diffusion for gamma > 0, each from its own full matrix of
-    squared distances (two passes), in the arithmetic the shared kernel keeps."""
-    def weights(scale, power):
-        w = cdist(x, scale * z, "sqeuclidean")
-        w **= power / 2.0
-        return w
-
-    w = weights(alpha, gamma)
-    drift = -2.0 * (x * w.mean(axis=1)[:, None] - alpha * (w @ z) / z.shape[0])
-    v = weights(beta, gamma / 2.0)
-    sigma = landau_sigma0(x * v.mean(axis=1)[:, None] - beta * (v @ z) / z.shape[0], 0.0)
-    return drift, sigma
+def landau_reference(x: np.ndarray, z: np.ndarray, alpha: float, beta: float,
+                     gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Landau drift and diffusion (gamma > 0) of the points x against the law of
+    the points z, as 40-digit direct sums over every pair, rounded once."""
+    n = len(z)
+    sums = {}
+    with mpmath.workdps(40):
+        quarter = mpmath.mpf(gamma) / 4
+        for scale in {alpha, beta}:
+            points = [[mpmath.mpf(scale) * mpmath.mpf(c) for c in row] for row in z]
+            drift, sigma = [], []
+            for row in x:
+                xi = [mpmath.mpf(c) for c in row]
+                acc2, acc4 = [mpmath.mpf(0)] * 3, [mpmath.mpf(0)] * 3
+                for zj in points:
+                    diff = [a - b for a, b in zip(xi, zj)]
+                    w4 = (diff[0] ** 2 + diff[1] ** 2 + diff[2] ** 2) ** quarter
+                    w2 = w4 * w4
+                    for k in range(3):
+                        acc2[k] += w2 * diff[k]
+                        acc4[k] += w4 * diff[k]
+                drift.append([float(-2 * c / n) for c in acc2])
+                sigma.append([float(c / n) for c in acc4])
+            sums[scale] = drift, sigma
+    return np.array(sums[alpha][0]), landau_sigma0(np.array(sums[beta][1]), 0.0)

@@ -241,15 +241,19 @@ def test_threads_flag_reproduces_outputs_bitwise(tmp_path):
             (tmp_path / "b" / "law_curve" / node).read_bytes()
 
 
-def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path):
-    # The self-interaction kernel multiplies row panels of N / 8 rows by the
-    # (N, 4) array [x | 1]. At N = 1536 its largest products, (192 x 1536) @
-    # (1536 x 4) and the transposed (1344 x 192) @ (192 x 4), take 1.18e6 and
-    # 1.03e6 multiply-adds. OpenBLAS 0.3.31 (Haswell kernels) runs a product on
-    # one thread up to between 9.9e5 and 1.03e6 multiply-adds, so these run on
-    # the default BLAS thread count. N = 1024 (5.2e5) would stay below it.
+@pytest.mark.parametrize("beta", [1.0, 0.5])
+def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path, beta):
+    # The gamma > 0 kernel multiplies row panels of N / 8 rows by the (N, 4)
+    # array [x | 1]. At N = 1536 and beta = 1 (the ensemble's own law, upper
+    # triangle only) its largest products, (192 x 1536) @ (1536 x 4) and the
+    # transposed (1344 x 192) @ (192 x 4), take 1.18e6 and 1.03e6
+    # multiply-adds; at beta = 0.5 every panel spans all columns, and each
+    # (192 x 1536) @ (1536 x 4) takes 192 * 1536 * 4 = 1.18e6. OpenBLAS 0.3.31
+    # (Haswell kernels) runs a product on one thread up to between 9.9e5 and
+    # 1.03e6 multiply-adds, so these run on the default BLAS thread count.
+    # N = 1024 (5.2e5) would stay below it.
     cfg = {
-        "model": {"name": "landau", "gamma": 0.5, "alpha": 1.0, "beta": 1.0},
+        "model": {"name": "landau", "gamma": 0.5, "alpha": 1.0, "beta": beta},
         "sim": {"n_particles": 1536, "dt": 0.01, "t_end": 0.05, "seed": 9,
                 "init": {"kind": "gaussian", "std": 1.0}},
         "experiment": {"type": "simulate", "moment_p": 2.0},

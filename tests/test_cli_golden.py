@@ -8,15 +8,19 @@ of every CSV file, with values recorded before the CLI's experiment table
 was introduced. A refactor of the CLI must leave all of them unchanged.
 
 The bundled configs are all gamma = 0, so small gamma > 0 Landau runs are
-pinned the same way; they cover the pairwise kernel.  The ``picard`` pin (a
-frozen law curve) was recorded before the distance kernels were loaded without
-their scipy packages, and the beta = 0.5 pin (drift and diffusion on different
-distance matrices) before drift and diffusion shared one distance pass.  The
-``simulate`` and ``simulate_gamma1`` pins (alpha = beta = 1 on the ensemble's
-own law) were re-recorded when that self-interaction kernel began to sum
-W [x | 1] from the upper-triangle panels and to take the diffusion weights as
-square roots of the drift weights: the sums round differently, and the kernel
-stays within 1e-15 (max-norm, relative) of a 40-digit direct sum.
+pinned the same way; they cover the pairwise kernel.  The beta = 0.5 pin
+(drift and diffusion on different distance matrices) was recorded before
+drift and diffusion shared one distance pass; its outputs kept their bits
+through that change and through the row panels below.  The ``simulate`` and
+``simulate_gamma1`` pins (alpha = beta = 1 on the ensemble's own law) were
+re-recorded when that self-interaction kernel began to sum W [x | 1] from the
+upper-triangle panels and to take the diffusion weights as square roots of
+the drift weights.  The ``picard`` pin (a frozen law curve) was re-recorded
+when every other law went through the same row panels: its row sums come
+from P [z | 1] instead of a row mean, and its diffusion weights from the
+square roots of the drift weights.  Each time the sums round differently,
+and the kernel stays within 1e-15 (max-norm, relative) of a 40-digit direct
+sum.
 """
 
 import hashlib
@@ -120,9 +124,9 @@ GAMMA_CONFIGS = {
 GAMMA_PINS = {
     "picard": {
         "exit": 0,
-        "report": "94ae0502b5c2ba61",
-        "picard.csv": "9d230dc19f56e7dd",
-        "refined/picard.csv": "e46a8dcedf1d226a",
+        "report": "856387f2b3b974e8",
+        "picard.csv": "bb85f5f5ce58745a",
+        "refined/picard.csv": "e29847b514544362",
     },
     "simulate": {
         "exit": 0,

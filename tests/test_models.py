@@ -1,6 +1,5 @@
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -8,9 +7,7 @@ from ddsde.measure import EmpiricalMeasure, wasserstein
 from ddsde.models import (
     CoefficientModel,
     ModelBounds,
-    _landau_drift_pairwise,
-    _landau_sigma_pairwise,
-    _pair_weights,
+    _landau_coefficients_pairwise,
     contraction_exponent_cc,
     contraction_exponent_tn,
     landau_b0,
@@ -19,7 +16,7 @@ from ddsde.models import (
     linear_meanfield_model,
 )
 
-from helpers import landau_a, landau_pairwise_two_pass, verify_flags
+from helpers import landau_a, landau_reference, verify_flags
 
 
 class TestLandauKernel:
@@ -87,8 +84,10 @@ class TestLandauModel:
         small = (rng.normal(size=(7, 3)), rng.normal(size=(5, 3)), 0.8, 0.6)
         # Self-interaction, M = 300 and N = 200: the law's points are the
         # first 200 evaluation points, so alpha = 1 puts r = 0 on the diagonal.
+        # M = 0: no evaluation points.
         x_big = rng.normal(size=(300, 3))
-        for x, zs, alpha, beta in (small, (x_big, x_big[:200], 1.0, 0.5)):
+        for x, zs, alpha, beta in (small, (x_big, x_big[:200], 1.0, 0.5),
+                                   (x_big[:0], x_big[:5], 1.0, 1.0)):
             model = landau_model(gamma, alpha, beta)
             mu = EmpiricalMeasure(zs)
             drift = model.drift(0.0, x, mu)
@@ -98,35 +97,15 @@ class TestLandauModel:
             want_s = np.mean([landau_sigma0(x - beta * z, gamma) for z in zs], axis=0)
             assert np.allclose(sig, want_s, atol=1e-12)
 
-    @pytest.mark.parametrize("power", [0.125, 0.25, 0.5, 1.0])
-    @pytest.mark.parametrize("scale", [1.0, 0.5, 0.0])
-    def test_pair_weights_match_coordinate_loop_bitwise(self, power, scale):
-        def coordinate_loop(x, z):
-            sz = scale * z
-            r2 = (x[:, 0, None] - sz[:, 0]) ** 2
-            for k in range(1, x.shape[1]):
-                r2 += (x[:, k, None] - sz[:, k]) ** 2
-            return r2 ** (power / 2.0)
-
-        rng = np.random.default_rng(6)
-        for m, n, d in ((300, 200, 3), (17, 5, 1), (9, 9, 2)):
-            x = rng.normal(size=(m, d))
-            # z = x[:n]: at scale 1, r = 0 lies on the diagonal.
-            w = _pair_weights(x, x[:n], scale, power)
-            assert w.tobytes() == coordinate_loop(x, x[:n]).tobytes()
-            if scale == 1.0:
-                assert np.all(np.diagonal(w) == 0.0)
-
     def test_linear_fast_path_matches_generic_pairwise(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 3))
         z = rng.normal(size=(9, 3))
         mu = EmpiricalMeasure(z)
         model = landau_model(0.0, 1.0, 1.0)
-        assert np.allclose(model.drift(0.0, x, mu),
-                           _landau_drift_pairwise(x, z, 1.0, 0.0), atol=1e-12)
-        assert np.allclose(model.diffusion(0.0, x, mu),
-                           _landau_sigma_pairwise(x, z, 1.0, 0.0), atol=1e-12)
+        drift, sigma = _landau_coefficients_pairwise(x, z, 1.0, 1.0, 0.0)
+        assert np.allclose(model.drift(0.0, x, mu), drift, atol=1e-12)
+        assert np.allclose(model.diffusion(0.0, x, mu), sigma, atol=1e-12)
 
     def test_drift_lipschitz_probe(self):
         # gamma = 0 drift has observed Lipschitz constant <= 2 (1 + |alpha|).
@@ -172,68 +151,55 @@ class TestLandauModel:
             landau_model(1.5, 1.0, 1.0)
 
 
-def landau_self_reference(x: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Landau drift and diffusion of the ensemble x against its own law at
-    alpha = beta = 1, as 40-digit direct sums over the pairs, rounded once."""
-    n = len(x)
-    drift = [[mpmath.mpf(0)] * 3 for _ in range(n)]
-    sigma = [[mpmath.mpf(0)] * 3 for _ in range(n)]
-    with mpmath.workdps(40):
-        for i in range(n):
-            for j in range(i + 1, n):
-                diff = [mpmath.mpf(a) - mpmath.mpf(b) for a, b in zip(x[i], x[j])]
-                d2 = sum(c * c for c in diff)
-                for acc, w in ((drift, d2 ** (mpmath.mpf(gamma) / 2)),
-                               (sigma, d2 ** (mpmath.mpf(gamma) / 4))):
-                    for k in range(3):
-                        acc[i][k] += w * diff[k]
-                        acc[j][k] -= w * diff[k]
-        drift = np.array([[float(-2 * c / n) for c in row] for row in drift])
-        sigma = np.array([[float(c / n) for c in row] for row in sigma])
-    return drift, landau_sigma0(sigma, 0.0)
+def assert_within_1e15(got, want):
+    """Max-norm error at most 1e-15 of the reference's max norm, per array."""
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
 
 class TestLandauJointCoefficients:
-    """The gamma > 0 drift and diffusion from one evaluation.  Against a frozen
-    law, or with alpha != beta, they are bitwise equal to two full passes; at
-    alpha = beta = 1 on the ensemble's own law, where only the upper triangle of
-    the distances is computed, they match a 40-digit direct sum."""
+    """The gamma > 0 drift and diffusion from one evaluation, against a 40-digit
+    direct sum.  Against the ensemble's own law at alpha = beta = 1 the kernel
+    computes only the upper triangle of the distances (mirrored panels); every
+    other case takes each row panel against all the law's points."""
 
-    @pytest.mark.parametrize("n", [1, 2, 37, 512])
+    # 37 rows fill 8 panels unevenly; 9 rows make 5 panels of at most 2.
+    @pytest.mark.parametrize("n", [1, 2, 9, 37])
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.0, 0.5), (0.5, 0.5)])
-    def test_match_two_pass_oracle_bitwise(self, n, gamma, alpha, beta):
+    def test_full_panels_match_direct_sum(self, n, gamma, alpha, beta):
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, 3))
         model = landau_model(gamma, alpha, beta)
-        own = EmpiricalMeasure(x)
-        assert own.points is x  # how the particle system builds its law
-        for mu in (own, EmpiricalMeasure(rng.normal(size=(n, 3)))):  # and a frozen law
-            want = landau_pairwise_two_pass(x, mu.points, alpha, beta, gamma)
-            runs = [(model.drift(0.0, x, mu), model.diffusion(0.0, x, mu))]
-            if mu is not own or not alpha == beta == 1.0:  # the self path: see below
-                runs.append(model.coefficients(0.0, x, mu))
-            for got in runs:
-                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        laws = [EmpiricalMeasure(rng.normal(size=(n, 3)))]  # a frozen law
+        if not alpha == beta == 1.0:  # the own law there: see the next test
+            laws.append(EmpiricalMeasure(x))
+        for mu in laws:
+            want = landau_reference(x, mu.points, alpha, beta, gamma)
+            for got in (model.coefficients(0.0, x, mu),
+                        (model.drift(0.0, x, mu), model.diffusion(0.0, x, mu))):
+                assert_within_1e15(got, want)
 
-    # 37 and 61 rows fill 8 panels unevenly; 9 rows make 5 panels of at most 2.
     @pytest.mark.parametrize("n", [1, 2, 9, 37, 61])
     @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0])
     def test_self_interaction_matches_direct_sum(self, n, gamma):
         x = np.random.default_rng(n).normal(size=(n, 3))
         model = landau_model(gamma, 1.0, 1.0)
         mu = EmpiricalMeasure(x)
-        want = landau_self_reference(x, gamma)
+        assert mu.points is x  # how the particle system builds its law
+        want = landau_reference(x, x, 1.0, 1.0, gamma)
         for got in (model.coefficients(0.0, x, mu),
                     (model.drift(0.0, x, mu), model.diffusion(0.0, x, mu))):
-            for a, b in zip(got, want):
-                assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+            assert_within_1e15(got, want)
 
-    def test_self_interaction_allocates_no_square_matrix(self):
+    @pytest.mark.parametrize("alpha, beta, frozen", [
+        (1.0, 1.0, False), (1.0, 1.0, True), (1.0, 0.5, False), (0.5, 0.5, True)])
+    def test_allocates_no_square_matrix(self, alpha, beta, frozen):
         n = 1024
-        x = np.random.default_rng(3).normal(size=(n, 3))
-        model = landau_model(0.5, 1.0, 1.0)
-        mu = EmpiricalMeasure(x)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(n, 3))
+        model = landau_model(0.5, alpha, beta)
+        mu = EmpiricalMeasure(rng.normal(size=(n, 3)) if frozen else x)
         model.coefficients(0.0, x[:16], EmpiricalMeasure(x[:16]))  # loads the kernel
         tracemalloc.start()
         try:
@@ -272,7 +238,6 @@ class TestLinearMeanfield:
         assert b.kappa2 == 0.5
         assert b.lambda_ == pytest.approx(1.0)
         assert b.C1 == 0.25 and b.C2 == pytest.approx(1.75)
-        assert b.lipschitz_rate == pytest.approx(0.5)
         assert b.dissipative
 
     def test_grad_b_direction(self):

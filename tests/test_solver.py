@@ -270,7 +270,7 @@ class TestParticle:
         nu0 = mu0.shifted([1.0])
         grid = TimeGrid(0.0, 1.0, 200)
         est = estimate_contraction(model, mu0, nu0, grid, NoiseSpec(seed=18, dim=1))
-        rate = model.bounds.lipschitz_rate
+        rate = model.bounds.kappa1 + model.bounds.kappa2
         w2_0 = np.sqrt(est.w2_sq[0])
         bound = w2_0 * np.exp(rate * (est.times - est.times[0])) + 0.05
         assert np.all(np.sqrt(est.w2_sq) <= bound)
