@@ -1,7 +1,6 @@
 """Simulation and numerical verification for distribution-dependent SDEs."""
 
 from .harnack import (
-    CouplingConfig,
     CouplingResult,
     coupled_girsanov,
     coupled_pairs_from_measures,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientModel",
-    "CouplingConfig",
     "CouplingResult",
     "EmpiricalMeasure",
     "LawCurve",

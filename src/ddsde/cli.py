@@ -249,7 +249,7 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError(f"experiment.fit_window must be a list of two numbers, got {window!r}")
     try:
         if etype in ("couple", "log_harnack"):
-            harnack.CouplingConfig.from_model(built, horizon=sim["t_end"])
+            harnack._require_coupling_model(built)
         if etype in ("shift_harnack", "ibp"):
             harnack._require_additive(built)
         if etype == "shift_harnack":
@@ -469,16 +469,14 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
 
     if etype in ("couple", "log_harnack"):
         nu0 = _second_init(exp, mu0, model.dim, n, noise)
-        config = harnack.CouplingConfig.from_model(model, horizon=t_end,
-                                                   weight_clip=exp.get("weight_clip"))
         for law in (mu0, nu0):  # before their W2 costs can overflow
             check_finite(law.points, noise.step0, model.state_radius)
         sample = harnack.simulate_coupled(
-            model, *harnack.coupled_pairs_from_measures(mu0, nu0), config, grid, noise,
+            model, *harnack.coupled_pairs_from_measures(mu0, nu0), grid, noise,
             record_series=etype == "couple" and csv_on)
         if etype == "log_harnack":
             result = harnack.verify_log_harnack(sample, harnack.TEST_FUNCTIONS[exp["f"]],
-                                                config, grid, f_min=float(exp["f_min"]))
+                                                model, grid, f_min=float(exp["f_min"]))
             metrics = {
                 "lhs": result.lhs, "rhs": result.rhs, "slack": result.slack,
                 "lhs_se": result.lhs_se, "rhs_se": result.rhs_se,
@@ -486,7 +484,7 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
                 "phi": result.phi_value, "w2_sq": result.w2_sq,
             }
             return metrics, result.slack >= -harnack.VERDICT_SIGMAS * result.slack_se
-        result = harnack.coupled_girsanov(sample, config, grid)
+        result = harnack.coupled_girsanov(sample, model, grid, exp.get("weight_clip"))
         if sample.series is not None:
             s = sample.series
             _write_csv(os.path.join(out_dir, "couple.csv"),
@@ -527,11 +525,13 @@ def _run_bounds(quantity: str, params: dict, model, t_end: float) -> tuple[dict,
         value = models.contraction_exponent_tn(a["K0"], a["B0"], a["C0"], a["alpha"], a["beta"])
     elif quantity == "phi":
         value = harnack.phi(a["s"], a["t"], a["lambda"], a["kappa1"], a["kappa2"])
-    elif quantity in ("power", "p_threshold"):
-        config = harnack.CouplingConfig(horizon=a["T"], kappa1=a["kappa1"], kappa2=a["kappa2"],
-                                        lambda_=a["lambda"], gamma_t=a["gamma_t"])
-        value = (harnack.power_harnack_threshold(config) if quantity == "p_threshold" else
-                 harnack.power_harnack_constant(a["p"], a["s"], a["t"], config, a["moment_term"]))
+    elif quantity == "power":
+        value = harnack.power_harnack_constant(
+            a["p"], a["s"], a["t"], a["moment_term"], horizon=a["T"], lambda_=a["lambda"],
+            kappa1=a["kappa1"], kappa2=a["kappa2"], gamma_t=a["gamma_t"])
+    elif quantity == "p_threshold":
+        harnack._check_constants(a["T"], a["kappa1"], a["kappa2"])  # as the power bound does
+        value = harnack.power_harnack_threshold(a["lambda"], a["gamma_t"])
     else:  # ET1, ET2, ET3; validate_config admits no other quantity
         value = harnack.density_bound_rhs(quantity, a["p"], a["s"], a["t"], a["lambda"],
                                           a["grad_b"], int(a["d"]))

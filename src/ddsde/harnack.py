@@ -6,7 +6,12 @@ extra drift makes X and Y coincide at the terminal time under the weighted
 measure Q = R_T P.  From the simulated (X, Y, R) triple the module checks
 the log-Harnack inequality, the entropy bound on E[R log R], the shift
 Harnack inequality for additive noise, and the integration-by-parts
-identity; companion calculators evaluate the analytic constants.
+identity; companion calculators evaluate the analytic constants, and the
+density bounds in closed form.
+
+The coupling constants kappa1, kappa2 and lambda are the model's
+``bounds``, and the horizon [s, T] is the grid's, so one set of constants
+serves the simulation and every bound checked against it.
 
 Each Monte-Carlo check is a sample and a pure estimator over it.  The sample
 steps once from the initial states the caller gives, so the caller alone
@@ -41,42 +46,6 @@ VERDICT_SIGMAS = 3.0  # a Monte-Carlo verdict fails beyond this many standard er
 _NU_FLOW_TAG = 0x57EA4  # substream tag for the independent nu-flow particle run
 
 
-@dataclass(frozen=True)
-class CouplingConfig:
-    """Constants of the coupling construction over a fixed horizon.
-
-    kappa1/kappa2 are the drift monotonicity constants, lambda_ bounds
-    ||sigma^{-1}||, gamma_t the diffusion distortion.  kappa1 = 0 is allowed;
-    every formula uses the analytic limit rather than small-kappa evaluation.
-    """
-
-    horizon: float
-    kappa1: float
-    kappa2: float
-    lambda_: float
-    gamma_t: float = 0.0
-    weight_clip: float | None = None
-
-    def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.kappa1 < 0 or self.kappa2 < 0:
-            raise ValueError("kappa1 and kappa2 must be nonnegative")
-
-    @classmethod
-    def from_model(cls, model: CoefficientModel, horizon: float,
-                   weight_clip: float | None = None) -> "CouplingConfig":
-        b = model.bounds
-        missing = [k for k, val in
-                   (("kappa1", b.kappa1), ("kappa2", b.kappa2), ("lambda", b.lambda_))
-                   if val is None]
-        if missing:
-            raise ValueError(f"{model.name}: bounds missing {missing} for coupling")
-        return cls(horizon=horizon, kappa1=b.kappa1, kappa2=b.kappa2,
-                   lambda_=b.lambda_, gamma_t=b.gamma_t or 0.0,
-                   weight_clip=weight_clip)
-
-
 def xi_schedule(T: float, kappa1: float):
     """The attraction schedule t -> xi_t, positive on [0, T), zero at T.
 
@@ -107,6 +76,12 @@ def phi(s: float, t: float, lambda_: float, kappa1: float, kappa2: float) -> flo
     return lambda_ ** 2 * (first + second)
 
 
+def _coupling_phi(model: CoefficientModel, grid: TimeGrid) -> float:
+    """phi over the grid's span, with the model's bounds."""
+    b = model.bounds
+    return phi(grid.s, grid.t_end, b.lambda_, b.kappa1, b.kappa2)
+
+
 # ---------------------------------------------------------------------------
 # Coupled simulation engine
 # ---------------------------------------------------------------------------
@@ -124,6 +99,12 @@ class CoupledSample:
 
 
 def _require_coupling_model(model: CoefficientModel) -> None:
+    b = model.bounds
+    missing = [k for k, val in
+               (("kappa1", b.kappa1), ("kappa2", b.kappa2), ("lambda", b.lambda_))
+               if val is None]
+    if missing:
+        raise ValueError(f"{model.name}: bounds missing {missing} for coupling")
     if not (model.invertible_sigma and model.distribution_free_sigma):
         raise ValueError(
             f"{model.name}: coupling by change of measure needs invertible, "
@@ -145,7 +126,7 @@ def _sigma_solver(model, t, states, mu):
 
 
 def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
-                     config: CouplingConfig, grid: TimeGrid, noise: NoiseSpec,
+                     grid: TimeGrid, noise: NoiseSpec,
                      record_series: bool = False) -> CoupledSample:
     """Run the drift-corrected coupling and accumulate the Girsanov weight.
 
@@ -159,10 +140,6 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
     accounts the corresponding increment at the penultimate node.
     """
     _require_coupling_model(model)
-    if abs(config.horizon - grid.t_end) > 1e-9 * max(1.0, abs(grid.t_end)):
-        raise ValueError(
-            f"config horizon {config.horizon} != grid end {grid.t_end}"
-        )
     x0 = np.asarray(x0, dtype=np.float64)
     y = np.asarray(y0, dtype=np.float64)
     if x0.shape != y.shape:
@@ -172,7 +149,7 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
         model, y, grid.s, dt, n, noise.substream(_NU_FLOW_TAG))
 
     w2_sq_initial = float(np.mean(np.sum((x0 - y) ** 2, axis=1)))
-    xi = xi_schedule(config.horizon, config.kappa1)
+    xi = xi_schedule(grid.t_end, model.bounds.kappa1)
     log_r = np.zeros(x0.shape[0])
     series = None
     if record_series:
@@ -236,28 +213,29 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return m, se
 
 
-def coupled_girsanov(sample: CoupledSample, config: CouplingConfig,
-                     grid: TimeGrid) -> CouplingResult:
-    """Weight, entropy and gap statistics of one ``simulate_coupled`` sample on ``grid``.
+def coupled_girsanov(sample: CoupledSample, model: CoefficientModel, grid: TimeGrid,
+                     weight_clip: float | None = None) -> CouplingResult:
+    """Weight, entropy and gap statistics of one ``simulate_coupled`` sample of
+    ``model`` on ``grid``.
 
     The pairs start optimally coupled (the pairing realizes W2(mu0, nu0)^2 as
     the mean square gap).  Q-expectations are importance-weighted under P
     (multiplied by R); weight degeneracy shows up in the reported effective
-    sample size.
+    sample size.  With ``weight_clip`` set, the result also reports the fraction
+    of pairs whose |log R_T| exceeds it.
     """
     r = np.exp(sample.log_r)
     weight_mean, weight_mean_se = _mean_se(r)
     entropy, entropy_se = _mean_se(r * sample.log_r)
     gap_q, _ = _mean_se(sample.r_penultimate * sample.gap_sq_penultimate)
-    phi_bound = phi(grid.s, grid.t_end, config.lambda_, config.kappa1, config.kappa2) \
-        * sample.w2_sq_initial
+    phi_bound = _coupling_phi(model, grid) * sample.w2_sq_initial
     r_sq = (r * r).sum()
     ess = float(r.sum() ** 2 / r_sq) if r_sq > 0 else math.nan  # every weight underflowed
     success = (abs(weight_mean - 1.0) <= VERDICT_SIGMAS * max(weight_mean_se, 1e-15)
                and entropy <= phi_bound + VERDICT_SIGMAS * entropy_se)
     clip_fraction = None
-    if config.weight_clip is not None:
-        clip_fraction = float(np.mean(np.abs(sample.log_r) > config.weight_clip))
+    if weight_clip is not None:
+        clip_fraction = float(np.mean(np.abs(sample.log_r) > weight_clip))
     return CouplingResult(
         terminal_gap_q=gap_q,
         weight_mean=weight_mean,
@@ -294,10 +272,10 @@ def coupled_pairs_from_measures(mu0: EmpiricalMeasure,
     return mu0.points, nu0.points[transport_plan(mu0, nu0, theta=2.0).permutation]
 
 
-def verify_log_harnack(sample: CoupledSample, f, config: CouplingConfig, grid: TimeGrid,
+def verify_log_harnack(sample: CoupledSample, f, model: CoefficientModel, grid: TimeGrid,
                        f_min: float = 1e-12) -> LogHarnackResult:
     """Monte-Carlo check of the log-Harnack inequality over one ``simulate_coupled``
-    sample on ``grid``.
+    sample of ``model`` on ``grid``.
 
     lhs estimates the semigroup acting on log f at nu0 via E[R_T log f(X_T)]
     (X_T = Y_T under Q); rhs is log E[f(X_T)] + phi(s, T) W2(mu0, nu0)^2.
@@ -317,7 +295,7 @@ def verify_log_harnack(sample: CoupledSample, f, config: CouplingConfig, grid: T
     r = np.exp(sample.log_r)
     lhs, lhs_se = _mean_se(r * np.log(fx))
     mean_f, mean_f_se = _mean_se(fx)
-    phi_value = phi(grid.s, grid.t_end, config.lambda_, config.kappa1, config.kappa2)
+    phi_value = _coupling_phi(model, grid)
     log_mean_f = math.log(mean_f)
     rhs = log_mean_f + phi_value * sample.w2_sq_initial
     rhs_se = mean_f_se / mean_f
@@ -336,33 +314,45 @@ def verify_log_harnack(sample: CoupledSample, f, config: CouplingConfig, grid: T
 # Power-Harnack constant
 # ---------------------------------------------------------------------------
 
-def power_harnack_threshold(config: CouplingConfig) -> float:
+def _check_constants(horizon: float, kappa1: float, kappa2: float) -> None:
+    """The ranges the coupling constants need; kappa1 = 0 is allowed, every
+    formula takes its analytic limit there."""
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if kappa1 < 0 or kappa2 < 0:
+        raise ValueError("kappa1 and kappa2 must be nonnegative")
+
+
+def power_harnack_threshold(lambda_: float, gamma_t: float) -> float:
     """Smallest admissible power p(t) = (1 + 4 lambda gamma)^2."""
-    return (1.0 + 4.0 * config.lambda_ * config.gamma_t) ** 2
+    return (1.0 + 4.0 * lambda_ * gamma_t) ** 2
 
 
-def power_harnack_constant(p: float, s: float, t: float, config: CouplingConfig,
-                           moment_term: float) -> float:
+def power_harnack_constant(p: float, s: float, t: float, moment_term: float, *,
+                           horizon: float, lambda_: float, kappa1: float, kappa2: float,
+                           gamma_t: float = 0.0) -> float:
     """Explicit exponential factor of the power-Harnack inequality.
 
-    ``moment_term`` is the squared initial distance |x - y|^2.  Requires
-    p >= p(t) = (1 + 4 lambda gamma)^2, with a strictly positive
-    denominator 2 (sqrt(p) - 1)^2 - 16 lambda^2 gamma^2.
+    ``moment_term`` is the squared initial distance |x - y|^2; kappa1/kappa2
+    are the drift monotonicity constants, lambda_ bounds ||sigma^{-1}||,
+    gamma_t is the diffusion distortion and ``horizon`` the T of the factor's
+    Gamma term.  Requires p >= p(t) = (1 + 4 lambda gamma)^2, with a strictly
+    positive denominator 2 (sqrt(p) - 1)^2 - 16 lambda^2 gamma^2.
     """
+    _check_constants(horizon, kappa1, kappa2)
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
-    threshold = power_harnack_threshold(config)
+    threshold = power_harnack_threshold(lambda_, gamma_t)
     if p < threshold:
         raise ValueError(f"power p={p} below the admissible threshold p(t)={threshold}")
-    lam, gam = config.lambda_, config.gamma_t
-    k1, k2 = config.kappa1, config.kappa2
+    lam, gam, k1, k2 = lambda_, gamma_t, kappa1, kappa2
     sp = math.sqrt(p)
     denom = (sp + 1.0) * (2.0 * (sp - 1.0) ** 2 - 16.0 * lam ** 2 * gam ** 2)
     if denom <= 0:
         raise ValueError(
             f"degenerate denominator at p={p} (threshold {threshold}); need p > p(t)"
         )
-    big_gamma = k2 ** 2 * lam ** 2 * config.horizon * math.exp(2.0 * k1 + 2.0 * k2)
+    big_gamma = k2 ** 2 * lam ** 2 * horizon * math.exp(2.0 * k1 + 2.0 * k2)
     if k1 == 0.0:
         heat = 2.0 * lam ** 2 / (t - s)
     else:
@@ -392,14 +382,10 @@ class ShiftHarnackResult:
     constant: float   # the exponential factor multiplying the shifted mean
 
 
-def _gradient_cost_integral(model: CoefficientModel, s: float, t: float) -> float:
-    """integral of lambda_r^2 (1 + (r - s) ||grad b_r||)^2 over [s, t]."""
-    lam = model.bounds.lambda_
-    gb = model.bounds.B0
-    if lam is None or gb is None:
-        raise ValueError(f"{model.name}: bounds need lambda_ and B0 for shift estimates")
-    span = t - s
-    return lam ** 2 * (span + gb * span ** 2 + gb ** 2 * span ** 3 / 3.0)
+def _gradient_cost_integral(lambda_: float, grad_b: float, span: float) -> float:
+    """integral of lambda^2 (1 + (r - s) grad_b)^2 over [s, s + span], for a
+    constant ||sigma^{-1}|| bound lambda and drift-gradient bound grad_b."""
+    return lambda_ ** 2 * (span + grad_b * span ** 2 + grad_b ** 2 * span ** 3 / 3.0)
 
 
 def shift_harnack_constant(model: CoefficientModel, v: np.ndarray, p: float,
@@ -410,8 +396,11 @@ def shift_harnack_constant(model: CoefficientModel, v: np.ndarray, p: float,
     Raises:
         OverflowError: if the constant is not a finite number.
     """
-    integral = _gradient_cost_integral(model, s, t)
+    lam, gb = model.bounds.lambda_, model.bounds.B0
+    if lam is None or gb is None:
+        raise ValueError(f"{model.name}: bounds need lambda_ and B0 for shift estimates")
     span = t - s
+    integral = _gradient_cost_integral(lam, gb, span)
     vsq = float(v @ v)
     if log_form:
         constant = vsq * integral / (2.0 * span ** 2)
@@ -534,34 +523,26 @@ def verify_ibp(f, grad_f, v, x_terminal: np.ndarray, weight: np.ndarray) -> IBPR
 # Density-bound right-hand sides
 # ---------------------------------------------------------------------------
 
-def _as_curve(c):
-    return c if callable(c) else (lambda r, _v=float(c): _v)
-
-
 def density_bound_rhs(kind: str, p: float, s: float, t: float,
-                      lambda_curve, gradb_curve, d: int) -> float:
-    """Quadrature evaluation of the analytic density estimates.
+                      lambda_: float, grad_b: float, d: int) -> float:
+    """Closed-form evaluation of the analytic density estimates.
 
     kind selects the functional of the law's density rho bounded by the
     result: "ET1" the p-th moment of the log-gradient, "ET2" the
-    p/(p-1)-norm, "ET3" the entropy.  lambda_curve and gradb_curve are
-    ||sigma_r^{-1}|| and ||grad b_r|| as constants or callables of r.
+    p/(p-1)-norm, "ET3" the entropy.  lambda_ and grad_b are constant bounds
+    on ||sigma_r^{-1}|| and ||grad b_r|| over [s, t].
     """
-    # Local: scipy.integrate is most of the CLI's import time; only bounds runs need it.
-    from scipy.integrate import quad
     kind = kind.upper()
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
-    lam = _as_curve(lambda_curve)
-    gb = _as_curve(gradb_curve)
     span = t - s
     if kind == "ET1":
         if p <= 1:
             raise ValueError(f"ET1 needs p > 1, got {p}")
-        integral, _ = quad(lambda r: (r - s) ** 2 * lam(r) ** 2 * gb(r) ** 2, s, t)
+        integral = lambda_ ** 2 * grad_b ** 2 * span ** 3 / 3.0  # of (r-s)^2 lambda^2 grad_b^2
         base = max(1.0, p * (p - 1.0) / 2.0) / span ** 2 * integral
         return base ** (p / 2.0 * min(1.0, 1.0 / (p - 1.0)))
-    integral, _ = quad(lambda r: lam(r) ** 2 * (1.0 + (r - s) * gb(r)) ** 2, s, t)
+    integral = _gradient_cost_integral(lambda_, grad_b, span)
     sp = math.sqrt(p)
     if kind == "ET2":
         if p <= 1:

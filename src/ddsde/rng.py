@@ -53,14 +53,13 @@ class NoiseSpec:
     """Addressing of the Brownian increments driving a simulation.
 
     The increment consumed by trajectory ``m`` at step ``k`` is keyed by
-    ``(seed, traj0 + m, step0 + k)``.  The offsets let a run restarted from a
+    ``(seed, m, step0 + k)``.  The step offset lets a run restarted from a
     midpoint consume exactly the increments of the matching global steps.
     """
 
     seed: int
     dim: int
     step0: int = 0
-    traj0: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -71,7 +70,7 @@ class NoiseSpec:
 
     def substream(self, tag: int) -> "NoiseSpec":
         """An independent stream (fresh seed derived from this one)."""
-        return replace(self, seed=derive_seed(self.seed, tag), step0=0, traj0=0)
+        return replace(self, seed=derive_seed(self.seed, tag), step0=0)
 
 
 def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step,
@@ -85,10 +84,10 @@ def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step,
 
     Returns:
         (M, dim) array for a scalar step, (K, M, dim) for an array of steps;
-        row i of step k depends only on (seed, traj0 + trajectories[i],
+        row i of step k depends only on (seed, trajectories[i],
         step0 + k, column).  Written into ``out`` when given.
     """
-    traj = np.asarray(trajectories, dtype=np.int64).astype(_U64) + _U64(noise.traj0)
+    traj = np.asarray(trajectories, dtype=np.int64).astype(_U64)
     steps = np.asarray(step, dtype=np.int64).astype(_U64) + _U64(noise.step0)
     h = np.empty(steps.shape + (traj.size, noise.dim), dtype=_U64)
     scratch = np.empty_like(h)

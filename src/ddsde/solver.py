@@ -222,9 +222,8 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     The two particle systems start from the optimally coupled pairing of
     mu0 and nu0, two laws of equal size (so the initial mean-square gap
     equals W2(mu0, nu0)^2), and consume identical increments.  Exact W2 is
-    solved only at the W2 nodes,
-    chosen before stepping: node 0 (the envelope's start, the initial
-    pairing's own cost), at most
+    solved only at the W2 nodes, chosen before stepping: node 0 (the
+    envelope's start, the initial pairing's own cost), at most
     CONTRACT_FIT_NODES nodes at an integer stride across ``fit_window``
     (default: skip the first 10% of the horizon, a transient) and the
     window's last node.  ``times`` and ``w2_sq`` hold just those nodes, and

@@ -16,7 +16,6 @@ from ddsde.cli import main as cli_main
 from ddsde.harnack import (
     IBP_FUNCTIONS,
     TEST_FUNCTIONS,
-    CouplingConfig,
     coupled_girsanov,
     coupled_pairs_from_measures,
     density_bound_rhs,
@@ -158,18 +157,17 @@ def test_criterion_05_invariant_measure():
 
 def test_criterion_06_girsanov_coupling():
     model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
-    config = CouplingConfig.from_model(model, horizon=1.0)
     m = 10_000
     x0 = np.zeros((m, 1))
     y0 = np.ones((m, 1))         # W2(mu0, nu0) = 1
     noise = NoiseSpec(seed=31, dim=1)
     coarse_grid, fine_grid = TimeGrid(0.0, 1.0, 1000), TimeGrid(0.0, 1.0, 2000)
-    coarse = coupled_girsanov(simulate_coupled(model, x0, y0, config, coarse_grid, noise),
-                              config, coarse_grid)
+    coarse = coupled_girsanov(simulate_coupled(model, x0, y0, coarse_grid, noise),
+                              model, coarse_grid)
     assert abs(coarse.weight_mean - 1.0) <= 3 * coarse.weight_mean_se
     assert coarse.weight_entropy <= coarse.phi_bound + 3 * coarse.weight_entropy_se
-    fine = coupled_girsanov(simulate_coupled(model, x0, y0, config, fine_grid, noise),
-                            config, fine_grid)
+    fine = coupled_girsanov(simulate_coupled(model, x0, y0, fine_grid, noise),
+                            model, fine_grid)
     ratio = coarse.terminal_gap_q / fine.terminal_gap_q
     assert ratio >= 1.3
     report(6, f"E[R]={coarse.weight_mean:.4f}+-{coarse.weight_mean_se:.4f}; "
@@ -179,29 +177,27 @@ def test_criterion_06_girsanov_coupling():
 
 def test_criterion_07_log_harnack():
     model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
-    config = CouplingConfig.from_model(model, horizon=1.0)
     grid = TimeGrid(0.0, 1.0, 1000)
     mu0 = EmpiricalMeasure.point_mass([0.0], 5000)
     nu0 = EmpiricalMeasure.point_mass([1.0], 5000)
-    sample = simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0), config, grid,
+    sample = simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0), grid,
                               NoiseSpec(seed=32, dim=1))
     slacks = {}
     for name in sorted(TEST_FUNCTIONS):  # one sample serves every test function
-        res = verify_log_harnack(sample, TEST_FUNCTIONS[name], config, grid)
+        res = verify_log_harnack(sample, TEST_FUNCTIONS[name], model, grid)
         assert res.slack >= -3.0 * res.slack_se, name
         slacks[name] = round(res.slack, 3)
 
     # exact-constant Gaussian case: b = 0, sigma = I, sharp phi -> 1/(2T)
     brown = linear_meanfield_model(0.0, 0.0, 1.0, dim=1)
-    bconfig = CouplingConfig.from_model(brown, horizon=1.0)
     bgrid = TimeGrid(0.0, 1.0, 200)
     m = 40_000
     u, x0_val, y0_val = 1.0, 0.0, 1.0
     pairs = coupled_pairs_from_measures(EmpiricalMeasure.point_mass([x0_val], m),
                                         EmpiricalMeasure.point_mass([y0_val], m))
     res = verify_log_harnack(
-        simulate_coupled(brown, *pairs, bconfig, bgrid, NoiseSpec(seed=33, dim=1)),
-        lambda x: np.exp(u * x[:, 0]), bconfig, bgrid,
+        simulate_coupled(brown, *pairs, bgrid, NoiseSpec(seed=33, dim=1)),
+        lambda x: np.exp(u * x[:, 0]), brown, bgrid,
     )
     lhs_closed = u * y0_val
     log_mean_closed = u * x0_val + u * u * bgrid.t_end / 2.0
@@ -261,9 +257,9 @@ def test_criterion_10_bound_calculators():
     assert phi_err < 1e-10
 
     # power-Harnack factor against 50-digit arithmetic
-    config = CouplingConfig(horizon=t, kappa1=k1, kappa2=k2, lambda_=lam, gamma_t=0.1)
     p, mt = 9.0, 0.7
-    got_p = power_harnack_constant(p, s, t, config, mt)
+    got_p = power_harnack_constant(p, s, t, mt, horizon=t, lambda_=lam, kappa1=k1, kappa2=k2,
+                                   gamma_t=0.1)
     P, MT, G = map(mpmath.mpf, (p, mt, 0.1))
     sp = mpmath.sqrt(P)
     big_gamma = K2 ** 2 * L ** 2 * T * mpmath.e ** (2 * K1 + 2 * K2)

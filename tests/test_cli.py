@@ -382,6 +382,14 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
     ({"type": "invariant", "burn_in": 1e308}, {}, {}, "experiment.burn_in needs at most"),
     ({"type": "simulate"}, {"init": {"kind": "csv", "path": "three_rows.csv"}}, {},
      "has 3 rows, which do not divide n_particles 64"),
+    ({"type": "bounds", "quantity": "power",
+      "params": {"p": 4.0, "lambda": 1.0, "kappa1": 0.0, "kappa2": 0.0, "T": 0}}, {}, {},
+     "horizon must be positive, got 0"),
+    ({"type": "bounds", "quantity": "power",
+      "params": {"p": 4.0, "lambda": 1.0, "kappa1": -1, "kappa2": 0.0}}, {}, {},
+     "kappa1 and kappa2 must be nonnegative"),
+    ({"type": "bounds", "quantity": "p_threshold", "params": {"lambda": 1.0, "kappa2": -1}},
+     {}, {}, "kappa1 and kappa2 must be nonnegative"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -403,7 +411,8 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "init_csv_columns", "sigma_list_dim_conflict", "bounds_value_infinite",
         "dt_nan_literal", "shift_harnack_constant_overflow", "ibp_v_beyond_max_state",
         "init_std_beyond_max_state", "n_particles_overflow", "burn_in_overflow",
-        "init_csv_rows_not_dividing"])
+        "init_csv_rows_not_dividing", "bounds_power_horizon_zero",
+        "bounds_power_kappa_negative", "bounds_p_threshold_kappa_negative"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
                                                       named):
@@ -443,8 +452,10 @@ def test_run_imports_only_what_it_uses(tmp_path):
     # A 1-D linear run needs no quadrature, assignment or cdist, and draws its noise
     # through scipy's compiled special-function module alone. A d = 2 W2 and a
     # gamma > 0 Landau drift load only scipy's compiled assignment and distance
-    # modules. A later import of their packages reuses them: an ET2 bound imports
-    # scipy.integrate, hence scipy.special, and still reports the value it always has.
+    # modules. A later import of their packages reuses them. An ET2 bound is a closed
+    # form and imports no quadrature. Its value moved by one ulp, from
+    # 0.40490675723825564, when the quadrature gave way to the closed form: the 50-digit
+    # value is 0.4049067572382555631..., so the closed form's value is the closer one.
     cfg_path = write_config(tmp_path, small_simulate_config(tmp_path / "out"))
     bounds_path = write_config(tmp_path, {
         "model": {"name": "linear_meanfield", "a": 1.0, "c": 0.5, "sigma": 1.0, "dim": 1},
@@ -472,6 +483,7 @@ print(scipy.optimize.linear_sum_assignment is solver)
 assert cli.run({bounds_path!r}) == 0
 with open({str(tmp_path / "bounds" / "report.json")!r}) as fh:
     value = json.load(fh)["metrics"]["value"]
+print(sorted(m for m in lazy if m in sys.modules))
 import scipy.special
 print(value, scipy.special.ndtri is rng.ndtri)
 """
@@ -479,9 +491,11 @@ print(value, scipy.special.ndtri is rng.ndtri)
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()  # each cli.run also prints a line of its own
-    assert lines[-7:-2] == [
+    assert lines[-8:-3] == [
         "[]", "1.0", "[]", "['scipy.optimize._lsap', 'scipy.spatial._distance_pybind']", "True"]
-    assert lines[-1] == "0.40490675723825564 True"
+    # (the import of scipy.optimize above brings in scipy.spatial and scipy.special)
+    assert lines[-2:] == ["['scipy.optimize', 'scipy.spatial', 'scipy.special']",
+                          "0.4049067572382556 True"]
 
 
 # measure imports no ddsde module, so it loads alone, before any scipy.<package> is imported.

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from ddsde.harnack import (
     IBP_FUNCTIONS,
     TEST_FUNCTIONS,
-    CouplingConfig,
     _gradient_cost_integral,
     coupled_girsanov,
     coupled_pairs_from_measures,
@@ -36,13 +36,14 @@ def delta_pairs(x_val, y_val, m, d=1):
     return x, y
 
 
-def girsanov(model, pairs, config, grid, noise):
+def girsanov(model, pairs, grid, noise, weight_clip=None):
     """``coupled_girsanov`` over one ``simulate_coupled`` sample of ``pairs``."""
-    return coupled_girsanov(simulate_coupled(model, *pairs, config, grid, noise), config, grid)
+    return coupled_girsanov(simulate_coupled(model, *pairs, grid, noise), model, grid,
+                            weight_clip)
 
 
-def log_harnack_sample(model, mu0, nu0, config, grid, noise):
-    return simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0), config, grid, noise)
+def log_harnack_sample(model, mu0, nu0, grid, noise):
+    return simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0), grid, noise)
 
 
 def terminal_states(model, mu0, grid, noise):
@@ -84,35 +85,15 @@ class TestPhi:
             phi(1.0, 1.0, 1.0, 1.0, 0.0)
 
 
-class TestCouplingConfig:
-    def test_from_model_linear(self):
-        model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
-        config = CouplingConfig.from_model(model, horizon=1.0)
-        assert config.kappa1 == 0.0
-        assert config.kappa2 == 0.5
-        assert config.lambda_ == pytest.approx(1.0)
-
-    def test_landau_missing_bounds(self):
-        with pytest.raises(ValueError, match="bounds missing"):
-            CouplingConfig.from_model(landau_model(0.0, 1.0, 1.0), horizon=1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CouplingConfig(horizon=0.0, kappa1=0.0, kappa2=0.0, lambda_=1.0)
-        with pytest.raises(ValueError):
-            CouplingConfig(horizon=1.0, kappa1=-1.0, kappa2=0.0, lambda_=1.0)
-
-
 class TestCoupledGirsanov:
     def setup_method(self):
         self.model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
         self.grid = TimeGrid(0.0, 1.0, 400)
         self.noise = NoiseSpec(seed=101, dim=1)
-        self.config = CouplingConfig.from_model(self.model, horizon=1.0)
 
     def test_equal_initials_are_exactly_trivial(self):
         x0, y0 = delta_pairs(0.3, 0.3, 64)
-        res = girsanov(self.model, (x0, y0), self.config, self.grid, self.noise)
+        res = girsanov(self.model, (x0, y0), self.grid, self.noise)
         assert res.weight_mean == 1.0
         assert res.weight_mean_se == 0.0
         assert res.weight_entropy == 0.0
@@ -123,9 +104,9 @@ class TestCoupledGirsanov:
     def test_martingale_and_entropy_bound(self):
         m = 3000
         x0, y0 = delta_pairs(0.0, 1.0, m)
-        sample = simulate_coupled(self.model, x0, y0, self.config, self.grid, self.noise,
+        sample = simulate_coupled(self.model, x0, y0, self.grid, self.noise,
                                   record_series=True)
-        res = coupled_girsanov(sample, self.config, self.grid)
+        res = coupled_girsanov(sample, self.model, self.grid)
         assert abs(res.weight_mean - 1.0) <= 3 * res.weight_mean_se
         assert res.weight_entropy <= res.phi_bound + 3 * res.weight_entropy_se
         assert res.ess > m / 10
@@ -135,22 +116,27 @@ class TestCoupledGirsanov:
 
     def test_gap_shrinks_when_dt_halves(self):
         x0, y0 = delta_pairs(0.0, 1.0, 2000)
-        coarse = girsanov(self.model, (x0, y0), self.config, TimeGrid(0.0, 1.0, 100),
-                          self.noise)
-        fine = girsanov(self.model, (x0, y0), self.config, TimeGrid(0.0, 1.0, 200),
-                        self.noise)
+        coarse = girsanov(self.model, (x0, y0), TimeGrid(0.0, 1.0, 100), self.noise)
+        fine = girsanov(self.model, (x0, y0), TimeGrid(0.0, 1.0, 200), self.noise)
         assert coarse.terminal_gap_q / fine.terminal_gap_q >= 1.3
         # the pre-merge gap is O(dt) relative to the initial squared gap
         initial_gap_sq = 1.0
         assert coarse.terminal_gap_q <= 10.0 * (1.0 / 100) * initial_gap_sq
         assert fine.terminal_gap_q <= 10.0 * (1.0 / 200) * initial_gap_sq
 
+    def test_landau_missing_bounds(self):
+        x0 = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="bounds missing"):
+            simulate_coupled(landau_model(0.0, 1.0, 1.0), x0, x0 + 1.0, TimeGrid(0, 1.0, 10),
+                             NoiseSpec(seed=1, dim=3))
+
     def test_landau_excluded_by_flag(self):
-        model = landau_model(0.0, 1.0, 0.0)
-        config = CouplingConfig(horizon=1.0, kappa1=0.0, kappa2=2.0, lambda_=1.0)
+        # Even with every coupling bound declared, the Landau diffusion is excluded.
+        model = replace(landau_model(0.0, 1.0, 0.0),
+                        bounds=ModelBounds(kappa1=0.0, kappa2=2.0, lambda_=1.0))
         x0 = np.zeros((4, 3))
         with pytest.raises(ValueError, match="excluded"):
-            simulate_coupled(model, x0, x0 + 1.0, config, TimeGrid(0, 1.0, 10),
+            simulate_coupled(model, x0, x0 + 1.0, TimeGrid(0, 1.0, 10),
                              NoiseSpec(seed=1, dim=3))
 
     def test_state_dependent_invertible_sigma(self):
@@ -162,25 +148,16 @@ class TestCoupledGirsanov:
             additive_noise=False, invertible_sigma=True, distribution_free_sigma=True,
             bounds=ModelBounds(kappa1=0.0, kappa2=0.0, lambda_=1.0 / 0.75, gamma_t=0.25),
         )
-        config = CouplingConfig.from_model(model, horizon=0.5)
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=(1500, 2))
         y0 = x0 + np.array([0.5, -0.5])
-        res = girsanov(model, (x0, y0), config, TimeGrid(0.0, 0.5, 200),
-                       NoiseSpec(seed=7, dim=2))
+        res = girsanov(model, (x0, y0), TimeGrid(0.0, 0.5, 200), NoiseSpec(seed=7, dim=2))
         assert abs(res.weight_mean - 1.0) <= 3 * res.weight_mean_se
         assert res.weight_entropy <= res.phi_bound + 3 * res.weight_entropy_se
 
-    def test_horizon_mismatch_rejected(self):
-        x0, y0 = delta_pairs(0.0, 1.0, 8)
-        with pytest.raises(ValueError, match="horizon"):
-            simulate_coupled(self.model, x0, y0, self.config, TimeGrid(0.0, 2.0, 100),
-                             self.noise)
-
     def test_weight_clip_diagnostic(self):
         x0, y0 = delta_pairs(0.0, 1.0, 500)
-        config = CouplingConfig.from_model(self.model, horizon=1.0, weight_clip=1e-6)
-        res = girsanov(self.model, (x0, y0), config, self.grid, self.noise)
+        res = girsanov(self.model, (x0, y0), self.grid, self.noise, weight_clip=1e-6)
         assert res.clip_fraction is not None
         assert res.clip_fraction > 0.5  # nearly every weight exceeds a tiny cap
 
@@ -189,12 +166,10 @@ class TestLogHarnack:
     model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
     grid = TimeGrid(0.0, 1.0, 400)
     noise = NoiseSpec(seed=202, dim=1)
-    config = CouplingConfig.from_model(model, horizon=1.0)
 
     def sample(self, m):
         return log_harnack_sample(self.model, EmpiricalMeasure.point_mass([0.0], m),
-                                  EmpiricalMeasure.point_mass([1.0], m), self.config,
-                                  self.grid, self.noise)
+                                  EmpiricalMeasure.point_mass([1.0], m), self.grid, self.noise)
 
     @pytest.fixture(scope="class")
     def shared(self):
@@ -203,33 +178,32 @@ class TestLogHarnack:
 
     def test_unit_constant_slack_is_exactly_phi_w2(self):
         res = verify_log_harnack(self.sample(512), lambda x: np.ones(x.shape[0]),
-                                 self.config, self.grid)
+                                 self.model, self.grid)
         assert res.lhs == 0.0
         assert res.slack == pytest.approx(res.phi_value * res.w2_sq)
         assert res.slack >= 0.0
 
     @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
     def test_bundled_functions_satisfy_inequality(self, name, shared):
-        res = verify_log_harnack(shared, TEST_FUNCTIONS[name], self.config, self.grid)
+        res = verify_log_harnack(shared, TEST_FUNCTIONS[name], self.model, self.grid)
         assert res.slack >= -3.0 * res.slack_se
 
     def test_function_touching_zero_rejected(self):
         with pytest.raises(NumericalBlowupError, match="f_min"):
             verify_log_harnack(self.sample(256), lambda x: np.maximum(x[:, 0], 0.0),
-                               self.config, self.grid)
+                               self.model, self.grid)
 
     def test_brownian_case_matches_gaussian_oracle(self):
         # b = 0, sigma = I: closed forms for f = exp(u x); the sharp constant
         # 1/(2T) makes the inequality an equality at u = (y0 - x0)/T.
         model = linear_meanfield_model(0.0, 0.0, 1.0, dim=1)
         grid = TimeGrid(0.0, 1.0, 200)
-        config = CouplingConfig.from_model(model, horizon=1.0)
         m = 20_000
         x0_val, y0_val, u = 0.0, 1.0, 1.0
         mu0 = EmpiricalMeasure.point_mass([x0_val], m)
         nu0 = EmpiricalMeasure.point_mass([y0_val], m)
-        sample = log_harnack_sample(model, mu0, nu0, config, grid, NoiseSpec(seed=303, dim=1))
-        res = verify_log_harnack(sample, lambda x: np.exp(u * x[:, 0]), config, grid)
+        sample = log_harnack_sample(model, mu0, nu0, grid, NoiseSpec(seed=303, dim=1))
+        res = verify_log_harnack(sample, lambda x: np.exp(u * x[:, 0]), model, grid)
         lhs_closed = u * y0_val
         log_mean_closed = u * x0_val + u * u * grid.t_end / 2.0
         assert abs(res.lhs - lhs_closed) <= 1e-3 + 3 * res.lhs_se
@@ -241,41 +215,45 @@ class TestLogHarnack:
 
 class TestPowerHarnack:
     def test_threshold(self):
-        config = CouplingConfig(horizon=1.0, kappa1=0.0, kappa2=0.0,
-                                lambda_=2.0, gamma_t=0.5)
-        assert power_harnack_threshold(config) == pytest.approx((1 + 4.0) ** 2)
+        assert power_harnack_threshold(2.0, 0.5) == pytest.approx((1 + 4.0) ** 2)
+
+    def test_constant_ranges(self):
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            power_harnack_constant(4.0, 0.0, 1.0, 1.0, horizon=0.0, lambda_=1.0,
+                                   kappa1=0.0, kappa2=0.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            power_harnack_constant(4.0, 0.0, 1.0, 1.0, horizon=1.0, lambda_=1.0,
+                                   kappa1=-1.0, kappa2=0.0)
 
     def test_below_threshold_rejected(self):
-        config = CouplingConfig(horizon=1.0, kappa1=0.0, kappa2=0.0,
-                                lambda_=1.0, gamma_t=0.5)
         with pytest.raises(ValueError, match="threshold"):
-            power_harnack_constant(2.0, 0.0, 1.0, config, 1.0)
+            power_harnack_constant(2.0, 0.0, 1.0, 1.0, horizon=1.0, lambda_=1.0,
+                                   kappa1=0.0, kappa2=0.0, gamma_t=0.5)
 
     def test_zero_distance_gives_factor_one(self):
-        config = CouplingConfig(horizon=1.0, kappa1=1.0, kappa2=0.5,
-                                lambda_=1.0, gamma_t=0.0)
-        assert power_harnack_constant(4.0, 0.0, 1.0, config, 0.0) == 1.0
+        assert power_harnack_constant(4.0, 0.0, 1.0, 0.0, horizon=1.0, lambda_=1.0,
+                                      kappa1=1.0, kappa2=0.5) == 1.0
 
     def test_additive_reduction_formula(self):
         # gamma = 0, kappa2 = 0: the factor collapses to the heat-kernel form.
         lam, k1, p, mt, s, t = 1.3, 0.7, 4.0, 0.8, 0.0, 1.5
-        config = CouplingConfig(horizon=t, kappa1=k1, kappa2=0.0,
-                                lambda_=lam, gamma_t=0.0)
         sp = math.sqrt(p)
         expected = math.exp(
             sp * mt * 2.0 * k1 * lam ** 2
             / ((sp + 1.0) * 2.0 * (sp - 1.0) ** 2 * (1.0 - math.exp(-k1 * (t - s))))
         )
-        assert power_harnack_constant(p, s, t, config, mt) == pytest.approx(expected, rel=1e-12)
+        got = power_harnack_constant(p, s, t, mt, horizon=t, lambda_=lam, kappa1=k1, kappa2=0.0)
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_denominator_positive_at_threshold_with_distortion(self):
-        config = CouplingConfig(horizon=1.0, kappa1=0.5, kappa2=0.2,
-                                lambda_=1.0, gamma_t=0.3)
-        p_min = power_harnack_threshold(config)
+        lam, gam = 1.0, 0.3
+        p_min = power_harnack_threshold(lam, gam)
         sp = math.sqrt(p_min)
-        denominator = 2.0 * (sp - 1.0) ** 2 - 16.0 * config.lambda_ ** 2 * config.gamma_t ** 2
+        denominator = 2.0 * (sp - 1.0) ** 2 - 16.0 * lam ** 2 * gam ** 2
         assert denominator > 0
-        assert np.isfinite(power_harnack_constant(p_min, 0.0, 1.0, config, 1.0))
+        assert np.isfinite(power_harnack_constant(p_min, 0.0, 1.0, 1.0, horizon=1.0,
+                                                  lambda_=lam, kappa1=0.5, kappa2=0.2,
+                                                  gamma_t=gam))
 
 
 class TestShiftHarnack:
@@ -414,15 +392,6 @@ class TestDensityBounds:
         got = density_bound_rhs("ET3", p, 0.0, t, lam, 0.0, d)
         assert got == pytest.approx(want, abs=1e-10)
 
-    def test_time_dependent_curves(self):
-        lam = lambda r: 1.0 + r
-        g = lambda r: 0.5 * r
-        got = density_bound_rhs("ET3", 2.0, 0.0, 1.0, lam, g, 2)
-        from scipy.integrate import quad
-        integral, _ = quad(lambda r: (1 + r) ** 2 * (1 + r * 0.5 * r) ** 2, 0, 1)
-        want = math.log(integral / (4 * math.pi * (math.sqrt(2.0) + 1)))
-        assert got == pytest.approx(want, abs=1e-10)
-
     @pytest.mark.parametrize("a_coef, s, t", [(1.3, 0.5, 2.0), (0.0, 0.5, 2.0),
                                               (0.7, 0.0, 1.0)])
     def test_gradient_cost_closed_form_matches_quadrature(self, a_coef, s, t):
@@ -430,17 +399,7 @@ class TestDensityBounds:
         model = linear_meanfield_model(a_coef, 0.0, 0.8, dim=1)  # B0 = |a|, lambda = 1/0.8
         lam, gb = model.bounds.lambda_, model.bounds.B0
         want, _ = quad(lambda r: lam ** 2 * (1.0 + (r - s) * gb) ** 2, s, t)
-        assert _gradient_cost_integral(model, s, t) == pytest.approx(want, rel=1e-13)
-
-    @pytest.mark.parametrize("kind", ["ET1", "ET2", "ET3"])
-    def test_mixed_curves_take_quadrature(self, kind):
-        # A constant lambda with a callable gradient bound is integrated like
-        # two callables.
-        g = lambda r: 0.5 + r
-        mixed = density_bound_rhs(kind, 2.5, 0.5, 2.0, 1.2, g, 2)
-        both = density_bound_rhs(kind, 2.5, 0.5, 2.0, lambda r: 1.2, g, 2)
-        assert mixed == both
-        assert mixed != density_bound_rhs(kind, 2.5, 0.5, 2.0, 1.2, 0.5, 2)
+        assert _gradient_cost_integral(lam, gb, t - s) == pytest.approx(want, rel=1e-13)
 
     def test_p_validation(self):
         with pytest.raises(ValueError):
@@ -468,9 +427,8 @@ class TestHarnackCorollaries:
         p_hist, _ = np.histogram(x_t[:, 0], bins=bins)
         q_hist, _ = np.histogram(y_t[:, 0], bins=bins)
         tv = 0.5 * np.abs(p_hist / m - q_hist / m).sum()
-        config = CouplingConfig.from_model(model, horizon=1.0)
-        bound = math.sqrt(2.0 * phi(0.0, 1.0, config.lambda_, config.kappa1,
-                                    config.kappa2)) * 0.5
+        b = model.bounds
+        bound = math.sqrt(2.0 * phi(0.0, 1.0, b.lambda_, b.kappa1, b.kappa2)) * 0.5
         assert tv <= bound + 0.1
 
     def test_gradient_bound(self):
@@ -488,8 +446,8 @@ class TestHarnackCorollaries:
         fd_grad = abs(pf_b - pf_a) / 0.25
         var_a = float(np.var(f(x_a[:, 0])))
         var_b = float(np.var(f(x_b[:, 0])))
-        config = CouplingConfig.from_model(model, horizon=1.0)
-        phi_val = phi(0.0, 1.0, config.lambda_, config.kappa1, config.kappa2)
+        b = model.bounds
+        phi_val = phi(0.0, 1.0, b.lambda_, b.kappa1, b.kappa2)
         bound_sq = 2.0 * phi_val * (max(var_a, var_b) + 3 * (se_a + se_b))
         assert fd_grad ** 2 <= bound_sq + 0.05
 
@@ -515,10 +473,9 @@ class TestCoupledPairs:
 
     def test_simulate_coupled_reproducible(self):
         model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
-        config = CouplingConfig.from_model(model, horizon=0.5)
         grid = TimeGrid(0.0, 0.5, 100)
         x0, y0 = delta_pairs(0.0, 0.7, 128)
-        a = simulate_coupled(model, x0, y0, config, grid, NoiseSpec(seed=9, dim=1))
-        b = simulate_coupled(model, x0, y0, config, grid, NoiseSpec(seed=9, dim=1))
+        a = simulate_coupled(model, x0, y0, grid, NoiseSpec(seed=9, dim=1))
+        b = simulate_coupled(model, x0, y0, grid, NoiseSpec(seed=9, dim=1))
         assert np.array_equal(a.log_r, b.log_r)
         assert np.array_equal(a.x_terminal, b.x_terminal)

@@ -80,7 +80,8 @@ def test_dim_validation():
 
 # sha256 of normal_block(...).tobytes() (little-endian float64), recorded before
 # normal_block learned to draw several steps at once; any drift of the hash,
-# the uniform mapping or the trajectory/step addressing changes them.
+# the uniform mapping or the trajectory/step addressing changes them.  Each spec
+# is (seed, dim, step0, offset); the offset is added to the trajectory indices.
 GOLDEN = [
     ((7, 1, 0, 0), np.arange(5), 0,
      "110d0fcab2a17dc166dc16b4c432790cd9180dbf0547807cdd7aef22a8ecded4"),
@@ -97,15 +98,15 @@ GOLDEN = [
 
 @pytest.mark.parametrize("spec, traj, step, digest", GOLDEN)
 def test_stream_matches_golden_hash(spec, traj, step, digest):
-    seed, dim, step0, traj0 = spec
-    block = normal_block(NoiseSpec(seed=seed, dim=dim, step0=step0, traj0=traj0), traj, step)
+    seed, dim, step0, offset = spec
+    block = normal_block(NoiseSpec(seed=seed, dim=dim, step0=step0), traj + offset, step)
     assert block.shape == (len(traj), dim)
     assert hashlib.sha256(block.tobytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("dim", [1, 3])
 def test_array_of_steps_stacks_scalar_steps(dim):
-    noise = NoiseSpec(seed=31, dim=dim, step0=5, traj0=2)
+    noise = NoiseSpec(seed=31, dim=dim, step0=5)
     traj = np.array([4, 0, 17, 3])
     steps = np.array([0, 1, 7, 2, 40])
     block = normal_block(noise, traj, steps)
@@ -117,7 +118,7 @@ def test_array_of_steps_stacks_scalar_steps(dim):
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("m", [1, 7, 256, 3 * BLOCK_DRAWS + 5])
 def test_increments_match_per_step_draws(m, dim, monkeypatch):
-    noise = NoiseSpec(seed=8, dim=dim, step0=11, traj0=3)
+    noise = NoiseSpec(seed=8, dim=dim, step0=11)
     traj = np.arange(m)
     scale = np.sqrt(0.01)
     # Steps per normal_block call (1 for the large M); 2 blocks and a remainder.

@@ -13,7 +13,6 @@ import pytest
 
 from ddsde.harnack import (
     IBP_FUNCTIONS,
-    CouplingConfig,
     coupled_pairs_from_measures,
     ibp_weights,
     simulate_coupled,
@@ -61,9 +60,7 @@ def stepping_digests() -> dict:
     mu0 = EmpiricalMeasure(0.3 + normal_block(NoiseSpec(seed=7, dim=1), np.arange(64), 0))
     nu0 = mu0.shifted([0.8])
     law = LawCurve.constant(nu0, grid)
-    coupled = simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0),
-                               CouplingConfig.from_model(model, horizon=grid.t_end),
-                               grid, noise)
+    coupled = simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0), grid, noise)
     f, grad_f = IBP_FUNCTIONS["linear"]
     ibp_x0 = np.tile(mu0.points, (8, 1))[:500]  # 500 paths: the 64-point law, tiled
     ibp = verify_ibp(f, grad_f, [1.0], *ibp_weights(model, [1.0], ibp_x0, grid, noise))
