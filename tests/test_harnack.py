@@ -85,6 +85,20 @@ class TestPhi:
             phi(1.0, 1.0, 1.0, 1.0, 0.0)
 
 
+class TestCouplingConfig:
+    def test_from_model_linear(self):
+        # The coupling constants are the linear model's bounds; the Girsanov
+        # phi bound is phi over the grid's span with them, times W2^2 = 1.
+        model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
+        b = model.bounds
+        assert b.kappa1 == 0.0
+        assert b.kappa2 == 0.5
+        assert b.lambda_ == pytest.approx(1.0)
+        x0, y0 = delta_pairs(0.0, 1.0, 16)
+        res = girsanov(model, (x0, y0), TimeGrid(0.0, 1.0, 50), NoiseSpec(seed=7, dim=1))
+        assert res.phi_bound == pytest.approx(phi(0.0, 1.0, 1.0, 0.0, 0.5))
+
+
 class TestCoupledGirsanov:
     def setup_method(self):
         self.model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
