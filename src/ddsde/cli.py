@@ -80,7 +80,8 @@ EXPERIMENTS = {
 # Lower limit of each experiment number its runner enforces, and whether the
 # limit itself is excluded; a shift_harnack "p" counts only in the power form.
 EXPERIMENT_MINIMA = {"moment_p": (0, False), "max_iter": (1, False), "tol": (0, True),
-                     "burn_in": (0, False), "check_horizon": (0, False), "p": (1, True)}
+                     "burn_in": (0, False), "check_horizon": (0, False), "p": (1, True),
+                     "weight_clip": (0, True)}
 
 # The (required, optional) params each bounds quantity reads; ``_run_bounds``
 # gives the optional ones their defaults.
@@ -90,7 +91,7 @@ BOUNDS_PARAMS = {
     "tn": (("K0", "B0", "C0", "alpha", "beta"), ()),
     "phi": (("lambda", "kappa1", "kappa2"), ("s", "t")),
     "power": (("p", "lambda", "kappa1", "kappa2"), ("s", "t", "T", "gamma_t", "moment_term")),
-    "p_threshold": (("lambda",), ("kappa1", "kappa2", "T", "gamma_t")),
+    "p_threshold": (("lambda",), ("gamma_t",)),
     "ET1": _DENSITY_PARAMS,
     "ET2": _DENSITY_PARAMS,
     "ET3": _DENSITY_PARAMS,
@@ -413,7 +414,6 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
         metrics = {
             "windows": windows,
             "converged": all_converged,
-            "diverging": any(r.diverging for r in reports),
             "deltas": report.deltas,
             "iterations_used": [r.iterations_used for r in reports],
             "delta_ratios": report.delta_ratios().tolist(),
@@ -530,7 +530,6 @@ def _run_bounds(quantity: str, params: dict, model, t_end: float) -> tuple[dict,
             a["p"], a["s"], a["t"], a["moment_term"], horizon=a["T"], lambda_=a["lambda"],
             kappa1=a["kappa1"], kappa2=a["kappa2"], gamma_t=a["gamma_t"])
     elif quantity == "p_threshold":
-        harnack._check_constants(a["T"], a["kappa1"], a["kappa2"])  # as the power bound does
         value = harnack.power_harnack_threshold(a["lambda"], a["gamma_t"])
     else:  # ET1, ET2, ET3; validate_config admits no other quantity
         value = harnack.density_bound_rhs(quantity, a["p"], a["s"], a["t"], a["lambda"],
@@ -631,8 +630,7 @@ def describe(name: str) -> int:
           f"invertible_sigma={model.invertible_sigma}, "
           f"distribution_free_sigma={model.distribution_free_sigma}")
     b = model.bounds
-    print(f"  bounds: theta={b.theta}, K0={b.K0}, B0={b.B0}, C0={b.C0}, "
-          f"C1={b.C1}, C2={b.C2},")
+    print(f"  bounds: K0={b.K0}, B0={b.B0}, C0={b.C0}, C1={b.C1}, C2={b.C2},")
     print(f"          kappa1={b.kappa1}, kappa2={b.kappa2}, lambda={b.lambda_}, "
           f"gamma_t={b.gamma_t}")
     return EXIT_OK

@@ -314,15 +314,6 @@ def verify_log_harnack(sample: CoupledSample, f, model: CoefficientModel, grid: 
 # Power-Harnack constant
 # ---------------------------------------------------------------------------
 
-def _check_constants(horizon: float, kappa1: float, kappa2: float) -> None:
-    """The ranges the coupling constants need; kappa1 = 0 is allowed, every
-    formula takes its analytic limit there."""
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if kappa1 < 0 or kappa2 < 0:
-        raise ValueError("kappa1 and kappa2 must be nonnegative")
-
-
 def power_harnack_threshold(lambda_: float, gamma_t: float) -> float:
     """Smallest admissible power p(t) = (1 + 4 lambda gamma)^2."""
     return (1.0 + 4.0 * lambda_ * gamma_t) ** 2
@@ -339,7 +330,10 @@ def power_harnack_constant(p: float, s: float, t: float, moment_term: float, *,
     Gamma term.  Requires p >= p(t) = (1 + 4 lambda gamma)^2, with a strictly
     positive denominator 2 (sqrt(p) - 1)^2 - 16 lambda^2 gamma^2.
     """
-    _check_constants(horizon, kappa1, kappa2)
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if kappa1 < 0 or kappa2 < 0:  # kappa1 = 0 takes the analytic limit below
+        raise ValueError("kappa1 and kappa2 must be nonnegative")
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
     threshold = power_harnack_threshold(lambda_, gamma_t)

@@ -32,7 +32,6 @@ class ModelBounds:
     kernel constants of the convolution family.
     """
 
-    theta: float = 2.0
     kappa1: float | None = None
     kappa2: float | None = None
     lambda_: float | None = None
@@ -194,9 +193,6 @@ def landau_model(gamma: float, alpha: float, beta: float,
 
         def diffusion(t, x, mu):
             return landau_sigma0(x - beta * mu.mean(), 0.0)
-
-        def grad_b(t, x, mu, v):
-            return np.broadcast_to(-2.0 * np.asarray(v, dtype=np.float64), x.shape).copy()
         joint = None
     else:
         def joint(t, x, mu):
@@ -208,15 +204,13 @@ def landau_model(gamma: float, alpha: float, beta: float,
         def diffusion(t, x, mu):
             return joint(t, x, mu)[1]
 
-        grad_b = None
-
     if gamma == 0.0:
         k0, b0c, c0 = -2.0, 2.0, 2.0
         c1 = abs(alpha) * b0c + c0 * abs(beta) * (1.0 + abs(beta))
         c2 = -(2.0 * k0 + abs(alpha) * b0c + c0 * (1.0 + abs(beta)))
-        bounds = ModelBounds(theta=2.0, K0=k0, B0=b0c, C0=c0, C1=c1, C2=c2)
+        bounds = ModelBounds(K0=k0, B0=b0c, C0=c0, C1=c1, C2=c2)
     else:
-        bounds = ModelBounds(theta=2.0)
+        bounds = ModelBounds()
 
     return CoefficientModel(
         name="landau",
@@ -228,7 +222,6 @@ def landau_model(gamma: float, alpha: float, beta: float,
         distribution_free_sigma=(beta == 0.0),
         bounds=bounds,
         params={"gamma": gamma, "alpha": alpha, "beta": beta},
-        grad_b=grad_b,
         state_radius=state_radius,
         joint=joint,
     )
@@ -273,7 +266,6 @@ def linear_meanfield_model(a_coef: float, c_coef: float, sigma_const,
         return np.broadcast_to(-a_coef * np.asarray(v, dtype=np.float64), x.shape).copy()
 
     bounds = ModelBounds(
-        theta=2.0,
         kappa1=max(0.0, -2.0 * a_coef),
         kappa2=2.0 * abs(c_coef),
         lambda_=lam,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddsde import cli
 from ddsde.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -389,7 +391,9 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
       "params": {"p": 4.0, "lambda": 1.0, "kappa1": -1, "kappa2": 0.0}}, {}, {},
      "kappa1 and kappa2 must be nonnegative"),
     ({"type": "bounds", "quantity": "p_threshold", "params": {"lambda": 1.0, "kappa2": -1}},
-     {}, {}, "kappa1 and kappa2 must be nonnegative"),
+     {}, {}, "unknown key 'kappa2' in params of bounds quantity 'p_threshold'"),
+    ({"type": "couple", "shift": 1.0, "weight_clip": -1}, {}, {},
+     "experiment.weight_clip must be > 0, got -1"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -412,7 +416,8 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "dt_nan_literal", "shift_harnack_constant_overflow", "ibp_v_beyond_max_state",
         "init_std_beyond_max_state", "n_particles_overflow", "burn_in_overflow",
         "init_csv_rows_not_dividing", "bounds_power_horizon_zero",
-        "bounds_power_kappa_negative", "bounds_p_threshold_kappa_negative"])
+        "bounds_power_kappa_negative", "bounds_p_threshold_kappa_negative",
+        "couple_weight_clip_negative"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
                                                       named):
@@ -656,6 +661,7 @@ def test_describe_landau(capsys):
     out = capsys.readouterr().out
     assert "gamma in [0, 1]" in out
     assert "K0=-2.0" in out and "B0=2.0" in out and "C0=2.0" in out
+    assert "theta" not in out
 
 
 def test_describe_linear(capsys):
@@ -681,6 +687,56 @@ def test_console_entry_point(tmp_path):
 def test_bundled_configs_validate(name):
     cfg = json.loads((CONFIG_DIR / name).read_text())
     validate_config(cfg)  # raises on schema violations
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs" / "cli_outputs.md"
+
+
+def _doc_table(header: str) -> dict:
+    """The body rows of the docs table whose header row starts with ``header``,
+    keyed by their first cell with its backticks stripped."""
+    rows, inside = {}, False
+    for line in DOCS.read_text().splitlines():
+        inside = line.startswith(header) or inside and line.startswith("|")
+        if inside and not line.startswith((header, "|--")):
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            rows[cells[0].strip("`")] = cells[1:]
+    assert rows, f"no table under {header!r} in {DOCS.name}"
+    return rows
+
+
+def _doc_names(cell: str) -> tuple:
+    """The backticked names of a docs cell, outside its parenthesised defaults."""
+    return tuple(name.strip() for code in re.findall(r"`([^`]*)`", re.sub(r"\(.*?\)", "", cell))
+                 for name in code.split(","))
+
+
+def test_docs_experiment_keys_match_the_schema():
+    rows = _doc_table("| experiment      | keys and defaults")
+    assert sorted(rows) == sorted(cli.EXPERIMENTS)
+    for etype, (cell,) in rows.items():
+        documented = {}
+        for entry in re.sub(r"\(.*?\)", "", cell).split(","):
+            key, default = re.fullmatch(r"\s*`(\w+)` (.*?)\s*", entry).groups()
+            default = default.strip("`")
+            if default == "-":
+                default = None
+            elif default[0] in "0123456789[{tf":  # a JSON number, list, object or boolean
+                default = json.loads(default)
+            documented[key] = default
+        assert documented == cli.EXPERIMENTS[etype], etype
+        for key, default in documented.items():
+            assert type(default) is type(cli.EXPERIMENTS[etype][key]), (etype, key)
+
+
+def test_docs_bounds_params_match_the_schema():
+    rows = _doc_table("| quantity ")
+    documented = {}
+    for quantities, (required, optional) in rows.items():
+        for quantity in quantities.split(", "):
+            documented[quantity] = (_doc_names(required),
+                                    () if optional == "none" else _doc_names(optional))
+    assert documented == cli.BOUNDS_PARAMS
 
 
 def test_landau_contract_config_runs(tmp_path, monkeypatch):
