@@ -6,10 +6,19 @@ to a uniform in (0, 1), and the inverse normal CDF turns it into a standard
 normal draw.  There is no generator state, so trajectories can be evaluated
 in any order, in chunks, or on any number of threads and still produce
 bit-identical output.
+
+``increments`` splits the work over two threads: the caller hashes each
+block, and one helper thread per process always applies the inverse normal
+CDF, one block ahead of the caller.  That transform works element by element
+on a block that is a pure function of (seed, trajectory, step), so the
+output never depends on the helper.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +33,7 @@ _M1 = _U64(0xBF58476D1CE4E5B9)
 _M2 = _U64(0x94D049BB133111EB)
 _INV53 = float(2.0 ** -53)
 
-# Draws per normal_block call made by ``increments``; bounds its uint64 scratch.
+# Draws per hash call made by ``increments``; bounds its uint64 scratch.
 BLOCK_DRAWS = 1 << 15
 
 
@@ -73,8 +82,32 @@ class NoiseSpec:
         return replace(self, seed=derive_seed(self.seed, tag), step0=0)
 
 
-def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def _uniforms(noise: NoiseSpec, traj: np.ndarray, steps: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Hash stage of ``normal_block``: the uniforms of the counters, in place.
+
+    ``traj`` and ``steps`` are the uint64 trajectory and global step words;
+    ``out`` is a float64 array of shape ``steps.shape + (traj.size, dim)``
+    that holds the hash words first and the uniforms on return.
+    """
+    h = out.view(_U64)
+    scratch = np.empty_like(h)
+    with np.errstate(over="ignore"):
+        key = _mix(_U64(noise.seed & 0xFFFFFFFFFFFFFFFF) ^ steps)
+        # The per-trajectory word is hashed once, in column 0, then spread.
+        np.bitwise_xor(key[..., None], traj, out=h[..., 0])
+        _mix(h[..., 0], scratch[..., 0])
+        if noise.dim > 1:  # at dim 1 the spread and the XOR with column 0 change nothing
+            h[..., 1:] = h[..., :1]
+            h ^= np.arange(noise.dim, dtype=_U64)
+        _mix(h, scratch)
+    # 53-bit uniform strictly inside (0, 1): ndtri is finite at both ends.
+    np.right_shift(h, _U64(11), out=h)
+    u = np.add(h, 0.5, out=scratch.view(np.float64))
+    return np.multiply(u, _INV53, out=out)
+
+
+def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step) -> np.ndarray:
     """Standard-normal draws for the given trajectories at one step or several.
 
     Args:
@@ -85,41 +118,73 @@ def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step,
     Returns:
         (M, dim) array for a scalar step, (K, M, dim) for an array of steps;
         row i of step k depends only on (seed, trajectories[i],
-        step0 + k, column).  Written into ``out`` when given.
+        step0 + k, column).
     """
     traj = np.asarray(trajectories, dtype=np.int64).astype(_U64)
     steps = np.asarray(step, dtype=np.int64).astype(_U64) + _U64(noise.step0)
-    h = np.empty(steps.shape + (traj.size, noise.dim), dtype=_U64)
-    scratch = np.empty_like(h)
-    with np.errstate(over="ignore"):
-        key = _mix(_U64(noise.seed & 0xFFFFFFFFFFFFFFFF) ^ steps)
-        # The per-trajectory word is hashed once, in column 0, then spread.
-        np.bitwise_xor(key[..., None], traj, out=h[..., 0])
-        _mix(h[..., 0], scratch[..., 0])
-        h[..., 1:] = h[..., :1]
-        h ^= np.arange(noise.dim, dtype=_U64)
-        _mix(h, scratch)
-    # 53-bit uniform strictly inside (0, 1): ndtri is finite at both ends.
-    np.right_shift(h, _U64(11), out=h)
-    u = np.add(h, 0.5, out=scratch.view(np.float64))
-    u *= _INV53
-    return ndtri(u, out=u if out is None else out)
+    out = np.empty(steps.shape + (traj.size, noise.dim))
+    _uniforms(noise, traj, steps, out)
+    return ndtri(out, out=out)
 
 
-def increments(noise: NoiseSpec, trajectories: np.ndarray, n_steps: int, scale):
-    """Yield ``normal_block(noise, trajectories, k) * scale`` for k < n_steps.
+_helper: ThreadPoolExecutor | None = None
+_helper_lock = threading.Lock()
 
-    Draws at most BLOCK_DRAWS per call: many steps for a small ensemble, one
-    step in row chunks for a large one, with the bits of per-step calls.
+
+def _reset_helper() -> None:
+    """Forget the helper thread; a forked child has no thread behind it."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_helper)
+
+
+def _ndtri_helper() -> ThreadPoolExecutor:
+    """The one helper thread of the process, started on first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ddsde-ndtri")
+        return _helper
+
+
+def _transform(block: np.ndarray, scale) -> None:
+    ndtri(block, out=block)
+    block *= scale
+
+
+def increments(noise: NoiseSpec, n_paths: int, n_steps: int, scale):
+    """Yield ``normal_block(noise, np.arange(n_paths), k) * scale`` for k < n_steps.
+
+    Hashes at most BLOCK_DRAWS per call: many steps for a small ensemble, one
+    step in row chunks for a large one, with the bits of per-step calls.  It
+    works one block ahead: the caller hashes block j + 1 and hands its
+    inverse-normal transform to the helper thread while it steps through
+    block j.  The two block buffers alternate, so a yielded row is valid
+    until the next row is requested.
     """
-    traj = np.asarray(trajectories)
     rows = max(1, BLOCK_DRAWS // noise.dim)
-    span = max(1, rows // traj.size)
-    for k0 in range(0, n_steps, span):
-        steps = np.arange(k0, min(k0 + span, n_steps))
-        block = np.empty((len(steps), traj.size, noise.dim))
-        for i in range(0, traj.size, rows):
-            normal_block(noise, traj[i:i + rows], steps, block[:, i:i + rows])  # fills it in place
-        block *= scale
-        yield from block
+    span = max(1, rows // n_paths)
+    starts = range(0, n_steps, span)
+    # Both buffers in one allocation: at 2 x BLOCK_DRAWS draws glibc maps it on
+    # its own, and freeing it lifts the mmap threshold above the stepping loop's
+    # per-step arrays, which then stay on the heap instead of being faulted in
+    # again every step.
+    buffers = np.empty((min(2, len(starts)), min(span, n_steps), n_paths, noise.dim))
 
+    def launch(k0, buffer):
+        steps = np.arange(k0, min(k0 + span, n_steps), dtype=_U64) + _U64(noise.step0)
+        block = buffer[:steps.size]
+        for i in range(0, n_paths, rows):
+            traj = np.arange(i, min(i + rows, n_paths), dtype=_U64)
+            _uniforms(noise, traj, steps, block[:, i:i + rows])
+        return block, _ndtri_helper().submit(_transform, block, scale)
+
+    ahead = launch(0, buffers[0]) if starts else None
+    for j, k0 in enumerate(starts):
+        block, done = ahead
+        if k0 + span < n_steps:
+            ahead = launch(k0 + span, buffers[(j + 1) % 2])
+        done.result()
+        yield from block

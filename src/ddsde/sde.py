@@ -135,8 +135,11 @@ class LawCurve:
 
 def apply_sigma(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """sigma @ dw per trajectory; sigma is (d, d) shared or (M, d, d)."""
+    if sigma.shape == (1, 1):
+        # np.dot's one product per row, bitwise, without waking BLAS threads
+        return dw * sigma[0, 0]
     if sigma.ndim == 2:
-        return np.dot(dw, sigma.T)  # BLAS even for d = 1, where matmul is not
+        return np.dot(dw, sigma.T)
     return np.einsum("mij,mj->mi", sigma, dw)
 
 
@@ -160,6 +163,7 @@ def em_step(model, t: float, states: np.ndarray, mu: EmpiricalMeasure,
     """One Euler-Maruyama step of every trajectory against the measure mu."""
     drift, sigma = model.coefficients(t, states, mu)
     new = drift * dt  # one fresh array, summed into in place: addition commutes bitwise
+    del drift  # before the sigma product allocates
     new += states
     new += apply_sigma(sigma, dw)
     return new
@@ -182,7 +186,7 @@ def em_path(model, states: np.ndarray, t0: float, dt: float, n_steps: int,
     if states.ndim != 2 or states.shape[1] != noise.dim:
         raise ValueError(f"initial states must be (M, {noise.dim}), got shape {states.shape}")
     check_finite(states, noise.step0, model.state_radius)
-    for k, dw in enumerate(increments(noise, np.arange(states.shape[0]), n_steps, np.sqrt(dt))):
+    for k, dw in enumerate(increments(noise, states.shape[0], n_steps, np.sqrt(dt))):
         t_k = t0 + k * dt
         mu_k = EmpiricalMeasure(states) if law is None else law.measure_at(k)
         new = em_step(model, t_k, states, mu_k, dt, dw)

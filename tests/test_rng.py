@@ -1,9 +1,15 @@
 import hashlib
+import multiprocessing
+import os
+import threading
+from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from ddsde import rng
+from ddsde.models import linear_meanfield_model
 from ddsde.rng import (
     BLOCK_DRAWS,
     NoiseSpec,
@@ -11,6 +17,7 @@ from ddsde.rng import (
     increments,
     normal_block,
 )
+from ddsde.sde import NumericalBlowupError, em_path
 
 
 def test_same_stream_is_bitwise_identical():
@@ -121,21 +128,76 @@ def test_increments_match_per_step_draws(m, dim, monkeypatch):
     noise = NoiseSpec(seed=8, dim=dim, step0=11)
     traj = np.arange(m)
     scale = np.sqrt(0.01)
-    # Steps per normal_block call (1 for the large M); 2 blocks and a remainder.
+    # Steps per hash call (1 for the large M); 2 blocks and a remainder.
     span = max(1, BLOCK_DRAWS // dim // m)
     n_steps = 2 * span + 3 if span > 1 else 3
     sizes = []
+    uniforms = rng._uniforms
 
-    def counted(*args):
-        block = normal_block(*args)
-        sizes.append(block.size)
-        return block
+    def counted(noise, traj, steps, out):
+        sizes.append(out.size)
+        return uniforms(noise, traj, steps, out)
 
-    monkeypatch.setattr(rng, "normal_block", counted)
-    drawn = list(increments(noise, traj, n_steps, scale))
+    monkeypatch.setattr(rng, "_uniforms", counted)
+    # A yielded row is valid until the next one is requested: keep copies.
+    drawn = [row.copy() for row in increments(noise, m, n_steps, scale)]
     assert len(drawn) == n_steps
     assert sum(sizes) == n_steps * m * dim and max(sizes) <= BLOCK_DRAWS
     assert len(sizes) == -(-n_steps // span) * -(-m // (BLOCK_DRAWS // dim))
     for k in sorted({0, span - 1, span, n_steps - 1}):
         assert drawn[k].shape == (m, dim)
         assert drawn[k].tobytes() == (normal_block(noise, traj, k) * scale).tobytes()
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("ddsde-ndtri")]
+
+
+def _rows_match(noise, traj, stream, scale, start=0):
+    return all(row.tobytes() == (normal_block(noise, traj, k) * scale).tobytes()
+               for k, row in enumerate(stream, start))
+
+
+def test_interleaved_abandoned_and_aborted_streams_share_one_helper():
+    traj = np.arange(3000)  # 10 steps a block
+    x_noise = NoiseSpec(seed=4, dim=1)
+    nu_noise = x_noise.substream(7)
+    # Two streams stepped in lockstep, as the X and nu-flow streams of a coupling.
+    pairs = zip(increments(x_noise, traj.size, 35, 0.5),
+                increments(nu_noise, traj.size, 35, 0.5))
+    for k, (x_row, nu_row) in enumerate(pairs):
+        assert x_row.tobytes() == (normal_block(x_noise, traj, k) * 0.5).tobytes()
+        assert nu_row.tobytes() == (normal_block(nu_noise, traj, k) * 0.5).tobytes()
+    # A stream left mid-block through islice, as the invariant search leaves
+    # its one stream; a run aborts while its next block is in flight; then the
+    # first stream resumes and is dropped.
+    left = increments(x_noise, traj.size, 100, 1.0)
+    assert _rows_match(x_noise, traj, islice(left, 13), 1.0)
+    model = replace(linear_meanfield_model(0.0, 0.0, 1.0), state_radius=1.0)
+    with pytest.raises(NumericalBlowupError):
+        for _ in em_path(model, np.zeros((3000, 1)), 0.0, 0.01, 200, x_noise):
+            pass
+    assert _rows_match(x_noise, traj, islice(left, 30), 1.0, start=13)
+    del left
+    assert _rows_match(nu_noise, traj, increments(nu_noise, traj.size, 25, 1.0), 1.0)
+    assert len(_helper_threads()) == 1
+
+
+def _draw_in_child(noise, traj, n_steps):
+    os._exit(0 if _rows_match(noise, traj, increments(noise, traj.size, n_steps, 1.0), 1.0) else 1)
+
+
+def test_a_forked_child_draws_a_stream():
+    noise = NoiseSpec(seed=6, dim=2)
+    traj = np.arange(500)
+    assert _rows_match(noise, traj, increments(noise, traj.size, 40, 1.0), 1.0)
+    assert _helper_threads()
+    child = multiprocessing.get_context("fork").Process(
+        target=_draw_in_child, args=(noise, traj, 80))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child hung drawing a stream")
+    assert child.exitcode == 0

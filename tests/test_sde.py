@@ -234,6 +234,14 @@ def test_apply_sigma_matches_matmul_bitwise(d, m):
     assert apply_sigma(stacked, dw).tobytes() == reference.tobytes()
 
 
+def test_one_by_one_sigma_is_np_dot_bitwise():
+    rng = np.random.default_rng(12)
+    dw = rng.standard_normal((100_000, 1)) * 10.0 ** rng.integers(-150, 150, (100_000, 1))
+    for s in (np.sqrt(0.01), 0.3, -1.7, 1e-160, 3e140):
+        sigma = np.array([[s]])
+        assert apply_sigma(sigma, dw).tobytes() == np.dot(dw, sigma.T).tobytes()
+
+
 def test_em_step_evaluates_a_joint_model_once():
     calls = []
 
