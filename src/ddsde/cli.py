@@ -28,7 +28,7 @@ import numpy as np
 from . import harnack, models, solver
 from .measure import EmpiricalMeasure
 from .rng import NoiseSpec, normal_block
-from .sde import MAX_STATE, NumericalBlowupError, TimeGrid, check_finite, em_path, euler_maruyama
+from .sde import MAX_STATE, LawCurve, NumericalBlowupError, TimeGrid, check_finite, em_path
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -81,7 +81,7 @@ EXPERIMENTS = {
 # limit itself is excluded; a shift_harnack "p" counts only in the power form.
 EXPERIMENT_MINIMA = {"moment_p": (0, False), "max_iter": (1, False), "tol": (0, True),
                      "burn_in": (0, False), "check_horizon": (0, False), "p": (1, True),
-                     "weight_clip": (0, True)}
+                     "weight_clip": (0, True), "f_min": (0, True)}
 
 # The (required, optional) params each bounds quantity reads; ``_run_bounds``
 # gives the optional ones their defaults.
@@ -377,15 +377,13 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
 
     if etype == "simulate":
         p = float(exp["moment_p"])
+        check_finite(mu0.points, noise.step0, model.state_radius)  # before its moment
+        steps = em_path(model, mu0.points, grid.s, grid.dt, grid.n_steps, noise)
+        nodes = chain([mu0.points], (x for *_, x in steps))  # only the current states are kept
         if exp["export_law"]:
-            law = euler_maruyama(model, mu0.points, grid, noise)
-            law.export(os.path.join(out_dir, "law_curve"),
-                       theta=float(sim.get("theta", 2.0)), model_echo=cfg["model"])
-            curve = solver.moment_curve(law.states, p)
-        else:  # streamed: only the current states are kept
-            check_finite(mu0.points, noise.step0, model.state_radius)  # before its moment
-            steps = em_path(model, mu0.points, grid.s, grid.dt, grid.n_steps, noise)
-            curve = solver.moment_curve(chain([mu0.points], (x for *_, x in steps)), p)
+            nodes = LawCurve.export(os.path.join(out_dir, "law_curve"), grid, nodes,
+                                    float(sim.get("theta", 2.0)), cfg["model"])
+        curve = solver.moment_curve(nodes, p)
         if csv_on:
             _write_csv(os.path.join(out_dir, "simulate.csv"),
                        ["t", f"moment_p{p:g}"], [grid.nodes, curve.per_node])
@@ -539,8 +537,14 @@ def _run_bounds(quantity: str, params: dict, model, t_end: float) -> tuple[dict,
     return {"quantity": quantity, "value": value}, True
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"{name} is not a JSON number")
+def _float64(parse):
+    """``parse`` for JSON number literals; NaN, Infinity and those beyond float64 raise."""
+    def checked(text: str):
+        if not math.isfinite(float(text)):
+            shown = text if len(text) <= 24 else f"{text[:20]}... ({len(text)} characters)"
+            raise ValueError(f"{shown} is not a JSON number within the float64 range")
+        return parse(text)
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +554,12 @@ def _reject_constant(name: str):
 def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
     try:
         with open(config_path) as fh:
-            raw = json.load(fh, parse_constant=_reject_constant)
+            raw = json.load(fh, parse_constant=_float64(float), parse_float=_float64(float),
+                            parse_int=_float64(int))
     except OSError as err:
         print(f"error: cannot read config: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as err:  # also NaN, Infinity and text that is not UTF-8
+    except ValueError as err:  # also a number _float64 rejects, and text that is not UTF-8
         print(f"error: invalid JSON in {config_path}: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

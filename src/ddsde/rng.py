@@ -17,7 +17,6 @@ output never depends on the helper.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -127,26 +126,15 @@ def normal_block(noise: NoiseSpec, trajectories: np.ndarray, step) -> np.ndarray
     return ndtri(out, out=out)
 
 
-_helper: ThreadPoolExecutor | None = None
-_helper_lock = threading.Lock()
-
-
 def _reset_helper() -> None:
-    """Forget the helper thread; a forked child has no thread behind it."""
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_reset_helper)
-
-
-def _ndtri_helper() -> ThreadPoolExecutor:
-    """The one helper thread of the process, started on first use."""
+    """Make the process's one helper, at import and in a forked child (which has
+    no thread behind the parent's); its thread starts on the first submit."""
     global _helper
-    with _helper_lock:
-        if _helper is None:
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ddsde-ndtri")
-        return _helper
+    _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ddsde-ndtri")
+
+
+_reset_helper()
+os.register_at_fork(after_in_child=_reset_helper)
 
 
 def _transform(block: np.ndarray, scale) -> None:
@@ -179,7 +167,7 @@ def increments(noise: NoiseSpec, n_paths: int, n_steps: int, scale):
         for i in range(0, n_paths, rows):
             traj = np.arange(i, min(i + rows, n_paths), dtype=_U64)
             _uniforms(noise, traj, steps, block[:, i:i + rows])
-        return block, _ndtri_helper().submit(_transform, block, scale)
+        return block, _helper.submit(_transform, block, scale)
 
     ahead = launch(0, buffers[0]) if starts else None
     for j, k0 in enumerate(starts):

@@ -99,21 +99,22 @@ class LawCurve:
         states = np.broadcast_to(mu0.points, (grid.n_nodes,) + mu0.points.shape)
         return cls(grid=grid, states=states)
 
-    def export(self, directory, theta: float = 2.0, model_echo: dict | None = None) -> None:
-        """Per-node CSV point files plus a JSON manifest."""
+    @staticmethod
+    def export(directory, grid: TimeGrid, nodes, theta: float, model_echo: dict):
+        """Yield each (N, d) state of ``nodes`` once its CSV point file is written;
+        the manifest follows the last, so a run stopped early leaves none."""
         os.makedirs(directory, exist_ok=True)
         files = []
-        for k in range(self.grid.n_nodes):
-            name = f"node_{k:05d}.csv"
-            np.savetxt(os.path.join(directory, name), self.states[k],
-                       fmt="%.17g", delimiter=",")
-            files.append(name)
+        for k, x in enumerate(nodes):
+            files.append(f"node_{k:05d}.csv")
+            np.savetxt(os.path.join(directory, files[-1]), x, fmt="%.17g", delimiter=",")
+            yield x
         manifest = {
-            "grid": {"s": self.grid.s, "t_end": self.grid.t_end, "n_steps": self.grid.n_steps},
+            "grid": {"s": grid.s, "t_end": grid.t_end, "n_steps": grid.n_steps},
             "theta": theta,
-            "n_points": self.states.shape[1],
-            "dim": self.states.shape[2],
-            "model": model_echo or {},
+            "n_points": x.shape[0],
+            "dim": x.shape[1],
+            "model": model_echo,
             "files": files,
         }
         with open(os.path.join(directory, "manifest.json"), "w") as fh:

@@ -148,6 +148,27 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
     assert long <= 2 * short, (short, long)
 
 
+def test_law_export_memory_does_not_grow_with_the_horizon(tmp_path):
+    # Each node file is written as the node passes. Storing the nodes of the
+    # longer run would add 450 x 2000 x 8 bytes, about 7 MB, to its peak RSS.
+    def peak_mb(n_steps):
+        cfg = small_simulate_config(tmp_path / f"out_{n_steps}", experiment={
+            "type": "simulate", "export_law": True})
+        cfg["sim"].update(n_particles=2000, dt=1.0 / n_steps)
+        # VmHWM, not ru_maxrss: a child's ru_maxrss keeps the peak of the process it forked from.
+        script = ("import re, sys\nfrom ddsde.cli import main\n"
+                  "assert main(['run', sys.argv[1]]) == 0\n"
+                  "print(re.search(r'VmHWM:\\s*(\\d+)', open('/proc/self/status').read())[1])")
+        result = subprocess.run(
+            [sys.executable, "-c", script, write_config(tmp_path, cfg, f"{n_steps}.json")],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return int(result.stdout.split()[-1]) / 1024
+
+    short, long = peak_mb(50), peak_mb(500)
+    assert long - short < 2.0, (short, long)
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     override = tmp_path / "env_out"
     monkeypatch.setenv("DDSDE_OUTPUT_DIR", str(override))
@@ -221,6 +242,16 @@ def test_numerical_abort_exits_three(tmp_path, capsys, model, sim, experiment, n
     err = capsys.readouterr().err
     assert err.startswith("numerical abort: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_export_stopped_by_a_numerical_abort_leaves_no_manifest(tmp_path):
+    cfg = small_simulate_config(tmp_path / "out", experiment={
+        "type": "simulate", "moment_p": 1e4, "export_law": True})
+    cfg["sim"]["init"]["value"] = 2.0  # 2^10000 overflows at node 0
+    assert main(["run", write_config(tmp_path, cfg)]) == EXIT_NUMERIC
+    law_dir = tmp_path / "out" / "law_curve"
+    assert (law_dir / "node_00000.csv").exists()
+    assert not (law_dir / "manifest.json").exists()
 
 
 def test_threads_flag_reproduces_outputs_bitwise(tmp_path):
@@ -394,6 +425,7 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
      {}, {}, "unknown key 'kappa2' in params of bounds quantity 'p_threshold'"),
     ({"type": "couple", "shift": 1.0, "weight_clip": -1}, {}, {},
      "experiment.weight_clip must be > 0, got -1"),
+    ({"type": "log_harnack", "f_min": 0}, {}, {}, "experiment.f_min must be > 0, got 0"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -417,7 +449,7 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "init_std_beyond_max_state", "n_particles_overflow", "burn_in_overflow",
         "init_csv_rows_not_dividing", "bounds_power_horizon_zero",
         "bounds_power_kappa_negative", "bounds_p_threshold_kappa_negative",
-        "couple_weight_clip_negative"])
+        "couple_weight_clip_negative", "log_harnack_f_min_zero"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
                                                       named):
@@ -441,6 +473,34 @@ def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypa
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sim_update, experiment, literal", [
+    ({"init": {"kind": "point", "value": "@"}}, {"type": "simulate"}, "1e309"),
+    ({"init": {"kind": "gaussian", "mean": "@"}}, {"type": "simulate"}, "1e309"),
+    ({}, {"type": "couple", "shift": "@"}, "1e309"),
+    ({}, {"type": "couple", "shift": "@"}, "1" + "0" * 400),
+], ids=["init_value_1e309", "init_mean_1e309", "shift_1e309", "shift_int_beyond_float64"])
+def test_number_beyond_float64_exits_one_as_invalid_json(tmp_path, capsys, sim_update,
+                                                         experiment, literal):
+    # The literals are valid JSON, but a float64 cannot hold them.
+    cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
+    cfg["sim"].update(sim_update)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg).replace('"@"', literal))
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid JSON in {cfg_path}: ") and err.count("\n") == 1
+    assert "is not a JSON number within the float64 range" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_64_bit_seed_parses(tmp_path):
+    cfg = small_simulate_config(tmp_path / "out")
+    cfg["sim"]["seed"] = 2 ** 64 - 1
+    assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["sim"]["seed"] == 2 ** 64 - 1
 
 
 @pytest.mark.parametrize("experiment", [

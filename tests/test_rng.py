@@ -1,6 +1,8 @@
 import hashlib
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from itertools import islice
@@ -181,6 +183,38 @@ def test_interleaved_abandoned_and_aborted_streams_share_one_helper():
     del left
     assert _rows_match(nu_noise, traj, increments(nu_noise, traj.size, 25, 1.0), 1.0)
     assert len(_helper_threads()) == 1
+
+
+HELPER_LIFECYCLE = """
+import threading
+import ddsde.cli
+from ddsde.rng import NoiseSpec, increments
+
+def helpers():
+    return sum(t.name.startswith("ddsde-ndtri") for t in threading.enumerate())
+
+print(helpers())
+start = threading.Barrier(2)
+
+def draw(seed):
+    start.wait()
+    for _ in increments(NoiseSpec(seed=seed, dim=1), 3000, 20, 1.0):
+        pass
+
+streams = [threading.Thread(target=draw, args=(seed,)) for seed in (1, 2)]
+for stream in streams:
+    stream.start()
+for stream in streams:
+    stream.join(timeout=60)
+print(helpers(), any(stream.is_alive() for stream in streams))
+"""
+
+
+def test_import_starts_no_helper_and_two_first_streams_start_one():
+    result = subprocess.run([sys.executable, "-c", HELPER_LIFECYCLE],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["0", "1 False"]
 
 
 def _draw_in_child(noise, traj, n_steps):

@@ -500,7 +500,8 @@ class TestLawCurve:
         grid = TimeGrid(0.0, 0.2, 4)
         law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=36, dim=2))
         out = tmp_path / "law"
-        law.export(out, theta=2.0, model_echo={"name": "linear_meanfield"})
+        for _ in LawCurve.export(out, grid, law.states, 2.0, {"name": "linear_meanfield"}):
+            pass
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["grid"]["n_steps"] == 4
         assert manifest["theta"] == 2.0
