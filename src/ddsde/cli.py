@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from itertools import chain
 
 import numpy as np
@@ -59,7 +59,7 @@ MODELS = {
 SIM_KEYS = {"n_particles", "dt", "t_end", "t_start", "seed", "theta", "init"}
 INIT_KEYS = {"kind", "value", "mean", "std", "path"}
 SIM_NUMBERS = ("n_particles", "dt", "t_end", "t_start", "seed", "theta")
-OUTPUT_KEYS = {"directory", "formats"}
+OUTPUT_KEYS = {"directory"}
 TOP_KEYS = {"model", "sim", "experiment", "output"}
 
 # Keys of each experiment type and their defaults; None marks an optional key
@@ -128,37 +128,20 @@ def _vector(value, where: str, dim: int) -> list:
     return values
 
 
-def _check_init(init, where: str, dim: int, n: int) -> None:
-    """Reject an initial-law block that ``build_init`` could not build."""
-    if not isinstance(init, dict):
-        raise ConfigError(f"{where} must be an object, got {init!r}")
-    _reject_unknown(init, INIT_KEYS, f"{where} block")
-    if init.get("kind", "gaussian") not in ("point", "gaussian", "csv"):
-        raise ConfigError(f"unknown {where}.kind {init['kind']!r} (point, gaussian or csv)")
-    for key in ("value", "mean"):
-        if key in init:
-            _vector(init[key], f"{where}.{key}", dim)
-    if "std" in init and not (_is_number(init["std"]) and 0 < init["std"] <= MAX_STATE):
-        raise ConfigError(f"{where}.std must be a number in (0, {MAX_STATE:g}], "
-                          f"got {init['std']!r}")
-    if init.get("kind") == "csv":
-        path = init.get("path")
-        if not os.path.isfile(str(path)):
-            raise ConfigError(f"{where}.path must name a CSV file, got {path!r}")
-        try:
-            law = EmpiricalMeasure.from_csv(path)
-        except ValueError as err:
-            raise ConfigError(f"{where}.path {path!r}: {err}") from None
-        if law.dim != dim:
-            raise ConfigError(f"{where}.path {path!r} has {law.dim} columns, "
-                              f"but the model has dimension {dim}")
-        if n % law.n:
-            raise ConfigError(f"{where}.path {path!r} has {law.n} rows, which do not "
-                              f"divide n_particles {n}")
+@dataclass(frozen=True)
+class Run:
+    """A validated config and everything its run uses, built once."""
+    config: dict                  # the four blocks, echoed in the report
+    exp: dict                     # the experiment keys with their defaults; shift and v as vectors
+    model: models.CoefficientModel
+    grid: TimeGrid
+    noise: NoiseSpec
+    mu0: EmpiricalMeasure
+    nu0: EmpiricalMeasure | None  # the second law of contract, couple and log_harnack
 
 
-def validate_config(cfg: dict) -> dict:
-    """The config's four blocks (``output`` defaults to empty), once every check passes."""
+def validate_config(cfg: dict) -> Run:
+    """The run ``cfg`` describes (``output`` defaults to empty), once every check passes."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(cfg, TOP_KEYS, "config")
@@ -232,18 +215,16 @@ def validate_config(cfg: dict) -> dict:
         built = build_model(model)
     except (ValueError, TypeError) as err:
         raise ConfigError(f"model {name!r}: {err}") from None
-    if "init" in sim:
-        _check_init(sim["init"], "sim.init", built.dim, int(sim["n_particles"]))
-    if "init2" in exp:
-        _check_init(exp["init2"], "experiment.init2", built.dim, int(sim["n_particles"]))
     for key, default in spec.items():
-        if isinstance(default, list) and key in exp:
-            _vector(exp[key], f"experiment.{key}", built.dim)
-    if etype in ("shift_harnack", "ibp") and any(
-            abs(c) > MAX_STATE for c in _vector(full["v"], "experiment.v", built.dim)):
-        raise ConfigError(f"experiment.v must have coordinates of magnitude at most "
-                          f"{MAX_STATE:g}, got {full['v']!r}")
-    grid = _time_grid(sim)
+        if isinstance(default, list):
+            values = _vector(full[key], f"experiment.{key}", built.dim)
+            if any(abs(c) > MAX_STATE for c in values):
+                raise ConfigError(f"experiment.{key} must have coordinates of magnitude at "
+                                  f"most {MAX_STATE:g}, got {full[key]!r}")
+            full[key] = np.zeros(built.dim)
+            full[key][:len(values)] = values  # a scalar shift lands in the first coordinate
+    t0, t_end = float(sim.get("t_start", 0.0)), float(sim["t_end"])
+    grid = TimeGrid(t0, t_end, _step_count(t_end - t0, float(sim["dt"]), "sim block"))
     window = full.get("fit_window")
     if window is not None and not (isinstance(window, list) and len(window) == 2
                                    and all(map(_is_number, window))):
@@ -254,16 +235,15 @@ def validate_config(cfg: dict) -> dict:
         if etype in ("shift_harnack", "ibp"):
             harnack._require_additive(built)
         if etype == "shift_harnack":
-            harnack.shift_harnack_constant(built, _shift_vector(full["v"], built.dim, "v"),
-                                           float(full["p"]), grid.s, grid.t_end,
-                                           full["log_form"])
+            harnack.shift_harnack_constant(built, full["v"], float(full["p"]), grid.s,
+                                           grid.t_end, full["log_form"])
         if etype == "invariant":
             solver._require_dissipative(built)
             for key in ("burn_in", "check_horizon"):
                 _step_count(float(full[key]), float(sim["dt"]), f"experiment.{key}")
         if etype == "bounds":
             # Evaluating the bound checks each param against the range its formula needs.
-            _run_bounds(quantity, params, built, float(sim["t_end"]))
+            _run_bounds(quantity, params, built, t_end)
         if etype == "picard":
             solver.window_steps(grid, int(full["windows"]))
         if etype == "contract":
@@ -273,12 +253,18 @@ def validate_config(cfg: dict) -> dict:
 
     out = cfg.get("output", {})
     _reject_unknown(out, OUTPUT_KEYS, "output block")
-    formats = out.get("formats", ["json", "csv"])
-    if not isinstance(formats, list) or not all(f in ("json", "csv") for f in formats):
-        raise ConfigError(f"output.formats must be a list of 'json' and 'csv', got {formats!r}")
     if not isinstance(out.get("directory", "."), str):
         raise ConfigError(f"output.directory must be a string, got {out['directory']!r}")
-    return {"model": model, "sim": sim, "experiment": exp, "output": out}
+
+    n = int(sim["n_particles"])
+    noise = NoiseSpec(seed=int(sim["seed"]), dim=built.dim)
+    mu0 = build_init(sim.get("init"), built.dim, n, noise)
+    nu0 = None
+    if "init2" in spec:
+        nu0 = (mu0.shifted(full["shift"]) if full["init2"] is None else build_init(
+            full["init2"], built.dim, n, noise.substream(0xB0B), "experiment.init2"))
+    return Run({"model": model, "sim": sim, "experiment": exp, "output": out}, full,
+               built, grid, noise, mu0, nu0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,31 +284,51 @@ def build_model(model_cfg: dict) -> models.CoefficientModel:
     if name == "landau":
         return models.landau_model(params["gamma"], params["alpha"], params["beta"],
                                    params["state_radius"])
+    dim = params["dim"]
+    if dim is not None and not (_is_number(dim) and dim >= 1 and float(dim).is_integer()):
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
     return models.linear_meanfield_model(params["a"], params["c"], params["sigma"],
-                                         params["dim"])
+                                         None if dim is None else int(dim))
 
 
-def build_init(init_cfg: dict | None, dim: int, n: int, noise: NoiseSpec) -> EmpiricalMeasure:
-    init_cfg = init_cfg or {"kind": "gaussian"}
+def build_init(init_cfg: dict | None, dim: int, n: int, noise: NoiseSpec,
+               where: str = "sim.init") -> EmpiricalMeasure:
+    """The ``n``-point initial law ``init_cfg`` describes (None: a standard
+    Gaussian); a config error, naming ``where``, if it cannot be built."""
+    init_cfg = {"kind": "gaussian"} if init_cfg is None else init_cfg
+    if not isinstance(init_cfg, dict):
+        raise ConfigError(f"{where} must be an object, got {init_cfg!r}")
+    _reject_unknown(init_cfg, INIT_KEYS, f"{where} block")
     kind = init_cfg.get("kind", "gaussian")
+    if kind not in ("point", "gaussian", "csv"):
+        raise ConfigError(f"unknown {where}.kind {kind!r} (point, gaussian or csv)")
+    # the point's value and the Gaussian's mean, each checked whatever the kind
+    center = {key: np.broadcast_to(np.asarray(
+        _vector(init_cfg.get(key, 0.0), f"{where}.{key}", dim), dtype=np.float64), (dim,))
+        for key in ("value", "mean")}
+    std = init_cfg.get("std", 1.0)
+    if not (_is_number(std) and 0 < std <= MAX_STATE):
+        raise ConfigError(f"{where}.std must be a number in (0, {MAX_STATE:g}], got {std!r}")
     if kind == "point":
-        value = np.broadcast_to(
-            np.atleast_1d(np.asarray(init_cfg.get("value", 0.0), dtype=np.float64)), (dim,)
-        )
-        return EmpiricalMeasure.point_mass(value, n)
+        return EmpiricalMeasure.point_mass(center["value"], n)
     if kind == "gaussian":
-        mean = np.broadcast_to(
-            np.atleast_1d(np.asarray(init_cfg.get("mean", 0.0), dtype=np.float64)), (dim,)
-        )
-        std = float(init_cfg.get("std", 1.0))
         stream = noise.substream(_INIT_TAG)
-        pts = mean + std * normal_block(
-            NoiseSpec(seed=stream.seed, dim=dim), np.arange(n), 0
-        )
-        return EmpiricalMeasure(pts)
-    # csv, whose row count divides n (validate_config): tiling keeps the empirical law
-    points = EmpiricalMeasure.from_csv(init_cfg["path"]).points
-    return EmpiricalMeasure(np.tile(points, (n // len(points), 1)))
+        return EmpiricalMeasure(center["mean"] + float(std) * normal_block(
+            NoiseSpec(seed=stream.seed, dim=dim), np.arange(n), 0))
+    path = init_cfg.get("path")
+    if not os.path.isfile(str(path)):
+        raise ConfigError(f"{where}.path must name a CSV file, got {path!r}")
+    try:
+        law = EmpiricalMeasure.from_csv(path)
+    except ValueError as err:
+        raise ConfigError(f"{where}.path {path!r}: {err}") from None
+    if law.dim != dim:
+        raise ConfigError(f"{where}.path {path!r} has {law.dim} columns, "
+                          f"but the model has dimension {dim}")
+    if n % law.n:
+        raise ConfigError(f"{where}.path {path!r} has {law.n} rows, which do not "
+                          f"divide n_particles {n}")
+    return EmpiricalMeasure(np.tile(law.points, (n // law.n, 1)))  # keeps the empirical law
 
 
 def _step_count(span: float, dt: float, where: str) -> int:
@@ -330,25 +336,6 @@ def _step_count(span: float, dt: float, where: str) -> int:
     if not steps <= MAX_COUNT:  # also rejects inf and nan
         raise ConfigError(f"{where} needs at most {MAX_COUNT} steps, got {steps:g}")
     return max(1, round(steps))
-
-
-def _time_grid(sim: dict) -> TimeGrid:
-    t0, t_end = float(sim.get("t_start", 0.0)), float(sim["t_end"])
-    return TimeGrid(t0, t_end, _step_count(t_end - t0, float(sim["dt"]), "sim block"))
-
-
-def _shift_vector(shift, dim: int, key: str) -> np.ndarray:
-    values = _vector(shift, f"experiment.{key}", dim)
-    v = np.zeros(dim)
-    v[:len(values)] = values     # a scalar shift lands in the first coordinate
-    return v
-
-
-def _second_init(exp: dict, mu0: EmpiricalMeasure, dim: int, n: int,
-                 noise: NoiseSpec) -> EmpiricalMeasure:
-    if exp["init2"] is not None:
-        return build_init(exp["init2"], dim, n, noise.substream(0xB0B))
-    return mu0.shifted(_shift_vector(exp["shift"], dim, "shift"))
 
 
 def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -361,19 +348,10 @@ def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
 # Experiments
 # ---------------------------------------------------------------------------
 
-def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
-                    threads: int) -> tuple[dict, bool]:
-    sim = cfg["sim"]
-    exp = {**EXPERIMENTS[cfg["experiment"]["type"]], **cfg["experiment"]}
-    etype = exp["type"]
-    model = build_model(cfg["model"])
-    n = int(sim["n_particles"])
-    dt = float(sim["dt"])
-    t_end = float(sim["t_end"])
-    grid = _time_grid(sim)
-    noise = NoiseSpec(seed=int(sim["seed"]), dim=model.dim)
-    mu0 = build_init(sim.get("init"), model.dim, n, noise)
-    csv_on = "csv" in formats
+def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
+    sim, exp, model, grid, noise, mu0, nu0 = (
+        run.config["sim"], run.exp, run.model, run.grid, run.noise, run.mu0, run.nu0)
+    etype, n = exp["type"], mu0.n
 
     if etype == "simulate":
         p = float(exp["moment_p"])
@@ -382,11 +360,10 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
         nodes = chain([mu0.points], (x for *_, x in steps))  # only the current states are kept
         if exp["export_law"]:
             nodes = LawCurve.export(os.path.join(out_dir, "law_curve"), grid, nodes,
-                                    float(sim.get("theta", 2.0)), cfg["model"])
+                                    float(sim.get("theta", 2.0)), run.config["model"])
         curve = solver.moment_curve(nodes, p)
-        if csv_on:
-            _write_csv(os.path.join(out_dir, "simulate.csv"),
-                       ["t", f"moment_p{p:g}"], [grid.nodes, curve.per_node])
+        _write_csv(os.path.join(out_dir, "simulate.csv"),
+                   ["t", f"moment_p{p:g}"], [grid.nodes, curve.per_node])
         metrics = {
             "terminal_mean": curve.terminal.mean(axis=0).tolist(),
             "terminal_moment": float(curve.per_node[-1]),
@@ -405,10 +382,9 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
         )
         report = reports[-1]
         all_converged = all(r.converged for r in reports)
-        if csv_on:
-            its = np.arange(1, len(report.deltas) + 1, dtype=float)
-            _write_csv(os.path.join(out_dir, "picard.csv"),
-                       ["iteration", "delta"], [its, np.asarray(report.deltas)])
+        its = np.arange(1, len(report.deltas) + 1, dtype=float)
+        _write_csv(os.path.join(out_dir, "picard.csv"),
+                   ["iteration", "delta"], [its, np.asarray(report.deltas)])
         metrics = {
             "windows": windows,
             "converged": all_converged,
@@ -422,18 +398,16 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
         return metrics, all_converged
 
     if etype == "contract":
-        nu0 = _second_init(exp, mu0, model.dim, n, noise)
         est = solver.estimate_contraction(model, mu0, nu0, grid, noise,
                                           fit_window=exp["fit_window"], threads=threads)
         tol = float(exp["slope_tolerance"])
-        if csv_on:
-            envelope = est.w2_sq[0] * np.exp(
-                (est.bound_rate if est.bound_rate is not None else 0.0)
-                * (est.times - est.times[0])
-            )
-            _write_csv(os.path.join(out_dir, "contract.csv"),
-                       ["t", "w2_sq", "bound_envelope"],
-                       [est.times, est.w2_sq, envelope])
+        envelope = est.w2_sq[0] * np.exp(
+            (est.bound_rate if est.bound_rate is not None else 0.0)
+            * (est.times - est.times[0])
+        )
+        _write_csv(os.path.join(out_dir, "contract.csv"),
+                   ["t", "w2_sq", "bound_envelope"],
+                   [est.times, est.w2_sq, envelope])
         ok = True
         if est.bound_rate is not None and np.isfinite(est.empirical_rate):
             ok = est.empirical_rate <= est.bound_rate + tol
@@ -449,15 +423,14 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
         tol = float(exp["tol"])
         try:
             mu_hat, residual = solver.find_invariant(
-                model, dt, noise, n,
+                model, float(sim["dt"]), noise, n,
                 burn_in=float(exp["burn_in"]),
                 check_horizon=float(exp["check_horizon"]),
                 tol=tol,
             )
         except solver.InvariantSearchError as err:
             return {"error": str(err), "tol": tol}, False
-        if csv_on:
-            mu_hat.to_csv(os.path.join(out_dir, "invariant_measure.csv"))
+        mu_hat.to_csv(os.path.join(out_dir, "invariant_measure.csv"))
         metrics = {
             "residual": residual,
             "tol": tol,
@@ -466,12 +439,11 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
         return metrics, residual <= tol
 
     if etype in ("couple", "log_harnack"):
-        nu0 = _second_init(exp, mu0, model.dim, n, noise)
         for law in (mu0, nu0):  # before their W2 costs can overflow
             check_finite(law.points, noise.step0, model.state_radius)
         sample = harnack.simulate_coupled(
             model, *harnack.coupled_pairs_from_measures(mu0, nu0), grid, noise,
-            record_series=etype == "couple" and csv_on)
+            record_series=etype == "couple")
         if etype == "log_harnack":
             result = harnack.verify_log_harnack(sample, harnack.TEST_FUNCTIONS[exp["f"]],
                                                 model, grid, f_min=float(exp["f_min"]))
@@ -483,11 +455,10 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
             }
             return metrics, result.slack >= -harnack.VERDICT_SIGMAS * result.slack_se
         result = harnack.coupled_girsanov(sample, model, grid, exp.get("weight_clip"))
-        if sample.series is not None:
-            s = sample.series
-            _write_csv(os.path.join(out_dir, "couple.csv"),
-                       ["t", "gap_q", "weight_mean", "weight_entropy"],
-                       [s["t"], s["gap_q"], s["weight_mean"], s["weight_entropy"]])
+        s = sample.series
+        _write_csv(os.path.join(out_dir, "couple.csv"),
+                   ["t", "gap_q", "weight_mean", "weight_entropy"],
+                   [s["t"], s["gap_q"], s["weight_mean"], s["weight_entropy"]])
         metrics = {key: value for key, value in vars(result).items() if value is not None}
         if math.isnan(result.ess):
             metrics["ess_warning"] = "effective sample size undefined: every weight underflowed"
@@ -498,20 +469,19 @@ def _run_experiment(cfg: dict, out_dir: str, formats: list[str],
     if etype == "shift_harnack":
         x_t = solver.evolve_states(model, mu0.points, grid.s, grid.n_steps, grid.dt, noise)
         result = harnack.shift_coupling_verify(
-            model, harnack.TEST_FUNCTIONS[exp["f"]], _shift_vector(exp["v"], model.dim, "v"),
-            x_t, p=float(exp["p"]), grid=grid, log_form=exp["log_form"],
+            model, harnack.TEST_FUNCTIONS[exp["f"]], exp["v"], x_t,
+            p=float(exp["p"]), grid=grid, log_form=exp["log_form"],
         )
         return asdict(result), result.slack >= -harnack.VERDICT_SIGMAS * result.slack_se
 
     if etype == "ibp":
         f, grad_f = harnack.IBP_FUNCTIONS[exp["f"]]
-        v = _shift_vector(exp["v"], model.dim, "v")
-        x_t, weight = harnack.ibp_weights(model, v, mu0.points, grid, noise)
-        result = harnack.verify_ibp(f, grad_f, v, x_t, weight)
+        x_t, weight = harnack.ibp_weights(model, exp["v"], mu0.points, grid, noise)
+        result = harnack.verify_ibp(f, grad_f, exp["v"], x_t, weight)
         return {**asdict(result), "f": exp["f"]}, abs(result.z_score) <= harnack.VERDICT_SIGMAS
 
     # bounds; validate_config admits no other type
-    return _run_bounds(exp["quantity"], exp["params"], model, t_end)
+    return _run_bounds(exp["quantity"], exp["params"], model, grid.t_end)
 
 
 def _run_bounds(quantity: str, params: dict, model, t_end: float) -> tuple[dict, bool]:
@@ -564,25 +534,33 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
         return EXIT_CONFIG
 
     try:
-        cfg = validate_config(raw)
+        runs = [validate_config(raw)]
+        if refine:
+            fine = {**raw, "sim": {**raw["sim"], "dt": raw["sim"]["dt"] / 2.0}}
+            try:
+                runs.append(validate_config(fine))
+            except ConfigError as err:
+                raise ConfigError(f"--refine companion at dt {fine['sim']['dt']:g}: {err}")
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as err:  # an ensemble or a matrix too large to allocate
+        print(f"error: {err or 'out of memory'}", file=sys.stderr)
+        return EXIT_CONFIG
 
+    cfg = runs[0].config
     out_dir = os.environ.get("DDSDE_OUTPUT_DIR") or cfg["output"].get("directory", ".")
-    formats = cfg["output"].get("formats", ["json", "csv"])
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.perf_counter()
     try:
-        metrics, ok = _run_experiment(cfg, out_dir, formats, threads)
+        metrics, ok = _run_experiment(runs[0], out_dir, threads)
         refinement = None
         if refine:
-            fine_cfg = {**cfg, "sim": {**cfg["sim"], "dt": cfg["sim"]["dt"] / 2.0}}
             fine_dir = os.path.join(out_dir, "refined")
             os.makedirs(fine_dir, exist_ok=True)
-            fine_metrics, fine_ok = _run_experiment(fine_cfg, fine_dir, formats, threads)
-            refinement = {"dt": fine_cfg["sim"]["dt"], "metrics": fine_metrics, "ok": fine_ok}
+            fine_metrics, fine_ok = _run_experiment(runs[1], fine_dir, threads)
+            refinement = {"dt": fine["sim"]["dt"], "metrics": fine_metrics, "ok": fine_ok}
             if cfg["experiment"]["type"] == "couple" and fine_metrics.get("terminal_gap_q"):
                 refinement["gap_ratio"] = (
                     metrics["terminal_gap_q"] / fine_metrics["terminal_gap_q"]
@@ -591,9 +569,6 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
     except NumericalBlowupError as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
     config_hash = hashlib.sha256(
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:12]
@@ -601,11 +576,10 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
               "metrics": metrics, "ok": ok, "wall_time_s": time.perf_counter() - started}
     if refinement is not None:
         report["refinement"] = refinement
-    if "json" in formats:
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            # A non-finite number (a merged contract's rate, a 0/0 ess) is written as null.
-            report = json.loads(json.dumps(report), parse_constant=lambda name: None)
-            fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        # A non-finite number (a merged contract's rate, a 0/0 ess) is written as null.
+        report = json.loads(json.dumps(report), parse_constant=lambda name: None)
+        fh.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     status = "ok" if ok else "FAILED verification"
     print(f"{cfg['experiment']['type']}: {status} (hash {config_hash}, "
           f"{report['wall_time_s']:.2f}s) -> {out_dir}")

@@ -426,6 +426,15 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
     ({"type": "couple", "shift": 1.0, "weight_clip": -1}, {}, {},
      "experiment.weight_clip must be > 0, got -1"),
     ({"type": "log_harnack", "f_min": 0}, {}, {}, "experiment.f_min must be > 0, got 0"),
+    # Unchecked, the shift would carry the second law past the float64 range.
+    *[({"type": etype, "shift": 1e308}, {"init": {"kind": "point", "value": 1e308}}, {},
+       "experiment.shift must have coordinates of magnitude at most 1e+150")
+      for etype in ("contract", "couple", "log_harnack")],
+    ({"type": "simulate"}, {}, {"dim": 0}, "dim must be an integer >= 1, got 0"),
+    # An identity sigma of 1e7 x 1e7 and 1e15 particles need more bytes than a
+    # 47-bit address space holds, so each allocation fails on any machine.
+    ({"type": "simulate"}, {}, {"dim": 10 ** 7}, "Unable to allocate 728. TiB"),
+    ({"type": "simulate"}, {"n_particles": 1e15}, {}, "Unable to allocate 7.11 PiB"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -449,7 +458,9 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "init_std_beyond_max_state", "n_particles_overflow", "burn_in_overflow",
         "init_csv_rows_not_dividing", "bounds_power_horizon_zero",
         "bounds_power_kappa_negative", "bounds_p_threshold_kappa_negative",
-        "couple_weight_clip_negative", "log_harnack_f_min_zero"])
+        "couple_weight_clip_negative", "log_harnack_f_min_zero", "contract_shift_overflow",
+        "couple_shift_overflow", "log_harnack_shift_overflow", "dim_zero", "dim_unallocatable",
+        "n_particles_unallocatable"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
                                                       named):
@@ -670,11 +681,10 @@ print(all(m is sys.modules["scipy.optimize._lsap"] for m in modules))
 
 
 @pytest.mark.parametrize("output, named", [
-    ({"formats": 5}, "output.formats"),
-    ({"formats": ["json", "yaml"]}, "output.formats"),
+    ({"formats": ["json"]}, "unknown key 'formats' in output block"),
     ({"directory": 5}, "output.directory"),
     ("out", "output block must be an object"),
-], ids=["formats_number", "formats_unknown", "directory_number", "output_not_object"])
+], ids=["formats_unknown_key", "directory_number", "output_not_object"])
 def test_malformed_output_block_exits_one(tmp_path, capsys, output, named):
     cfg = small_simulate_config(tmp_path / "out")
     if isinstance(output, dict):
@@ -694,6 +704,40 @@ def test_refine_attaches_companion(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["refinement"]["dt"] == pytest.approx(0.005)
     assert "terminal_mean" in report["refinement"]["metrics"]
+
+
+def test_refine_validates_its_companion_before_writing(tmp_path, capsys):
+    # 0.25 / 0.1 rounds to 2 steps, which 2 windows divide; the dt/2 companion has 5.
+    cfg = small_simulate_config(tmp_path / "out", experiment={"type": "picard", "windows": 2})
+    cfg["sim"].update(t_end=0.25, dt=0.1)
+    assert main(["run", write_config(tmp_path, cfg), "--refine"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: --refine companion at dt 0.05: ") and err.count("\n") == 1
+    assert "windows must divide" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("refine, builds", [(False, 1), (True, 2)])
+def test_each_run_builds_its_model_and_reads_its_law_once(tmp_path, monkeypatch, refine,
+                                                          builds):
+    counts = {"model": 0, "csv": 0}
+    build_model, from_csv = cli.build_model, EmpiricalMeasure.from_csv
+
+    def counted_build_model(model_cfg):
+        counts["model"] += 1
+        return build_model(model_cfg)
+
+    def counted_from_csv(path):
+        counts["csv"] += 1
+        return from_csv(path)
+
+    monkeypatch.setattr(cli, "build_model", counted_build_model)
+    monkeypatch.setattr(EmpiricalMeasure, "from_csv", staticmethod(counted_from_csv))
+    EmpiricalMeasure(np.array([[0.5], [1.0]])).to_csv(tmp_path / "law.csv")
+    cfg = small_simulate_config(tmp_path / "out")
+    cfg["sim"]["init"] = {"kind": "csv", "path": str(tmp_path / "law.csv")}
+    assert main(["run", write_config(tmp_path, cfg)] + ["--refine"] * refine) == EXIT_OK
+    assert counts == {"model": builds, "csv": builds}
 
 
 def test_bounds_experiment(tmp_path):
@@ -747,6 +791,7 @@ def test_console_entry_point(tmp_path):
 def test_bundled_configs_validate(name):
     cfg = json.loads((CONFIG_DIR / name).read_text())
     validate_config(cfg)  # raises on schema violations
+    validate_config({**cfg, "sim": {**cfg["sim"], "dt": cfg["sim"]["dt"] / 2}})  # --refine
 
 
 DOCS = Path(__file__).resolve().parent.parent / "docs" / "cli_outputs.md"
