@@ -681,10 +681,13 @@ print(all(m is sys.modules["scipy.optimize._lsap"] for m in modules))
 
 
 @pytest.mark.parametrize("output, named", [
+    ({"formats": 5}, "unknown key 'formats' in output block"),
+    ({"formats": ["json", "yaml"]}, "unknown key 'formats' in output block"),
     ({"formats": ["json"]}, "unknown key 'formats' in output block"),
     ({"directory": 5}, "output.directory"),
     ("out", "output block must be an object"),
-], ids=["formats_unknown_key", "directory_number", "output_not_object"])
+], ids=["formats_number", "formats_unknown", "formats_unknown_key", "directory_number",
+        "output_not_object"])
 def test_malformed_output_block_exits_one(tmp_path, capsys, output, named):
     cfg = small_simulate_config(tmp_path / "out")
     if isinstance(output, dict):
