@@ -447,24 +447,19 @@ def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
         if etype == "log_harnack":
             result = harnack.verify_log_harnack(sample, harnack.TEST_FUNCTIONS[exp["f"]],
                                                 model, grid, f_min=float(exp["f_min"]))
-            metrics = {
-                "lhs": result.lhs, "rhs": result.rhs, "slack": result.slack,
-                "lhs_se": result.lhs_se, "rhs_se": result.rhs_se,
-                "slack_se": result.slack_se,
-                "phi": result.phi_value, "w2_sq": result.w2_sq,
-            }
-            return metrics, result.slack >= -harnack.VERDICT_SIGMAS * result.slack_se
+            return asdict(result), result.ok
         result = harnack.coupled_girsanov(sample, model, grid, exp.get("weight_clip"))
         s = sample.series
         _write_csv(os.path.join(out_dir, "couple.csv"),
                    ["t", "gap_q", "weight_mean", "weight_entropy"],
                    [s["t"], s["gap_q"], s["weight_mean"], s["weight_entropy"]])
-        metrics = {key: value for key, value in vars(result).items() if value is not None}
+        metrics = {key: value for key, value in asdict(result).items() if value is not None}
+        metrics["success"] = result.ok
         if math.isnan(result.ess):
             metrics["ess_warning"] = "effective sample size undefined: every weight underflowed"
         elif result.ess < n / 10:
             metrics["ess_warning"] = f"effective sample size {result.ess:.1f} < M/10"
-        return metrics, result.success
+        return metrics, metrics["success"]
 
     if etype == "shift_harnack":
         x_t = solver.evolve_states(model, mu0.points, grid.s, grid.n_steps, grid.dt, noise)
@@ -472,13 +467,13 @@ def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
             model, harnack.TEST_FUNCTIONS[exp["f"]], exp["v"], x_t,
             p=float(exp["p"]), grid=grid, log_form=exp["log_form"],
         )
-        return asdict(result), result.slack >= -harnack.VERDICT_SIGMAS * result.slack_se
+        return asdict(result), result.ok
 
     if etype == "ibp":
         f, grad_f = harnack.IBP_FUNCTIONS[exp["f"]]
         x_t, weight = harnack.ibp_weights(model, exp["v"], mu0.points, grid, noise)
         result = harnack.verify_ibp(f, grad_f, exp["v"], x_t, weight)
-        return {**asdict(result), "f": exp["f"]}, abs(result.z_score) <= harnack.VERDICT_SIGMAS
+        return {**asdict(result), "f": exp["f"]}, result.ok
 
     # bounds; validate_config admits no other type
     return _run_bounds(exp["quantity"], exp["params"], model, grid.t_end)

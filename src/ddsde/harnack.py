@@ -21,7 +21,10 @@ decides how many paths there are and where they start:
 ``shift_coupling_verify``; ``ibp_weights`` gives X_T and the
 integration-by-parts weight of a direction v, over which ``verify_ibp``
 estimates.  The test function and the shift enter only at the terminal
-time, so one sample serves every f, and every v of the Harnack checks.
+time, so one sample serves every f, and every v of the Harnack checks.  Each
+verdict rests on ``Check`` records, whose SE is sd(psi, ddof=1)/sqrt(M) over a
+per-sample influence array psi (``_se``); a slack or a residual takes the
+difference of its two sides' psi, a paired SE, as both come from one sample.
 
 Models with law-dependent or non-invertible diffusion (the Landau family)
 are excluded by flag: the coupling construction requires sigma = sigma_t(x)
@@ -31,7 +34,8 @@ invertible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from .rng import NoiseSpec, normal_block  # noqa: F401 (perfbench/test_perfbench
 from .sde import NumericalBlowupError, TimeGrid, apply_sigma, check_finite, em_path
 from .sde import em_step  # noqa: F401 (perfbench/test_perfbench.py reads it)
 
-VERDICT_SIGMAS = 3.0  # a Monte-Carlo verdict fails beyond this many standard errors
+VERDICT_SIGMAS = 3.0  # a Check fails beyond this many standard errors on the wrong side
 
 _NU_FLOW_TAG = 0x57EA4  # substream tag for the independent nu-flow particle run
 
@@ -192,8 +196,37 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
     )
 
 
+def _se(psi: np.ndarray) -> float:
+    """sd(psi, ddof=1)/sqrt(M), the SE of the mean of a per-sample influence array psi."""
+    return float(np.std(psi, ddof=1) / np.sqrt(len(psi))) if len(psi) > 1 else 0.0
+
+
+class Check(NamedTuple):
+    """An estimate, its SE and its verdict: a slack passes at -VERDICT_SIGMAS se or above, a
+    residual within VERDICT_SIGMAS se of 0, se floored at 1e-15 so that rounding noise passes."""
+
+    value: float   # an inequality's slack rhs - lhs, or an identity's residual lhs - rhs
+    se: float
+    identity: bool = False
+
+    @property
+    def ok(self) -> bool:
+        return (abs(self.value) <= VERDICT_SIGMAS * max(self.se, 1e-15) if self.identity
+                else self.value >= -VERDICT_SIGMAS * self.se)
+
+
 @dataclass
-class CouplingResult:
+class _Judged:
+    """A result whose ``ok`` (no field, so ``asdict`` leaves it out) is its checks' verdict."""
+
+    checks: InitVar[tuple[Check, ...]]
+
+    def __post_init__(self, checks: tuple[Check, ...]) -> None:
+        self.ok = all(check.ok for check in checks)
+
+
+@dataclass
+class CouplingResult(_Judged):
     """Summary statistics of a Girsanov-coupled run."""
 
     terminal_gap_q: float      # E_Q |X - Y|^2 at the node before the merge
@@ -203,14 +236,7 @@ class CouplingResult:
     weight_entropy_se: float
     phi_bound: float           # phi(s, T) * W2(mu0, nu0)^2
     ess: float                 # (sum R)^2 / sum R^2; nan when every R^2 underflows
-    success: bool
     clip_fraction: float | None = None
-
-
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    m = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return m, se
 
 
 def coupled_girsanov(sample: CoupledSample, model: CoefficientModel, grid: TimeGrid,
@@ -225,28 +251,37 @@ def coupled_girsanov(sample: CoupledSample, model: CoefficientModel, grid: TimeG
     of pairs whose |log R_T| exceeds it.
     """
     r = np.exp(sample.log_r)
-    weight_mean, weight_mean_se = _mean_se(r)
-    entropy, entropy_se = _mean_se(r * sample.log_r)
-    gap_q, _ = _mean_se(sample.r_penultimate * sample.gap_sq_penultimate)
+    r_log_r = r * sample.log_r
+    weight_mean, entropy = float(np.mean(r)), float(np.mean(r_log_r))
     phi_bound = _coupling_phi(model, grid) * sample.w2_sq_initial
+    martingale = Check(weight_mean - 1.0, _se(r), identity=True)
+    entropy_bound = Check(phi_bound - entropy, _se(r_log_r))
     r_sq = (r * r).sum()
     ess = float(r.sum() ** 2 / r_sq) if r_sq > 0 else math.nan  # every weight underflowed
-    success = (abs(weight_mean - 1.0) <= VERDICT_SIGMAS * max(weight_mean_se, 1e-15)
-               and entropy <= phi_bound + VERDICT_SIGMAS * entropy_se)
-    clip_fraction = None
-    if weight_clip is not None:
-        clip_fraction = float(np.mean(np.abs(sample.log_r) > weight_clip))
-    return CouplingResult(
-        terminal_gap_q=gap_q,
-        weight_mean=weight_mean,
-        weight_mean_se=weight_mean_se,
-        weight_entropy=entropy,
-        weight_entropy_se=entropy_se,
-        phi_bound=phi_bound,
-        ess=ess,
-        success=success,
-        clip_fraction=clip_fraction,
-    )
+    gap_q = float(np.mean(sample.r_penultimate * sample.gap_sq_penultimate))
+    clip = None if weight_clip is None else float(np.mean(np.abs(sample.log_r) > weight_clip))
+    return CouplingResult((martingale, entropy_bound), gap_q, weight_mean, martingale.se,
+                          entropy, entropy_bound.se, phi_bound, ess, clip)
+
+
+@dataclass
+class _Inequality(_Judged):
+    """An inequality lhs <= rhs whose two sides are estimated from one sample."""
+
+    lhs: float
+    rhs: float
+    slack: float      # rhs - lhs
+    lhs_se: float
+    rhs_se: float
+    slack_se: float   # paired: of the difference of the two sides' psi
+
+    @classmethod
+    def judge(cls, lhs: float, rhs: float, lhs_psi: np.ndarray, rhs_psi: np.ndarray, **extra):
+        """The result for sides with these psi; the slack's psi overwrites rhs_psi."""
+        lhs_se, rhs_se = _se(lhs_psi), _se(rhs_psi)
+        rhs_psi -= lhs_psi
+        slack = Check(rhs - lhs, _se(rhs_psi))
+        return cls((slack,), lhs, rhs, slack.value, lhs_se, rhs_se, slack.se, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +289,13 @@ def coupled_girsanov(sample: CoupledSample, model: CoefficientModel, grid: TimeG
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LogHarnackResult:
-    lhs: float        # Q-weighted mean of log f at the terminal state
-    rhs: float        # log of the plain mean of f, plus phi * W2^2
-    slack: float      # rhs - lhs
-    lhs_se: float
-    rhs_se: float
-    slack_se: float
-    phi_value: float
-    w2_sq: float
-    log_mean_f: float  # the rhs without the phi term, for sharp-constant oracles
+class LogHarnackResult(_Inequality):  # lhs = E[R_T log f(X_T)], rhs = log E f(X_T) + phi w2_sq
+    phi: float        # phi(s, T)
+    w2_sq: float      # W2(mu0, nu0)^2
+
+    @property
+    def log_mean_f(self) -> float:  # the rhs without the phi term, for sharp-constant oracles
+        return self.rhs - self.phi * self.w2_sq
 
 
 def coupled_pairs_from_measures(mu0: EmpiricalMeasure,
@@ -292,22 +324,11 @@ def verify_log_harnack(sample: CoupledSample, f, model: CoefficientModel, grid: 
             f"test function dips to {fx.min():.3g} < f_min={f_min}; "
             "log-Harnack needs f bounded away from zero",
             int(np.argmax(fx < f_min)), grid.n_steps)
-    r = np.exp(sample.log_r)
-    lhs, lhs_se = _mean_se(r * np.log(fx))
-    mean_f, mean_f_se = _mean_se(fx)
+    lhs_psi, mean_f = np.exp(sample.log_r) * np.log(fx), float(np.mean(fx))
     phi_value = _coupling_phi(model, grid)
-    log_mean_f = math.log(mean_f)
-    rhs = log_mean_f + phi_value * sample.w2_sq_initial
-    rhs_se = mean_f_se / mean_f
-    slack = rhs - lhs
-    return LogHarnackResult(
-        lhs=lhs, rhs=rhs, slack=slack,
-        lhs_se=lhs_se, rhs_se=rhs_se,
-        slack_se=math.hypot(lhs_se, rhs_se),
-        phi_value=phi_value,
-        w2_sq=sample.w2_sq_initial,
-        log_mean_f=log_mean_f,
-    )
+    rhs = math.log(mean_f) + phi_value * sample.w2_sq_initial
+    return LogHarnackResult.judge(float(np.mean(lhs_psi)), rhs, lhs_psi, fx / mean_f,
+                                  phi=phi_value, w2_sq=sample.w2_sq_initial)
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +387,7 @@ def _require_additive(model: CoefficientModel) -> None:
 
 
 @dataclass
-class ShiftHarnackResult:
-    lhs: float
-    rhs: float
-    slack: float
-    lhs_se: float
-    rhs_se: float
-    slack_se: float
+class ShiftHarnackResult(_Inequality):
     constant: float   # the exponential factor multiplying the shifted mean
 
 
@@ -437,33 +452,23 @@ def shift_coupling_verify(model: CoefficientModel, f, v, x_terminal: np.ndarray,
                                    int(np.argmax((fx <= 0) | (fxv <= 0))), grid.n_steps)
 
     if log_form:
-        lhs, lhs_se = _mean_se(np.log(fx))
-        mean_fv, mean_fv_se = _mean_se(fxv)
-        rhs = math.log(mean_fv) + constant
-        rhs_se = mean_fv_se / mean_fv
+        lhs_psi, mean_fv = np.log(fx), float(np.mean(fxv))
+        lhs, rhs, rhs_psi = float(np.mean(lhs_psi)), math.log(mean_fv) + constant, fxv / mean_fv
     else:
-        mean_f, mean_f_se = _mean_se(fx)
-        lhs = mean_f ** p
-        lhs_se = p * mean_f ** (p - 1.0) * mean_f_se
-        mean_fvp, mean_fvp_se = _mean_se(fxv ** p)
-        rhs = mean_fvp * constant
-        rhs_se = constant * mean_fvp_se
-    slack = rhs - lhs
-    return ShiftHarnackResult(
-        lhs=lhs, rhs=rhs, slack=slack,
-        lhs_se=lhs_se, rhs_se=rhs_se,
-        slack_se=math.hypot(lhs_se, rhs_se),
-        constant=constant,
-    )
+        mean_f, rhs_psi = float(np.mean(fx)), fxv ** p
+        lhs_psi = p * mean_f ** (p - 1.0) * fx
+        lhs, rhs = mean_f ** p, float(np.mean(rhs_psi)) * constant
+        rhs_psi *= constant
+    return ShiftHarnackResult.judge(lhs, rhs, lhs_psi, rhs_psi, constant=constant)
 
 
 @dataclass
-class IBPResult:
+class IBPResult(_Judged):
     lhs: float       # Monte-Carlo mean of the directional derivative of f
     rhs: float       # mean of f(X_T) times the stochastic-integral weight
     lhs_se: float
     rhs_se: float
-    z_score: float
+    z_score: float   # lhs - rhs over its paired SE
 
 
 def ibp_weights(model: CoefficientModel, v, states: np.ndarray, grid: TimeGrid,
@@ -503,14 +508,13 @@ def verify_ibp(f, grad_f, v, x_terminal: np.ndarray, weight: np.ndarray) -> IBPR
     equality, so it is sensitive to sign and indexing mistakes in the
     weight's accumulation.
     """
-    v = np.asarray(v, dtype=np.float64)
-    fx = np.asarray(f(x_terminal), dtype=np.float64)
-    directional = np.asarray(grad_f(x_terminal), dtype=np.float64) @ v
-    lhs, lhs_se = _mean_se(directional)
-    rhs, rhs_se = _mean_se(fx * weight)
-    denom = math.hypot(lhs_se, rhs_se)
-    z = (lhs - rhs) / denom if denom > 0 else 0.0
-    return IBPResult(lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, z_score=z)
+    lhs_psi = np.asarray(grad_f(x_terminal), dtype=np.float64) @ np.asarray(v, dtype=np.float64)
+    rhs_psi = np.asarray(f(x_terminal), dtype=np.float64) * weight
+    lhs, rhs = float(np.mean(lhs_psi)), float(np.mean(rhs_psi))
+    lhs_se, rhs_se = _se(lhs_psi), _se(rhs_psi)
+    lhs_psi -= rhs_psi
+    check = Check(lhs - rhs, _se(lhs_psi), identity=True)
+    return IBPResult((check,), lhs, rhs, lhs_se, rhs_se, check.value / max(check.se, 1e-15))
 
 
 # ---------------------------------------------------------------------------

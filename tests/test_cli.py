@@ -847,6 +847,23 @@ def test_docs_bounds_params_match_the_schema():
     assert documented == cli.BOUNDS_PARAMS
 
 
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_docs_metrics_keys_match_each_bundled_report(tmp_path, monkeypatch, name):
+    """At golden size (at most 64 particles, a step of at least 0.01) each bundled
+    config writes every metrics key documented for its experiment, bar those
+    marked "only ...", and no undocumented one."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    cfg["sim"]["n_particles"] = min(cfg["sim"]["n_particles"], 64)
+    cfg["sim"]["dt"] = max(cfg["sim"]["dt"], 0.01)
+    monkeypatch.setenv("DDSDE_OUTPUT_DIR", str(tmp_path))
+    assert main(["run", write_config(tmp_path, cfg)]) in (EXIT_OK, EXIT_VERIFY)
+    written = set(json.loads((tmp_path / "report.json").read_text())["metrics"])
+    cell = _doc_table("| experiment      | metrics keys")[cfg["experiment"]["type"]][0]
+    documented = set(_doc_names(cell))
+    assert written <= documented
+    assert documented - set(re.findall(r"`(\w+)` \(only ", cell)) <= written
+
+
 def test_landau_contract_config_runs(tmp_path, monkeypatch):
     # the Maxwell-molecules contraction experiment end to end: CSV + exit 0
     monkeypatch.setenv("DDSDE_OUTPUT_DIR", str(tmp_path))

@@ -24,7 +24,11 @@ sum.  The two picard report pins (``picard_linear.json`` and the gamma > 0
 ``picard``) were re-recorded when the Picard iteration lost its early stop on
 three rising deltas, and with it the report's ``diverging`` key.  Neither run
 ever tripped that stop: their reports equal the old ones with ``diverging``
-deleted, and every CSV kept its bytes.
+deleted, and every CSV kept its bytes.  The ``log_harnack_linear.json`` and
+``shift_harnack_linear.json`` report pins were re-recorded when ``slack_se``
+became the paired SE, sd(psi)/sqrt(M) of the slack's per-sample influence
+array, in place of the hypot of the two sides' SEs; ``ibp_linear.json`` kept
+its pin, as its paired array 1 - x w has the SE of x w to the bit at this size.
 """
 
 import hashlib
@@ -90,7 +94,7 @@ PINS = {
     },
     "log_harnack_linear.json": {
         "exit": 0,
-        "report": "1a7cc695dc991246",
+        "report": "dfafae7d78a48ec4",
     },
     "picard_linear.json": {
         "exit": 0,
@@ -100,7 +104,7 @@ PINS = {
     },
     "shift_harnack_linear.json": {
         "exit": 0,
-        "report": "b0602f1af7d10689",
+        "report": "37b615a8dd780684",
     },
     "simulate_linear.json": {
         "exit": 0,

@@ -113,7 +113,7 @@ class TestCoupledGirsanov:
         assert res.weight_entropy == 0.0
         assert res.terminal_gap_q == 0.0
         assert res.phi_bound == 0.0
-        assert res.success
+        assert res.ok
 
     def test_martingale_and_entropy_bound(self):
         m = 3000
@@ -194,7 +194,7 @@ class TestLogHarnack:
         res = verify_log_harnack(self.sample(512), lambda x: np.ones(x.shape[0]),
                                  self.model, self.grid)
         assert res.lhs == 0.0
-        assert res.slack == pytest.approx(res.phi_value * res.w2_sq)
+        assert res.slack == pytest.approx(res.phi * res.w2_sq)
         assert res.slack >= 0.0
 
     @pytest.mark.parametrize("name", sorted(TEST_FUNCTIONS))
@@ -374,6 +374,59 @@ class TestIntegrationByParts:
         with pytest.raises(ValueError, match="additive"):
             ibp_weights(model, [1.0, 0, 0], np.zeros((8, 3)), TimeGrid(0, 1, 10),
                         NoiseSpec(seed=1, dim=3))
+
+
+class TestPairedStandardErrors:
+    """Each slack's SE, and the SE under the IBP z-score, is sd(psi, ddof=1)/sqrt(M)
+    of the per-sample influence array psi written out here: the two sides come
+    from one sample, so their fluctuations are differenced, not added in quadrature."""
+
+    model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
+    grid = TimeGrid(0.0, 1.0, 50)
+    noise = NoiseSpec(seed=707, dim=1)
+    f = staticmethod(TEST_FUNCTIONS["gauss_bump"])
+
+    @pytest.fixture(scope="class")
+    def x_t(self):
+        return terminal_states(self.model, EmpiricalMeasure.point_mass([0.5], 300),
+                               self.grid, self.noise)
+
+    def test_log_harnack(self):
+        sample = log_harnack_sample(self.model, EmpiricalMeasure.point_mass([0.0], 300),
+                                    EmpiricalMeasure.point_mass([1.0], 300), self.grid,
+                                    self.noise)
+        res = verify_log_harnack(sample, self.f, self.model, self.grid)
+        fx = self.f(sample.x_terminal)
+        psi = fx / fx.mean() - np.exp(sample.log_r) * np.log(fx)
+        assert res.slack_se == pytest.approx(mean_se(psi)[1], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("v", [0.3, -0.8])
+    def test_shift_power_form(self, v, x_t):
+        p = 2.0
+        res = shift_coupling_verify(self.model, self.f, [v], x_t, p, self.grid)
+        fx, fxv = self.f(x_t), self.f(x_t + v)
+        psi = res.constant * fxv ** p - p * fx.mean() ** (p - 1.0) * fx
+        assert res.slack_se == pytest.approx(mean_se(psi)[1], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("v", [0.0, 0.5])
+    def test_shift_log_form(self, v, x_t):
+        res = shift_coupling_verify(self.model, self.f, [v], x_t, 2.0, self.grid,
+                                    log_form=True)
+        fx, fxv = self.f(x_t), self.f(x_t + v)
+        psi = fxv / fxv.mean() - np.log(fx)
+        assert res.slack_se == pytest.approx(mean_se(psi)[1], rel=1e-12, abs=0.0)
+        if v == 0.0:  # both sides are functions of the same f(X_T): the pairing cancels
+            assert res.slack_se < math.hypot(res.lhs_se, res.rhs_se)
+
+    @pytest.mark.parametrize("name", sorted(IBP_FUNCTIONS))
+    def test_ibp(self, name):
+        f, grad_f = IBP_FUNCTIONS[name]
+        x0 = EmpiricalMeasure.point_mass([0.0], 300).points
+        x_t, weight = ibp_weights(self.model, [1.0], x0, self.grid, self.noise)
+        res = verify_ibp(f, grad_f, [1.0], x_t, weight)
+        psi = grad_f(x_t)[:, 0] - f(x_t) * weight
+        assert res.z_score == pytest.approx((res.lhs - res.rhs) / mean_se(psi)[1],
+                                            rel=1e-12, abs=0.0)
 
 
 class TestDensityBounds:
