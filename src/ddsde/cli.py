@@ -241,6 +241,9 @@ def validate_config(cfg: dict) -> Run:
             solver._require_dissipative(built)
             for key in ("burn_in", "check_horizon"):
                 _step_count(float(full[key]), float(sim["dt"]), f"experiment.{key}")
+            if "init" in sim:
+                raise ValueError("sim.init is not read: the search starts from its own "
+                                 "standard-normal ensemble")
         if etype == "bounds":
             # Evaluating the bound checks each param against the range its formula needs.
             _run_bounds(quantity, params, built, t_end)
@@ -351,7 +354,7 @@ def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
 def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
     sim, exp, model, grid, noise, mu0, nu0 = (
         run.config["sim"], run.exp, run.model, run.grid, run.noise, run.mu0, run.nu0)
-    etype, n = exp["type"], mu0.n
+    etype = exp["type"]
 
     if etype == "simulate":
         p = float(exp["moment_p"])
@@ -364,119 +367,64 @@ def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
         curve = solver.moment_curve(nodes, p)
         _write_csv(os.path.join(out_dir, "simulate.csv"),
                    ["t", f"moment_p{p:g}"], [grid.nodes, curve.per_node])
-        metrics = {
-            "terminal_mean": curve.terminal.mean(axis=0).tolist(),
-            "terminal_moment": float(curve.per_node[-1]),
-            "sup_moment": curve.sup_moment,
-            "moment_p": p,
-        }
-        return metrics, True
+        return {"terminal_mean": curve.terminal.mean(axis=0).tolist(),
+                "terminal_moment": float(curve.per_node[-1]),
+                "sup_moment": curve.sup_moment, "moment_p": p}, True
 
     if etype == "picard":
-        windows = int(exp["windows"])
-        reports = solver.picard_chain(
-            model, mu0, grid, noise, windows,
-            max_iter=int(exp["max_iter"]),
-            tol=float(exp["tol"]),
-            theta=float(sim.get("theta", 2.0)),
-        )
-        report = reports[-1]
-        all_converged = all(r.converged for r in reports)
-        its = np.arange(1, len(report.deltas) + 1, dtype=float)
-        _write_csv(os.path.join(out_dir, "picard.csv"),
-                   ["iteration", "delta"], [its, np.asarray(report.deltas)])
-        metrics = {
-            "windows": windows,
-            "converged": all_converged,
-            "deltas": report.deltas,
-            "iterations_used": [r.iterations_used for r in reports],
-            "delta_ratios": report.delta_ratios().tolist(),
-            "geometric_applicable": report.geometric_applicable,
-            "terminal_mean": report.iterates[-1]
-            .measure_at(report.iterates[-1].grid.n_steps).mean().tolist(),
-        }
-        return metrics, all_converged
-
-    if etype == "contract":
+        tol = float(exp["tol"])
+        reports = solver.picard_chain(model, mu0, grid, noise, int(exp["windows"]),
+                                      max_iter=int(exp["max_iter"]), tol=tol,
+                                      theta=float(sim.get("theta", 2.0)))
+        result = solver.PicardResult.judge(reports, tol)
+        _write_csv(os.path.join(out_dir, "picard.csv"), ["iteration", "delta"],
+                   [np.arange(1, len(result.deltas) + 1, dtype=float), np.asarray(result.deltas)])
+    elif etype == "contract":
         est = solver.estimate_contraction(model, mu0, nu0, grid, noise,
                                           fit_window=exp["fit_window"], threads=threads)
-        tol = float(exp["slope_tolerance"])
-        envelope = est.w2_sq[0] * np.exp(
-            (est.bound_rate if est.bound_rate is not None else 0.0)
-            * (est.times - est.times[0])
-        )
-        _write_csv(os.path.join(out_dir, "contract.csv"),
-                   ["t", "w2_sq", "bound_envelope"],
-                   [est.times, est.w2_sq, envelope])
-        ok = True
-        if est.bound_rate is not None and np.isfinite(est.empirical_rate):
-            ok = est.empirical_rate <= est.bound_rate + tol
-        metrics = {
-            "empirical_rate": est.empirical_rate,
-            "bound_rate": est.bound_rate,
-            "slope_tolerance": tol,
-            "merge_time": est.merge_time,
-        }
-        return metrics, ok
-
-    if etype == "invariant":
+        _write_csv(os.path.join(out_dir, "contract.csv"), ["t", "w2_sq", "bound_envelope"],
+                   [est.times, est.w2_sq, est.bound_envelope])
+        result = solver.ContractResult.judge(est, float(exp["slope_tolerance"]))
+    elif etype == "invariant":
         tol = float(exp["tol"])
         try:
             mu_hat, residual = solver.find_invariant(
-                model, float(sim["dt"]), noise, n,
-                burn_in=float(exp["burn_in"]),
-                check_horizon=float(exp["check_horizon"]),
-                tol=tol,
-            )
+                model, float(sim["dt"]), noise, mu0.n, burn_in=float(exp["burn_in"]),
+                check_horizon=float(exp["check_horizon"]), tol=tol)
         except solver.InvariantSearchError as err:
             return {"error": str(err), "tol": tol}, False
         mu_hat.to_csv(os.path.join(out_dir, "invariant_measure.csv"))
-        metrics = {
-            "residual": residual,
-            "tol": tol,
-            "second_moment_per_coordinate": (mu_hat.points ** 2).mean(axis=0).tolist(),
-        }
-        return metrics, residual <= tol
-
-    if etype in ("couple", "log_harnack"):
+        result = solver.InvariantResult.judge(mu_hat, residual, tol)
+    elif etype in ("couple", "log_harnack"):
         for law in (mu0, nu0):  # before their W2 costs can overflow
             check_finite(law.points, noise.step0, model.state_radius)
         sample = harnack.simulate_coupled(
             model, *harnack.coupled_pairs_from_measures(mu0, nu0), grid, noise,
             record_series=etype == "couple")
-        if etype == "log_harnack":
-            result = harnack.verify_log_harnack(sample, harnack.TEST_FUNCTIONS[exp["f"]],
-                                                model, grid, f_min=float(exp["f_min"]))
-            return asdict(result), result.ok
-        result = harnack.coupled_girsanov(sample, model, grid, exp.get("weight_clip"))
-        s = sample.series
-        _write_csv(os.path.join(out_dir, "couple.csv"),
-                   ["t", "gap_q", "weight_mean", "weight_entropy"],
-                   [s["t"], s["gap_q"], s["weight_mean"], s["weight_entropy"]])
-        metrics = {key: value for key, value in asdict(result).items() if value is not None}
-        metrics["success"] = result.ok
-        if math.isnan(result.ess):
-            metrics["ess_warning"] = "effective sample size undefined: every weight underflowed"
-        elif result.ess < n / 10:
-            metrics["ess_warning"] = f"effective sample size {result.ess:.1f} < M/10"
-        return metrics, metrics["success"]
-
-    if etype == "shift_harnack":
+        if etype == "couple":
+            result = harnack.coupled_girsanov(sample, model, grid, exp.get("weight_clip"))
+            s = sample.series
+            _write_csv(os.path.join(out_dir, "couple.csv"),
+                       ["t", "gap_q", "weight_mean", "weight_entropy"],
+                       [s["t"], s["gap_q"], s["weight_mean"], s["weight_entropy"]])
+            # clip_fraction and ess_warning are left out when unset
+            return {key: value for key, value in asdict(result).items()
+                    if value is not None}, result.ok
+        result = harnack.verify_log_harnack(sample, harnack.TEST_FUNCTIONS[exp["f"]],
+                                            model, grid, f_min=float(exp["f_min"]))
+    elif etype == "shift_harnack":
         x_t = solver.evolve_states(model, mu0.points, grid.s, grid.n_steps, grid.dt, noise)
         result = harnack.shift_coupling_verify(
             model, harnack.TEST_FUNCTIONS[exp["f"]], exp["v"], x_t,
-            p=float(exp["p"]), grid=grid, log_form=exp["log_form"],
-        )
-        return asdict(result), result.ok
-
-    if etype == "ibp":
+            p=float(exp["p"]), grid=grid, log_form=exp["log_form"])
+    elif etype == "ibp":
         f, grad_f = harnack.IBP_FUNCTIONS[exp["f"]]
         x_t, weight = harnack.ibp_weights(model, exp["v"], mu0.points, grid, noise)
         result = harnack.verify_ibp(f, grad_f, exp["v"], x_t, weight)
         return {**asdict(result), "f": exp["f"]}, result.ok
-
-    # bounds; validate_config admits no other type
-    return _run_bounds(exp["quantity"], exp["params"], model, grid.t_end)
+    else:  # bounds; validate_config admits no other type
+        return _run_bounds(exp["quantity"], exp["params"], model, grid.t_end)
+    return asdict(result), result.ok
 
 
 def _run_bounds(quantity: str, params: dict, model, t_end: float) -> tuple[dict, bool]:
@@ -550,7 +498,6 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
     started = time.perf_counter()
     try:
         metrics, ok = _run_experiment(runs[0], out_dir, threads)
-        refinement = None
         if refine:
             fine_dir = os.path.join(out_dir, "refined")
             os.makedirs(fine_dir, exist_ok=True)
@@ -569,7 +516,7 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:12]
     report = {"config": cfg, "config_hash": config_hash, "experiment": cfg["experiment"]["type"],
               "metrics": metrics, "ok": ok, "wall_time_s": time.perf_counter() - started}
-    if refinement is not None:
+    if refine:
         report["refinement"] = refinement
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         # A non-finite number (a merged contract's rate, a 0/0 ess) is written as null.

@@ -21,10 +21,13 @@ decides how many paths there are and where they start:
 ``shift_coupling_verify``; ``ibp_weights`` gives X_T and the
 integration-by-parts weight of a direction v, over which ``verify_ibp``
 estimates.  The test function and the shift enter only at the terminal
-time, so one sample serves every f, and every v of the Harnack checks.  Each
-verdict rests on ``Check`` records, whose SE is sd(psi, ddof=1)/sqrt(M) over a
-per-sample influence array psi (``_se``); a slack or a residual takes the
-difference of its two sides' psi, a paired SE, as both come from one sample.
+time, so one sample serves every f, and every v of the Harnack checks.
+
+Every experiment's verdict is the ``ok`` of a ``_Judged`` result built from
+``Check`` records, here and in ``solver``.  A Monte-Carlo SE is
+sd(psi, ddof=1)/sqrt(M) over a per-sample influence array psi (``_se``); a
+slack or a residual takes the difference of its two sides' psi, a paired SE,
+as both come from one sample.  An exact comparison is a ``Check`` with SE 0.
 
 Models with law-dependent or non-invertible diffusion (the Landau family)
 are excluded by flag: the coupling construction requires sigma = sigma_t(x)
@@ -34,7 +37,7 @@ invertible.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -237,6 +240,12 @@ class CouplingResult(_Judged):
     phi_bound: float           # phi(s, T) * W2(mu0, nu0)^2
     ess: float                 # (sum R)^2 / sum R^2; nan when every R^2 underflows
     clip_fraction: float | None = None
+    ess_warning: str | None = None   # set when ess is below M/10 or undefined
+    success: bool = field(init=False)
+
+    def __post_init__(self, checks: tuple[Check, ...]) -> None:
+        super().__post_init__(checks)
+        self.success = self.ok
 
 
 def coupled_girsanov(sample: CoupledSample, model: CoefficientModel, grid: TimeGrid,
@@ -246,9 +255,9 @@ def coupled_girsanov(sample: CoupledSample, model: CoefficientModel, grid: TimeG
 
     The pairs start optimally coupled (the pairing realizes W2(mu0, nu0)^2 as
     the mean square gap).  Q-expectations are importance-weighted under P
-    (multiplied by R); weight degeneracy shows up in the reported effective
-    sample size.  With ``weight_clip`` set, the result also reports the fraction
-    of pairs whose |log R_T| exceeds it.
+    (multiplied by R); weight degeneracy shows up in the effective sample size,
+    with an ``ess_warning`` below M/10.  With ``weight_clip`` set, the result
+    also reports the fraction of pairs whose |log R_T| exceeds it.
     """
     r = np.exp(sample.log_r)
     r_log_r = r * sample.log_r
@@ -260,8 +269,10 @@ def coupled_girsanov(sample: CoupledSample, model: CoefficientModel, grid: TimeG
     ess = float(r.sum() ** 2 / r_sq) if r_sq > 0 else math.nan  # every weight underflowed
     gap_q = float(np.mean(sample.r_penultimate * sample.gap_sq_penultimate))
     clip = None if weight_clip is None else float(np.mean(np.abs(sample.log_r) > weight_clip))
+    warning = ("effective sample size undefined: every weight underflowed" if math.isnan(ess)
+               else f"effective sample size {ess:.1f} < M/10" if ess < len(r) / 10 else None)
     return CouplingResult((martingale, entropy_bound), gap_q, weight_mean, martingale.se,
-                          entropy, entropy_bound.se, phi_bound, ess, clip)
+                          entropy, entropy_bound.se, phi_bound, ess, clip, warning)
 
 
 @dataclass

@@ -120,19 +120,6 @@ class LawCurve:
         with open(os.path.join(directory, "manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
 
-    @classmethod
-    def load(cls, directory) -> "LawCurve":
-        with open(os.path.join(directory, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        g = manifest["grid"]
-        grid = TimeGrid(g["s"], g["t_end"], g["n_steps"])
-        states = np.stack([
-            np.loadtxt(os.path.join(directory, name), delimiter=",", ndmin=2)
-            for name in manifest["files"]
-        ])
-        states.flags.writeable = False
-        return cls(grid=grid, states=states)
-
 
 def apply_sigma(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """sigma @ dw per trajectory; sigma is (d, d) shared or (M, d, d)."""

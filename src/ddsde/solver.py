@@ -6,7 +6,8 @@ against the previous iterate's frozen law) and the interacting particle
 system (``sde.euler_maruyama`` with ``law=None``: each particle reads the
 ensemble's own empirical measure).  On top of these sit the
 synchronous-coupling contraction estimator and the invariant-measure
-fixed-point search.
+fixed-point search.  ``PicardResult``, ``ContractResult`` and
+``InvariantResult`` give the verdicts of the three, each an exact ``Check``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from itertools import islice
 
 import numpy as np
 
+from .harnack import Check, _Judged
 from .measure import EmpiricalMeasure, transport_plan, wasserstein
 from .models import CoefficientModel
 from .rng import NoiseSpec, normal_block
@@ -41,6 +43,29 @@ class PicardReport:
     def delta_ratios(self) -> np.ndarray:
         d = np.asarray(self.deltas)
         return d[1:] / d[:-1]
+
+
+@dataclass
+class PicardResult(_Judged):
+    """The last window's trace of a ``picard_chain`` and whether every window converged."""
+
+    windows: int
+    converged: bool
+    deltas: list[float]           # of the last window
+    iterations_used: list[int]    # per window
+    delta_ratios: list[float]     # of the last window
+    geometric_applicable: bool
+    terminal_mean: list[float]
+
+    @classmethod
+    def judge(cls, reports: list[PicardReport], tol: float) -> PicardResult:
+        """A window converged iff its last delta is within ``tol``, so the
+        largest last delta decides every window at once."""
+        check = Check(tol - float(np.max([r.deltas[-1] for r in reports])), 0.0)
+        last = reports[-1]
+        return cls((check,), len(reports), check.ok, last.deltas,
+                   [r.iterations_used for r in reports], last.delta_ratios().tolist(),
+                   last.geometric_applicable, last.iterates[-1].states[-1].mean(axis=0).tolist())
 
 
 # The pruning bounds come from numpy norms, the solver's cost from its own
@@ -177,6 +202,30 @@ class ContractionEstimate:
     w2_sq: np.ndarray
     merge_time: float | None = None   # set when the laws merged numerically
 
+    @property
+    def bound_envelope(self) -> np.ndarray:
+        """w2_sq[0] e^{bound_rate (t - t_0)} at each W2 node; flat when bound_rate is unset."""
+        rate = self.bound_rate if self.bound_rate is not None else 0.0
+        return self.w2_sq[0] * np.exp(rate * (self.times - self.times[0]))
+
+
+@dataclass
+class ContractResult(_Judged):
+    """The fitted rate against the analytic one, within ``slope_tolerance``."""
+
+    empirical_rate: float
+    bound_rate: float | None
+    slope_tolerance: float
+    merge_time: float | None
+
+    @classmethod
+    def judge(cls, est: ContractionEstimate, slope_tolerance: float) -> ContractResult:
+        """No check without an analytic rate, or once the laws merged (rate -inf)."""
+        checks = ()
+        if est.bound_rate is not None and np.isfinite(est.empirical_rate):
+            checks = (Check(est.bound_rate + slope_tolerance - est.empirical_rate, 0.0),)
+        return cls(checks, est.empirical_rate, est.bound_rate, slope_tolerance, est.merge_time)
+
 
 # Exact W2 solves per contraction fit, spread evenly across the fit window.
 CONTRACT_FIT_NODES = 64
@@ -254,23 +303,14 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     bound_rate = model.bounds.contraction_exponent
 
     merged = w2_sq <= 1e-280
-    if merged.any():
-        k = int(np.argmax(merged))
-        return ContractionEstimate(
-            empirical_rate=float("-inf"),
-            bound_rate=bound_rate,
-            times=times, w2_sq=w2_sq,
-            merge_time=float(times[k]),
-        )
+    if merged.any():  # a rate of -inf, from the first W2 node at which the laws had merged
+        return ContractionEstimate(float("-inf"), bound_rate, times, w2_sq,
+                                   merge_time=float(times[int(np.argmax(merged))]))
 
     lo, hi = fit_window
     mask = (times >= lo) & (times <= hi)
     slope = np.polyfit(times[mask], np.log(w2_sq[mask]), 1)[0]
-    return ContractionEstimate(
-        empirical_rate=float(slope),
-        bound_rate=bound_rate,
-        times=times, w2_sq=w2_sq,
-    )
+    return ContractionEstimate(float(slope), bound_rate, times, w2_sq)
 
 
 def _require_dissipative(model: CoefficientModel) -> None:
@@ -320,6 +360,19 @@ def find_invariant(model: CoefficientModel, grid_step: float, noise: NoiseSpec,
             f"residual did not decrease as burn-in doubled: {residual:.3g} -> {residual2:.3g}"
         )
     return mu_hat2, float(residual2)
+
+
+@dataclass
+class InvariantResult(_Judged):
+    residual: float    # W2 between the snapshot and its evolution over the check horizon
+    tol: float
+    second_moment_per_coordinate: list[float]
+
+    @classmethod
+    def judge(cls, mu_hat: EmpiricalMeasure, residual: float, tol: float) -> InvariantResult:
+        """The ``find_invariant`` outputs, passing iff ``residual <= tol``."""
+        return cls((Check(tol - residual, 0.0),), residual, tol,
+                   (mu_hat.points ** 2).mean(axis=0).tolist())
 
 
 @dataclass

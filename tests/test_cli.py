@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ddsde import cli
+from ddsde import cli, harnack, solver
 from ddsde.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -435,6 +436,9 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
     # 47-bit address space holds, so each allocation fails on any machine.
     ({"type": "simulate"}, {}, {"dim": 10 ** 7}, "Unable to allocate 728. TiB"),
     ({"type": "simulate"}, {"n_particles": 1e15}, {}, "Unable to allocate 7.11 PiB"),
+    # The search draws its own start, so a given initial law would be silently ignored.
+    ({"type": "invariant"}, {"init": {"kind": "point", "value": 5.0}}, {},
+     "'invariant' experiment: sim.init is not read"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -460,7 +464,7 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "bounds_power_kappa_negative", "bounds_p_threshold_kappa_negative",
         "couple_weight_clip_negative", "log_harnack_f_min_zero", "contract_shift_overflow",
         "couple_shift_overflow", "log_harnack_shift_overflow", "dim_zero", "dim_unallocatable",
-        "n_particles_unallocatable"])
+        "n_particles_unallocatable", "invariant_sim_init"])
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
                                                       named):
@@ -521,7 +525,10 @@ def test_a_64_bit_seed_parses(tmp_path):
     {"type": "invariant", "burn_in": 0, "check_horizon": 0},
 ], ids=["shift_harnack_log_form_p", "invariant_zero_spans"])
 def test_experiment_range_edges_accepted(tmp_path, experiment):
-    validate_config(small_simulate_config(tmp_path / "out", experiment=experiment))
+    cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
+    if experiment["type"] == "invariant":
+        del cfg["sim"]["init"]  # the invariant search rejects an initial law
+    validate_config(cfg)
 
 
 def test_run_imports_only_what_it_uses(tmp_path):
@@ -845,6 +852,23 @@ def test_docs_bounds_params_match_the_schema():
             documented[quantity] = (_doc_names(required),
                                     () if optional == "none" else _doc_names(optional))
     assert documented == cli.BOUNDS_PARAMS
+
+
+def test_docs_verdicts_name_the_result_types_that_decide_them():
+    """Each ok rule with a check names a result of solver or harnack whose ``ok`` is
+    its checks' verdict and whose fields are the documented metrics keys."""
+    rows = _doc_table("| experiment      | metrics keys")
+    assert sorted(rows) == sorted(cli.EXPERIMENTS)
+    for etype, (keys, rule) in rows.items():
+        names = re.findall(r"`(\w+Result)`", rule)
+        if etype in ("simulate", "bounds"):
+            assert not names and rule.startswith("always"), etype
+            continue
+        (name,) = names
+        result_type = getattr(solver, name, None) or getattr(harnack, name)
+        assert issubclass(result_type, harnack._Judged), name
+        fields = {field.name for field in dataclasses.fields(result_type)}
+        assert fields <= set(_doc_names(keys)) <= fields | {"f"}, name
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))

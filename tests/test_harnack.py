@@ -7,6 +7,7 @@ import pytest
 from ddsde.harnack import (
     IBP_FUNCTIONS,
     TEST_FUNCTIONS,
+    CoupledSample,
     _gradient_cost_integral,
     coupled_girsanov,
     coupled_pairs_from_measures,
@@ -113,7 +114,7 @@ class TestCoupledGirsanov:
         assert res.weight_entropy == 0.0
         assert res.terminal_gap_q == 0.0
         assert res.phi_bound == 0.0
-        assert res.ok
+        assert res.ok and res.success is True and res.ess_warning is None
 
     def test_martingale_and_entropy_bound(self):
         m = 3000
@@ -127,6 +128,28 @@ class TestCoupledGirsanov:
         # the weight is a martingale: E[R_t] = 1 along the whole grid
         drift = np.abs(np.asarray(sample.series["weight_mean"]) - 1.0)
         assert drift.max() <= 4 * max(res.weight_mean_se, 1e-12)
+
+    def from_log_weights(self, log_r):
+        m = len(log_r)
+        sample = CoupledSample(np.zeros((m, 1)), np.asarray(log_r), np.zeros(m), np.ones(m), 0.0)
+        return coupled_girsanov(sample, self.model, self.grid)
+
+    def test_ess_warning_starts_below_a_tenth_of_the_pairs(self):
+        # Two unit weights among 20 pairs (the rest underflow to 0) give ess = 2 = M/10.
+        log_r = np.full(20, -1000.0)
+        log_r[:2] = 0.0
+        at_tenth = self.from_log_weights(log_r)
+        assert at_tenth.ess == 2.0 and at_tenth.ess_warning is None
+        log_r[1] = -1e-6  # ess 2 - 5e-13
+        below = self.from_log_weights(log_r)
+        assert below.ess < 2.0
+        assert below.ess_warning == "effective sample size 2.0 < M/10"
+
+    def test_ess_warning_names_an_underflow(self):
+        res = self.from_log_weights(np.full(20, -1000.0))
+        assert math.isnan(res.ess)
+        assert res.ess_warning == "effective sample size undefined: every weight underflowed"
+        assert not res.ok and res.success is False
 
     def test_gap_shrinks_when_dt_halves(self):
         x0, y0 = delta_pairs(0.0, 1.0, 2000)

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,7 +12,12 @@ from ddsde.models import landau_model, linear_meanfield_model
 from ddsde.rng import NoiseSpec, normal_block
 from ddsde.sde import LawCurve, TimeGrid, euler_maruyama
 from ddsde.solver import (
+    ContractionEstimate,
+    ContractResult,
+    InvariantResult,
     InvariantSearchError,
+    PicardReport,
+    PicardResult,
     estimate_contraction,
     evolve_states,
     find_invariant,
@@ -444,6 +451,57 @@ class TestInvariant:
                            n_particles=128, burn_in=0.5, check_horizon=1.0, tol=1e-4)
 
 
+class TestVerdicts:
+    """Both sides of each exact verdict: a Check with SE 0 passes at equality."""
+
+    @staticmethod
+    def contract(empirical_rate, bound_rate, slope_tolerance=0.1):
+        est = ContractionEstimate(empirical_rate, bound_rate, np.array([0.0, 0.5]),
+                                  np.array([1.0, 0.5]))
+        return ContractResult.judge(est, slope_tolerance)
+
+    def test_contract_passes_up_to_the_tolerance(self):
+        edge = -2.0 + 0.1
+        assert self.contract(edge, -2.0).ok
+        assert not self.contract(math.nextafter(edge, math.inf), -2.0).ok
+
+    def test_contract_without_a_bound_rate_or_once_merged_passes(self):
+        assert self.contract(5.0, None).ok
+        merged = self.contract(-math.inf, -2.0)
+        assert merged.ok
+        assert asdict(merged) == {"empirical_rate": -math.inf, "bound_rate": -2.0,
+                                  "slope_tolerance": 0.1, "merge_time": None}
+
+    def test_bound_envelope_follows_the_bound_rate(self):
+        times, w2_sq = np.array([0.1, 0.6]), np.array([2.0, 1.0])
+        est = ContractionEstimate(-1.0, -2.0, times, w2_sq)
+        assert np.array_equal(est.bound_envelope, 2.0 * np.exp(-2.0 * (times - 0.1)))
+        flat = ContractionEstimate(-1.0, None, times, w2_sq)
+        assert np.array_equal(flat.bound_envelope, [2.0, 2.0])
+
+    def test_invariant_passes_up_to_tol(self):
+        mu_hat = EmpiricalMeasure(np.array([[1.0], [-3.0]]))
+        assert InvariantResult.judge(mu_hat, 0.05, 0.05).ok
+        assert not InvariantResult.judge(mu_hat, math.nextafter(0.05, math.inf), 0.05).ok
+        assert InvariantResult.judge(mu_hat, 0.0, 0.05).second_moment_per_coordinate == [5.0]
+
+    @staticmethod
+    def picard(last_deltas, tol=1e-3):
+        curve = LawCurve.constant(EmpiricalMeasure(np.array([[0.0], [2.0]])),
+                                  TimeGrid(0.0, 0.1, 2))
+        reports = [PicardReport([curve, curve], [0.5, delta], delta <= tol, 2)
+                   for delta in last_deltas]
+        return PicardResult.judge(reports, tol)
+
+    def test_picard_fails_when_one_window_is_unconverged(self):
+        edge = self.picard([1e-4, 1e-3, 1e-4])
+        assert edge.ok and edge.converged
+        assert edge.windows == 3 and edge.iterations_used == [2, 2, 2]
+        assert edge.terminal_mean == [1.0]
+        one_over = self.picard([1e-4, math.nextafter(1e-3, math.inf), 1e-4])
+        assert not one_over.ok and not one_over.converged
+
+
 class TestMomentCurve:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
     @pytest.mark.parametrize("model, mu0, n_steps", [
@@ -507,8 +565,10 @@ class TestLawCurve:
         assert manifest["theta"] == 2.0
         assert manifest["model"]["name"] == "linear_meanfield"
         assert len(manifest["files"]) == 5
-        back = LawCurve.load(out)
-        assert np.array_equal(back.states, law.states)
+        # The documented format: the manifest's files in node order, one point per row.
+        back = np.stack([np.loadtxt(out / name, delimiter=",", ndmin=2)
+                         for name in manifest["files"]])
+        assert np.array_equal(back, law.states)
 
     def test_constant_curve_shares_memory(self):
         mu0 = gaussian_measure(8, 1, seed=37)
