@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from . import harnack, models, solver
-from .measure import EmpiricalMeasure
+from .measure import EmpiricalMeasure, write_csv
 from .rng import NoiseSpec, normal_block
 from .sde import MAX_STATE, LawCurve, NumericalBlowupError, TimeGrid, check_finite, em_path
 
@@ -341,12 +341,6 @@ def _step_count(span: float, dt: float, where: str) -> int:
     return max(1, round(steps))
 
 
-def _write_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    data = np.column_stack(columns)
-    np.savetxt(path, data, fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -365,8 +359,8 @@ def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
             nodes = LawCurve.export(os.path.join(out_dir, "law_curve"), grid, nodes,
                                     float(sim.get("theta", 2.0)), run.config["model"])
         curve = solver.moment_curve(nodes, p)
-        _write_csv(os.path.join(out_dir, "simulate.csv"),
-                   ["t", f"moment_p{p:g}"], [grid.nodes, curve.per_node])
+        write_csv(os.path.join(out_dir, "simulate.csv"),
+                  np.column_stack([grid.nodes, curve.per_node]), f"t,moment_p{p:g}")
         return {"terminal_mean": curve.terminal.mean(axis=0).tolist(),
                 "terminal_moment": float(curve.per_node[-1]),
                 "sup_moment": curve.sup_moment, "moment_p": p}, True
@@ -377,13 +371,13 @@ def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
                                       max_iter=int(exp["max_iter"]), tol=tol,
                                       theta=float(sim.get("theta", 2.0)))
         result = solver.PicardResult.judge(reports, tol)
-        _write_csv(os.path.join(out_dir, "picard.csv"), ["iteration", "delta"],
-                   [np.arange(1, len(result.deltas) + 1, dtype=float), np.asarray(result.deltas)])
+        write_csv(os.path.join(out_dir, "picard.csv"), np.column_stack(
+            [np.arange(1, len(result.deltas) + 1, dtype=float), result.deltas]), "iteration,delta")
     elif etype == "contract":
         est = solver.estimate_contraction(model, mu0, nu0, grid, noise,
                                           fit_window=exp["fit_window"], threads=threads)
-        _write_csv(os.path.join(out_dir, "contract.csv"), ["t", "w2_sq", "bound_envelope"],
-                   [est.times, est.w2_sq, est.bound_envelope])
+        write_csv(os.path.join(out_dir, "contract.csv"), np.column_stack(
+            [est.times, est.w2_sq, est.bound_envelope]), "t,w2_sq,bound_envelope")
         result = solver.ContractResult.judge(est, float(exp["slope_tolerance"]))
     elif etype == "invariant":
         tol = float(exp["tol"])
@@ -404,9 +398,9 @@ def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
         if etype == "couple":
             result = harnack.coupled_girsanov(sample, model, grid, exp.get("weight_clip"))
             s = sample.series
-            _write_csv(os.path.join(out_dir, "couple.csv"),
-                       ["t", "gap_q", "weight_mean", "weight_entropy"],
-                       [s["t"], s["gap_q"], s["weight_mean"], s["weight_entropy"]])
+            write_csv(os.path.join(out_dir, "couple.csv"), np.column_stack(
+                [s["t"], s["gap_q"], s["weight_mean"], s["weight_entropy"]]),
+                "t,gap_q,weight_mean,weight_entropy")
             # clip_fraction and ess_warning are left out when unset
             return {key: value for key, value in asdict(result).items()
                     if value is not None}, result.ok
@@ -503,10 +497,6 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
             os.makedirs(fine_dir, exist_ok=True)
             fine_metrics, fine_ok = _run_experiment(runs[1], fine_dir, threads)
             refinement = {"dt": fine["sim"]["dt"], "metrics": fine_metrics, "ok": fine_ok}
-            if cfg["experiment"]["type"] == "couple" and fine_metrics.get("terminal_gap_q"):
-                refinement["gap_ratio"] = (
-                    metrics["terminal_gap_q"] / fine_metrics["terminal_gap_q"]
-                )
             ok = ok and fine_ok
     except NumericalBlowupError as err:
         print(f"numerical abort: {err}", file=sys.stderr)

@@ -1,13 +1,13 @@
 """Coupling by change of measure and the inequalities it certifies.
 
-The coupled process Y carries an attracting drift sigma(Y) sigma(X)^{-1}
-(X - Y) / xi_t on top of its own dynamics; the Girsanov weight R of that
-extra drift makes X and Y coincide at the terminal time under the weighted
-measure Q = R_T P.  From the simulated (X, Y, R) triple the module checks
-the log-Harnack inequality, the entropy bound on E[R log R], the shift
-Harnack inequality for additive noise, and the integration-by-parts
-identity; companion calculators evaluate the analytic constants, and the
-density bounds in closed form.
+The coupled process Y solves the same equation as X, driven by the shifted noise
+dW - h dt, h = sigma(X)^{-1} (Y - X) / xi_t: each of its steps is ``em_step`` on
+that noise.  The shift makes X and Y coincide at the terminal time, and its
+Girsanov density R_T makes dW - h dt Brownian under Q = R_T P.  From the
+simulated (X, Y, R) triple the module checks the log-Harnack inequality, the
+entropy bound on E[R log R], the shift Harnack inequality for additive noise,
+and the integration-by-parts identity; companion calculators evaluate the
+analytic constants, and the density bounds in closed form.
 
 The coupling constants kappa1, kappa2 and lambda are the model's
 ``bounds``, and the horizon [s, T] is the grid's, so one set of constants
@@ -45,8 +45,7 @@ import numpy as np
 from .measure import EmpiricalMeasure, transport_plan
 from .models import CoefficientModel
 from .rng import NoiseSpec, normal_block  # noqa: F401 (perfbench/test_perfbench.py reads it)
-from .sde import NumericalBlowupError, TimeGrid, apply_sigma, check_finite, em_path
-from .sde import em_step  # noqa: F401 (perfbench/test_perfbench.py reads it)
+from .sde import NumericalBlowupError, TimeGrid, apply_sigma, check_finite, em_path, em_step
 
 VERDICT_SIGMAS = 3.0  # a Check fails beyond this many standard errors on the wrong side
 
@@ -119,32 +118,29 @@ def _require_coupling_model(model: CoefficientModel) -> None:
         )
 
 
-def _sigma_solver(model, t, states, mu):
-    """A solver for sigma(t, states, mu)^{-1} v; a model's precomputed inverse
-    spares evaluating sigma."""
+def _sigma_solver(model, t, states, mu, v):
+    """sigma(t, states, mu)^{-1} v; a model's precomputed inverse spares evaluating sigma."""
     if model.sigma_inverse is not None:
-        inv = model.sigma_inverse(t)
-        return lambda v: apply_sigma(inv, v)
+        return apply_sigma(model.sigma_inverse(t), v)
     sigma = np.asarray(model.diffusion(t, states, mu), dtype=np.float64)
     if sigma.ndim == 3:
-        return lambda v: np.linalg.solve(sigma, v[..., None])[..., 0]
-    inv = np.linalg.inv(sigma)
-    return lambda v: apply_sigma(inv, v)
+        return np.linalg.solve(sigma, v[..., None])[..., 0]
+    return apply_sigma(np.linalg.inv(sigma), v)
 
 
 def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
                      grid: TimeGrid, noise: NoiseSpec,
                      record_series: bool = False) -> CoupledSample:
-    """Run the drift-corrected coupling and accumulate the Girsanov weight.
+    """Run the coupling by change of measure and accumulate the Girsanov weight.
 
     X evolves as its own particle system (so its law curve is the particle
     approximation of the mu-flow); the marginal nu-flow needed by Y's drift
-    runs in lockstep from the Y-initials on a fresh substream.  Y consumes
-    exactly X's increments.  log R uses the left-point Ito discretization of
-    both the stochastic integral and the quadratic-variation term.  The final
-    step sets Y_T := X_T (the 1/xi drift blows up at t = T; the continuous
-    construction guarantees the merge, the discrete scheme imposes it) and
-    accounts the corresponding increment at the penultimate node.
+    runs in lockstep from the Y-initials on a fresh substream.  Step k shifts
+    X's increment to dW_k - h_k dt, h_k = sigma(X_k)^{-1} (Y_k - X_k) / xi_k,
+    steps Y by ``em_step`` on it, and adds <h_k, dW_k> - |h_k|^2 dt / 2 to
+    log R (left-point Ito).  The final step sets Y_T := X_T (h blows up at
+    t = T; the continuous construction guarantees the merge, the discrete
+    scheme imposes it) and accounts the last increment at the penultimate node.
     """
     _require_coupling_model(model)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -169,18 +165,15 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
 
     for k, (t_k, x, mu_k, dw, x_next) in enumerate(em_path(model, x0, grid.s, dt, n, noise)):
         nu_k = mu_k if nu_flow is None else next(nu_flow)[2]
-        xi_k = xi(t_k)
-        u = _sigma_solver(model, t_k, x, mu_k)(y - x)   # sigma(X)^{-1} (Y - X)
+        h = _sigma_solver(model, t_k, x, mu_k, y - x) / xi(t_k)
         if k == n - 1:
             gap_sq_pen = np.sum((x - y) ** 2, axis=1)
             r_pen = np.exp(log_r)
             y = x_next
         else:
-            sigma_y = np.asarray(model.diffusion(t_k, y, nu_k), dtype=np.float64)
-            pull = -apply_sigma(sigma_y, u) / xi_k
-            y = y + (model.drift(t_k, y, nu_k) + pull) * dt + apply_sigma(sigma_y, dw)
+            y = em_step(model, t_k, y, nu_k, dt, dw - h * dt)
             check_finite(y, noise.step0 + k + 1, model.state_radius)
-        log_r += (u * dw).sum(axis=1) / xi_k - 0.5 * (u * u).sum(axis=1) * dt / xi_k ** 2
+        log_r += (h * dw).sum(axis=1) - 0.5 * (h * h).sum(axis=1) * dt
 
         if record_series:
             r_now = np.exp(log_r)

@@ -21,6 +21,15 @@ import numpy as np
 import scipy
 
 
+def write_csv(path, rows: np.ndarray, header: str | None = None) -> None:
+    """The (n, d) ``rows`` as "%.17g" numbers joined by commas, after an optional header
+    line: ``np.savetxt``'s bytes, without the class it defines on every call for the GC."""
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("" if header is None else header + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
 @dataclass(frozen=True)
 class EmpiricalMeasure:
     """N equally weighted points in R^d (weight 1/N each)."""
@@ -59,7 +68,7 @@ class EmpiricalMeasure:
 
     def to_csv(self, path) -> None:
         """One point per row, d columns, no header."""
-        np.savetxt(path, self.points, fmt="%.17g", delimiter=",")
+        write_csv(path, self.points)
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalMeasure":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import EmpiricalMeasure
+from .measure import EmpiricalMeasure, write_csv
 from .rng import NoiseSpec, increments
 
 
@@ -107,7 +107,7 @@ class LawCurve:
         files = []
         for k, x in enumerate(nodes):
             files.append(f"node_{k:05d}.csv")
-            np.savetxt(os.path.join(directory, files[-1]), x, fmt="%.17g", delimiter=",")
+            write_csv(os.path.join(directory, files[-1]), x)
             yield x
         manifest = {
             "grid": {"s": grid.s, "t_end": grid.t_end, "n_steps": grid.n_steps},

@@ -12,6 +12,7 @@ fixed-point search.  ``PicardResult``, ``ContractResult`` and
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
@@ -206,7 +207,8 @@ class ContractionEstimate:
     def bound_envelope(self) -> np.ndarray:
         """w2_sq[0] e^{bound_rate (t - t_0)} at each W2 node; flat when bound_rate is unset."""
         rate = self.bound_rate if self.bound_rate is not None else 0.0
-        return self.w2_sq[0] * np.exp(rate * (self.times - self.times[0]))
+        growth = rate * (self.times - self.times[0])
+        return self.w2_sq[0] * np.array([math.exp(g) for g in growth])  # libm: no SIMD rounding
 
 
 @dataclass

@@ -103,28 +103,38 @@ def synchronous_pair(model, law_x, law_y, init_x, init_y,
             euler_maruyama(model, y, grid, noise, law=law_y))
 
 
+_LANDAU_SUMS = {}  # (x, z, gamma, scale) -> 40-digit sums, as the cases share laws and scales
+
+
+def _landau_sums(x: np.ndarray, z: np.ndarray, gamma: float, scale: float):
+    """The (drift, sigma) direct sums of the points x against scale * z, each rounded once."""
+    key = (x.shape, x.tobytes(), z.shape, z.tobytes(), gamma, scale)
+    if key in _LANDAU_SUMS:
+        return _LANDAU_SUMS[key]
+    n = len(z)
+    with mpmath.workdps(40):
+        quarter = mpmath.mpf(gamma) / 4
+        points = [[mpmath.mpf(scale) * mpmath.mpf(c) for c in row] for row in z]
+        drift, sigma = [], []
+        for row in x:
+            xi = [mpmath.mpf(c) for c in row]
+            acc2, acc4 = [mpmath.mpf(0)] * 3, [mpmath.mpf(0)] * 3
+            for zj in points:
+                diff = [a - b for a, b in zip(xi, zj)]
+                w4 = (diff[0] ** 2 + diff[1] ** 2 + diff[2] ** 2) ** quarter
+                w2 = w4 * w4
+                for k in range(3):
+                    acc2[k] += w2 * diff[k]
+                    acc4[k] += w4 * diff[k]
+            drift.append([float(-2 * c / n) for c in acc2])
+            sigma.append([float(c / n) for c in acc4])
+    _LANDAU_SUMS[key] = drift, sigma
+    return drift, sigma
+
+
 def landau_reference(x: np.ndarray, z: np.ndarray, alpha: float, beta: float,
                      gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Landau drift and diffusion (gamma > 0) of the points x against the law of
     the points z, as 40-digit direct sums over every pair, rounded once."""
-    n = len(z)
-    sums = {}
-    with mpmath.workdps(40):
-        quarter = mpmath.mpf(gamma) / 4
-        for scale in {alpha, beta}:
-            points = [[mpmath.mpf(scale) * mpmath.mpf(c) for c in row] for row in z]
-            drift, sigma = [], []
-            for row in x:
-                xi = [mpmath.mpf(c) for c in row]
-                acc2, acc4 = [mpmath.mpf(0)] * 3, [mpmath.mpf(0)] * 3
-                for zj in points:
-                    diff = [a - b for a, b in zip(xi, zj)]
-                    w4 = (diff[0] ** 2 + diff[1] ** 2 + diff[2] ** 2) ** quarter
-                    w2 = w4 * w4
-                    for k in range(3):
-                        acc2[k] += w2 * diff[k]
-                        acc4[k] += w4 * diff[k]
-                drift.append([float(-2 * c / n) for c in acc2])
-                sigma.append([float(c / n) for c in acc4])
-            sums[scale] = drift, sigma
-    return np.array(sums[alpha][0]), landau_sigma0(np.array(sums[beta][1]), 0.0)
+    drift, sigma = _landau_sums(x, z, gamma, alpha)[0], _landau_sums(x, z, gamma, beta)[1]
+    return np.array(drift), landau_sigma0(np.array(sigma), 0.0)

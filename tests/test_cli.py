@@ -716,6 +716,17 @@ def test_refine_attaches_companion(tmp_path):
     assert "terminal_mean" in report["refinement"]["metrics"]
 
 
+def test_couple_refinement_holds_dt_metrics_and_ok(tmp_path):
+    # The bundled couple config at the golden pins' size, which passes at dt and dt/2.
+    cfg = json.loads((CONFIG_DIR / "couple_linear.json").read_text())
+    cfg["sim"].update(n_particles=64, dt=0.01)
+    cfg["output"]["directory"] = str(tmp_path / "out")
+    assert main(["run", write_config(tmp_path, cfg), "--refine"]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert sorted(report["refinement"]) == ["dt", "metrics", "ok"]
+    assert "terminal_gap_q" in report["refinement"]["metrics"]
+
+
 def test_refine_validates_its_companion_before_writing(tmp_path, capsys):
     # 0.25 / 0.1 rounds to 2 steps, which 2 windows divide; the dt/2 companion has 5.
     cfg = small_simulate_config(tmp_path / "out", experiment={"type": "picard", "windows": 2})

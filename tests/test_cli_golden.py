@@ -29,6 +29,15 @@ deleted, and every CSV kept its bytes.  The ``log_harnack_linear.json`` and
 became the paired SE, sd(psi)/sqrt(M) of the slack's per-sample influence
 array, in place of the hypot of the two sides' SEs; ``ibp_linear.json`` kept
 its pin, as its paired array 1 - x w has the SE of x w to the bit at this size.
+The ``couple_linear.json`` pins (report and both CSVs) and the
+``log_harnack_linear.json`` report pin were re-recorded when the coupled
+process Y began to step through ``em_step`` on the Girsanov-shifted noise
+dW - h dt, with log R accumulating <h, dW> - |h|^2 dt / 2: the same scheme,
+rounded differently.  The couple report also lost the ``refinement.gap_ratio``
+key then.  The ``contract.csv`` pins of the three contract configs (coarse and
+refined) were re-recorded when ``bound_envelope`` moved from numpy's SIMD
+``exp`` to ``math.exp``; 2 to 6 envelope entries per file moved by one or two
+ulps, and every ``w2_sq`` and report kept its bits.
 """
 
 import hashlib
@@ -61,26 +70,26 @@ PINS = {
     "contract_landau_dissipative.json": {
         "exit": 0,
         "report": "b6e2b98bf9a3a130",
-        "contract.csv": "2007544c178b95d6",
-        "refined/contract.csv": "769642394e82d72c",
+        "contract.csv": "55e46f5bf76bd349",
+        "refined/contract.csv": "6dbc4008d56ec6a8",
     },
     "contract_landau_maxwell.json": {
         "exit": 0,
         "report": "6c7f993713e15f13",
-        "contract.csv": "5d0a34312c1181ed",
-        "refined/contract.csv": "8faf143fe5c7d499",
+        "contract.csv": "7f078602bed4e2e7",
+        "refined/contract.csv": "c6769857f54e4e8a",
     },
     "contract_linear.json": {
         "exit": 0,
         "report": "9e75359b6038f20b",
-        "contract.csv": "2b235f4caeffe388",
-        "refined/contract.csv": "16495a12aef78a93",
+        "contract.csv": "d8993faba32f3d36",
+        "refined/contract.csv": "ad06470a81cd1c4a",
     },
     "couple_linear.json": {
         "exit": 0,
-        "report": "257787c219783bb0",
-        "couple.csv": "17158e49f4b6ebad",
-        "refined/couple.csv": "9f62b1337e359c22",
+        "report": "08d31f7a94292c67",
+        "couple.csv": "938df017bf3dc144",
+        "refined/couple.csv": "85092da71b14fc14",
     },
     "ibp_linear.json": {
         "exit": 0,
@@ -94,7 +103,7 @@ PINS = {
     },
     "log_harnack_linear.json": {
         "exit": 0,
-        "report": "dfafae7d78a48ec4",
+        "report": "5173ec7cb7f1bc84",
     },
     "picard_linear.json": {
         "exit": 0,

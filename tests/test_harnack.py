@@ -198,6 +198,34 @@ class TestCoupledGirsanov:
         assert res.clip_fraction is not None
         assert res.clip_fraction > 0.5  # nearly every weight exceeds a tiny cap
 
+    @pytest.mark.parametrize("shift", [[0.7], [0.7, -0.4]], ids=["d1", "d2"])
+    def test_brownian_shift_is_exact(self, shift):
+        # b = 0, sigma = I and kappa1 = 0, so xi_t = T - t: each step closes D0 dt / T of
+        # the gap, h = D0 / T at every step, and both sides are exact with no sampling.
+        d0, t_end = np.asarray(shift), 1.0
+        model = linear_meanfield_model(0.0, 0.0, 1.0, dim=len(shift))
+        grid = TimeGrid(0.0, t_end, 200)
+        x0 = normal_block(NoiseSpec(seed=11, dim=len(shift)), np.arange(64), 0)
+        sample = simulate_coupled(model, x0, x0 + d0, grid, NoiseSpec(seed=12, dim=len(shift)))
+        gap_sq = float(d0 @ d0) * (grid.dt / t_end) ** 2
+        log_r = (sample.x_terminal - x0) @ d0 / t_end - float(d0 @ d0) / (2.0 * t_end)
+        np.testing.assert_allclose(sample.gap_sq_penultimate, gap_sq, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(sample.log_r, log_r, rtol=0, atol=1e-12)
+
+    def test_coupled_process_steps_through_the_joint_coefficients(self):
+        # With drift and diffusion unusable, every step of X, Y and the nu-flow
+        # goes through ``coefficients``, and the shift through ``sigma_inverse``.
+        def unusable(*args):
+            raise AssertionError("drift or diffusion called outside coefficients")
+        joint = replace(self.model, drift=unusable, diffusion=unusable,
+                        joint=lambda t, x, mu: (self.model.drift(t, x, mu),
+                                                self.model.diffusion(t, x, mu)))
+        pairs = delta_pairs(0.0, 1.0, 32)
+        want = simulate_coupled(self.model, *pairs, TimeGrid(0.0, 1.0, 50), self.noise)
+        got = simulate_coupled(joint, *pairs, TimeGrid(0.0, 1.0, 50), self.noise)
+        assert np.array_equal(got.log_r, want.log_r)
+        assert np.array_equal(got.gap_sq_penultimate, want.gap_sq_penultimate)
+
 
 class TestLogHarnack:
     model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)

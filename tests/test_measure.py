@@ -8,6 +8,7 @@ from ddsde.measure import (
     _cost_matrix,
     transport_plan,
     wasserstein,
+    write_csv,
 )
 
 from helpers import brute_force_wasserstein, moment
@@ -138,6 +139,14 @@ class TestEmpiricalMeasure:
         mu.to_csv(path)
         back = EmpiricalMeasure.from_csv(path)
         assert np.array_equal(mu.points, back.points)
+
+    @pytest.mark.parametrize("header", [None, "t,x,y"])
+    def test_csv_bytes_are_savetxt_bytes(self, tmp_path, header):
+        rows = np.array([[0.1, -2.5e-300, 1e17], [np.pi, 0.0, -0.0], [1.0, -7.0, 5e-324]])
+        write_csv(tmp_path / "ours.csv", rows, header)
+        np.savetxt(tmp_path / "numpy.csv", rows, fmt="%.17g", delimiter=",",
+                   header=header or "", comments="")
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "numpy.csv").read_bytes()
 
     def test_loader_rejects_nonfinite(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -569,6 +570,26 @@ class TestLawCurve:
         back = np.stack([np.loadtxt(out / name, delimiter=",", ndmin=2)
                          for name in manifest["files"]])
         assert np.array_equal(back, law.states)
+
+    def test_export_leaves_no_class_objects_behind(self, tmp_path):
+        # np.savetxt defines a class on every call, which only the cyclic GC frees.
+        grid = TimeGrid(0.0, 1.0, 999)
+        nodes = np.zeros((grid.n_nodes, 2, 1))
+
+        def classes():
+            return sum(isinstance(obj, type) for obj in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = classes()
+            for _ in LawCurve.export(tmp_path / "law", grid, nodes, 2.0, {}):
+                pass
+            after = classes()
+        finally:
+            gc.enable()
+        assert len(list((tmp_path / "law").glob("node_*.csv"))) == 1000
+        assert after == before
 
     def test_constant_curve_shares_memory(self):
         mu0 = gaussian_measure(8, 1, seed=37)
