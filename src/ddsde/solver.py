@@ -193,6 +193,9 @@ def evolve_states(model: CoefficientModel, states: np.ndarray, t0: float,
     return states
 
 
+_LOG_MAX = math.log(np.finfo(float).max)   # the largest g with math.exp(g) finite
+
+
 @dataclass
 class ContractionEstimate:
     """Fitted decay/growth rate of log W2^2 against the analytic envelope."""
@@ -208,7 +211,9 @@ class ContractionEstimate:
         """w2_sq[0] e^{bound_rate (t - t_0)} at each W2 node; flat when bound_rate is unset."""
         rate = self.bound_rate if self.bound_rate is not None else 0.0
         growth = rate * (self.times - self.times[0])
-        return self.w2_sq[0] * np.array([math.exp(g) for g in growth])  # libm: no SIMD rounding
+        # libm, not numpy's SIMD rounding; inf past the double range, where math.exp raises
+        return self.w2_sq[0] * np.array([math.inf if g > _LOG_MAX else math.exp(g)
+                                         for g in growth])
 
 
 @dataclass

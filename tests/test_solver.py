@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -476,9 +477,18 @@ class TestVerdicts:
     def test_bound_envelope_follows_the_bound_rate(self):
         times, w2_sq = np.array([0.1, 0.6]), np.array([2.0, 1.0])
         est = ContractionEstimate(-1.0, -2.0, times, w2_sq)
-        assert np.array_equal(est.bound_envelope, 2.0 * np.exp(-2.0 * (times - 0.1)))
+        assert np.array_equal(est.bound_envelope,
+                              2.0 * np.array([math.exp(g) for g in -2.0 * (times - 0.1)]))
         flat = ContractionEstimate(-1.0, None, times, w2_sq)
         assert np.array_equal(flat.bound_envelope, [2.0, 2.0])
+
+    def test_bound_envelope_is_inf_where_the_exponent_overflows(self):
+        # log(DBL_MAX) ~ 709.78 is the last exponent math.exp takes without OverflowError
+        edge = math.log(sys.float_info.max)
+        times = np.array([0.0, edge, math.nextafter(edge, math.inf), 800.0])
+        env = ContractionEstimate(0.5, 1.0, times, np.ones(4)).bound_envelope
+        assert np.array_equal(env[:2], [1.0, math.exp(edge)])
+        assert np.array_equal(env[2:], [math.inf, math.inf])
 
     def test_invariant_passes_up_to_tol(self):
         mu_hat = EmpiricalMeasure(np.array([[1.0], [-3.0]]))
