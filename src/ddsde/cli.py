@@ -241,9 +241,6 @@ def validate_config(cfg: dict) -> Run:
             solver._require_dissipative(built)
             for key in ("burn_in", "check_horizon"):
                 _step_count(float(full[key]), float(sim["dt"]), f"experiment.{key}")
-            if "init" in sim:
-                raise ValueError("sim.init is not read: the search starts from its own "
-                                 "standard-normal ensemble")
         if etype == "bounds":
             # Evaluating the bound checks each param against the range its formula needs.
             _run_bounds(quantity, params, built, t_end)
@@ -381,12 +378,9 @@ def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
         result = solver.ContractResult.judge(est, float(exp["slope_tolerance"]))
     elif etype == "invariant":
         tol = float(exp["tol"])
-        try:
-            mu_hat, residual = solver.find_invariant(
-                model, float(sim["dt"]), noise, mu0.n, burn_in=float(exp["burn_in"]),
-                check_horizon=float(exp["check_horizon"]), tol=tol)
-        except solver.InvariantSearchError as err:
-            return {"error": str(err), "tol": tol}, False
+        mu_hat, residual = solver.find_invariant(
+            model, mu0.points, float(sim["dt"]), noise, burn_in=float(exp["burn_in"]),
+            check_horizon=float(exp["check_horizon"]), tol=tol)
         mu_hat.to_csv(os.path.join(out_dir, "invariant_measure.csv"))
         result = solver.InvariantResult.judge(mu_hat, residual, tol)
     elif etype in ("couple", "log_harnack"):
@@ -487,14 +481,17 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
 
     cfg = runs[0].config
     out_dir = os.environ.get("DDSDE_OUTPUT_DIR") or cfg["output"].get("directory", ".")
-    os.makedirs(out_dir, exist_ok=True)
+    fine_dir = os.path.join(out_dir, "refined")
+    try:
+        os.makedirs(fine_dir if refine else out_dir, exist_ok=True)  # fine_dir makes out_dir
+    except OSError as err:  # a path that names a file, or lies below one
+        print(f"error: cannot create the output directory: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
     started = time.perf_counter()
     try:
         metrics, ok = _run_experiment(runs[0], out_dir, threads)
         if refine:
-            fine_dir = os.path.join(out_dir, "refined")
-            os.makedirs(fine_dir, exist_ok=True)
             fine_metrics, fine_ok = _run_experiment(runs[1], fine_dir, threads)
             refinement = {"dt": fine["sim"]["dt"], "metrics": fine_metrics, "ok": fine_ok}
             ok = ok and fine_ok

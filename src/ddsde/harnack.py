@@ -119,13 +119,12 @@ def _require_coupling_model(model: CoefficientModel) -> None:
 
 
 def _sigma_solver(model, t, states, mu, v):
-    """sigma(t, states, mu)^{-1} v; a model's precomputed inverse spares evaluating sigma."""
+    """sigma(t, states, mu)^{-1} v, for a shared (d, d) or a per-path (M, d, d) sigma;
+    a model's precomputed inverse spares evaluating sigma."""
     if model.sigma_inverse is not None:
         return apply_sigma(model.sigma_inverse(t), v)
     sigma = np.asarray(model.diffusion(t, states, mu), dtype=np.float64)
-    if sigma.ndim == 3:
-        return np.linalg.solve(sigma, v[..., None])[..., 0]
-    return apply_sigma(np.linalg.inv(sigma), v)
+    return np.linalg.solve(sigma, v[..., None])[..., 0]
 
 
 def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
@@ -537,6 +536,8 @@ def density_bound_rhs(kind: str, p: float, s: float, t: float,
     kind = kind.upper()
     if not t > s:
         raise ValueError(f"need t > s, got s={s}, t={t}")
+    if d < 1:
+        raise ValueError(f"the dimension d must be >= 1, got {d}")
     span = t - s
     if kind == "ET1":
         if p <= 1:

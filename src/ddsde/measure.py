@@ -14,6 +14,7 @@ import os
 import sys
 import threading
 import types
+import warnings
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -72,7 +73,9 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_csv(cls, path) -> "EmpiricalMeasure":
-        pts = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # a file with no rows fails in cls, not as a warning
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pts = np.loadtxt(path, delimiter=",", ndmin=2)
         return cls(pts)
 
 

@@ -184,6 +184,8 @@ def landau_model(gamma: float, alpha: float, beta: float,
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    if state_radius is not None and not state_radius > 0:
+        raise ValueError(f"state_radius must be positive, got {state_radius}")
     if state_radius is None and gamma > 0:
         state_radius = 1e3
 

@@ -191,6 +191,25 @@ def test_verification_failure_exits_two(tmp_path):
     assert main(["run", cfg_path]) == EXIT_VERIFY
 
 
+def test_invariant_search_starts_from_sim_init(tmp_path):
+    # From a point law at 5 the OU particles are far from N(0, 1/2) after a burn-in
+    # of 0.05 and its doubling, so the search fails its check, reporting the residual
+    # it failed on and writing the snapshot.
+    out = tmp_path / "out"
+    cfg = {
+        "model": {"name": "linear_meanfield", "a": 1.0, "c": 0.0, "sigma": 1.0, "dim": 1},
+        "sim": {"n_particles": 256, "dt": 0.01, "t_end": 0.5, "seed": 3,
+                "init": {"kind": "point", "value": 5.0}},
+        "experiment": {"type": "invariant", "burn_in": 0.05},
+        "output": {"directory": str(out)},
+    }
+    assert main(["run", write_config(tmp_path, cfg)]) == EXIT_VERIFY
+    report = json.loads((out / "report.json").read_text())
+    assert report["metrics"]["residual"] > 0.5
+    assert report["metrics"]["second_moment_per_coordinate"][0] > 4.0
+    assert (out / "invariant_measure.csv").exists()
+
+
 @pytest.mark.parametrize("model, sim, experiment, named", [
     ({"name": "landau", "gamma": 1.0, "alpha": 1.0, "beta": 1.0, "state_radius": 0.2},
      {"n_particles": 16, "dt": 0.01, "t_end": 0.5, "seed": 4,
@@ -313,7 +332,8 @@ def test_landau_pairwise_bitwise_across_blas_and_cli_threads(tmp_path, beta):
 
 
 MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
-                 "two_columns.csv": "0.5,1.0\n1.5,2.0\n", "three_rows.csv": "0.5\n1.0\n1.5\n"}
+                 "two_columns.csv": "0.5,1.0\n1.5,2.0\n", "three_rows.csv": "0.5\n1.0\n1.5\n",
+                 "empty.csv": "", "blank.csv": "\n\n"}
 
 
 @pytest.mark.parametrize("experiment, sim_update, model_update, named", [
@@ -436,9 +456,15 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
     # 47-bit address space holds, so each allocation fails on any machine.
     ({"type": "simulate"}, {}, {"dim": 10 ** 7}, "Unable to allocate 728. TiB"),
     ({"type": "simulate"}, {"n_particles": 1e15}, {}, "Unable to allocate 7.11 PiB"),
-    # The search draws its own start, so a given initial law would be silently ignored.
-    ({"type": "invariant"}, {"init": {"kind": "point", "value": 5.0}}, {},
-     "'invariant' experiment: sim.init is not read"),
+    # A file with no rows fails as an empty law, with no numpy warning before the line.
+    *[({"type": "simulate"}, {"init": {"kind": "csv", "path": name}}, {},
+       "points must be a nonempty (N, d) array") for name in ("empty.csv", "blank.csv")],
+    # A radius of 0 or less would abort the run at its first state.
+    *[({"type": "simulate"}, {}, {"name": "landau", "gamma": 0.5, "state_radius": radius},
+       f"state_radius must be positive, got {radius}") for radius in (0.0, -1.0)],
+    *[({"type": "bounds", "quantity": quantity, "params": {"lambda": 1.0, "d": d}}, {}, {},
+       f"the dimension d must be >= 1, got {d}")
+      for quantity in ("ET1", "ET2", "ET3") for d in (0, -3)],
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -464,7 +490,11 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "bounds_power_kappa_negative", "bounds_p_threshold_kappa_negative",
         "couple_weight_clip_negative", "log_harnack_f_min_zero", "contract_shift_overflow",
         "couple_shift_overflow", "log_harnack_shift_overflow", "dim_zero", "dim_unallocatable",
-        "n_particles_unallocatable", "invariant_sim_init"])
+        "n_particles_unallocatable", "init_csv_empty", "init_csv_blank",
+        "landau_state_radius_zero", "landau_state_radius_negative", "bounds_et1_d_zero",
+        "bounds_et1_d_negative", "bounds_et2_d_zero", "bounds_et2_d_negative",
+        "bounds_et3_d_zero", "bounds_et3_d_negative"])
+@pytest.mark.filterwarnings("error")  # a warning printed before the error line fails
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
                                                       named):
@@ -525,10 +555,7 @@ def test_a_64_bit_seed_parses(tmp_path):
     {"type": "invariant", "burn_in": 0, "check_horizon": 0},
 ], ids=["shift_harnack_log_form_p", "invariant_zero_spans"])
 def test_experiment_range_edges_accepted(tmp_path, experiment):
-    cfg = small_simulate_config(tmp_path / "out", experiment=experiment)
-    if experiment["type"] == "invariant":
-        del cfg["sim"]["init"]  # the invariant search rejects an initial law
-    validate_config(cfg)
+    validate_config(small_simulate_config(tmp_path / "out", experiment=experiment))
 
 
 def test_run_imports_only_what_it_uses(tmp_path):
@@ -705,6 +732,25 @@ def test_malformed_output_block_exits_one(tmp_path, capsys, output, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("blocker, directory, env, refine", [
+    ("file", "file", None, False),
+    ("file", "out", "file/out", False),
+    ("out/refined", "out", None, True),
+], ids=["directory_names_a_file", "env_directory_below_a_file", "refined_names_a_file"])
+def test_output_directory_that_cannot_be_made_exits_one(tmp_path, capsys, monkeypatch,
+                                                        blocker, directory, env, refine):
+    (tmp_path / blocker).parent.mkdir(exist_ok=True)
+    (tmp_path / blocker).write_text("")
+    if env:
+        monkeypatch.setenv("DDSDE_OUTPUT_DIR", str(tmp_path / env))
+    cfg_path = write_config(tmp_path, small_simulate_config(tmp_path / directory))
+    assert main(["run", cfg_path] + ["--refine"] * refine) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create the output directory: ")
+    assert err.count("\n") == 1 and str(tmp_path / blocker) in err
+    assert not (tmp_path / "out" / "simulate.csv").exists()  # nothing ran
 
 
 def test_refine_attaches_companion(tmp_path):

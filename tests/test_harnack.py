@@ -192,6 +192,18 @@ class TestCoupledGirsanov:
         assert abs(res.weight_mean - 1.0) <= 3 * res.weight_mean_se
         assert res.weight_entropy <= res.phi_bound + 3 * res.weight_entropy_se
 
+    def test_shared_sigma_solve_matches_the_precomputed_inverse(self):
+        # Without sigma_inverse the shift solves the one (d, d) sigma for every path.
+        model = linear_meanfield_model(1.0, 0.25, [[1.0, 0.3], [0.0, 0.8]])
+        x0 = normal_block(NoiseSpec(seed=13, dim=2), np.arange(256), 0)
+        grid, noise = TimeGrid(0.0, 1.0, 100), NoiseSpec(seed=14, dim=2)
+        want = simulate_coupled(model, x0, x0 + [0.5, -0.5], grid, noise)
+        got = simulate_coupled(replace(model, sigma_inverse=None), x0, x0 + [0.5, -0.5],
+                               grid, noise)
+        np.testing.assert_allclose(got.log_r, want.log_r, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.gap_sq_penultimate, want.gap_sq_penultimate,
+                                   rtol=1e-12, atol=0)
+
     def test_weight_clip_diagnostic(self):
         x0, y0 = delta_pairs(0.0, 1.0, 500)
         res = girsanov(self.model, (x0, y0), self.grid, self.noise, weight_clip=1e-6)
