@@ -384,22 +384,18 @@ def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
         mu_hat.to_csv(os.path.join(out_dir, "invariant_measure.csv"))
         result = solver.InvariantResult.judge(mu_hat, residual, tol)
     elif etype in ("couple", "log_harnack"):
-        for law in (mu0, nu0):  # before their W2 costs can overflow
-            check_finite(law.points, noise.step0, model.state_radius)
-        sample = harnack.simulate_coupled(
-            model, *harnack.coupled_pairs_from_measures(mu0, nu0), grid, noise,
-            record_series=etype == "couple")
+        x0, y0, _ = harnack.coupled_pairs_from_measures(model, mu0, nu0, noise.step0)
+        sample = harnack.simulate_coupled(model, x0, y0, grid, noise,
+                                          record_series=etype == "couple")
         if etype == "couple":
             result = harnack.coupled_girsanov(sample, model, grid, exp.get("weight_clip"))
             s = sample.series
             write_csv(os.path.join(out_dir, "couple.csv"), np.column_stack(
                 [s["t"], s["gap_q"], s["weight_mean"], s["weight_entropy"]]),
                 "t,gap_q,weight_mean,weight_entropy")
-            # clip_fraction and ess_warning are left out when unset
-            return {key: value for key, value in asdict(result).items()
-                    if value is not None}, result.ok
-        result = harnack.verify_log_harnack(sample, harnack.TEST_FUNCTIONS[exp["f"]],
-                                            model, grid, f_min=float(exp["f_min"]))
+        else:
+            result = harnack.verify_log_harnack(sample, harnack.TEST_FUNCTIONS[exp["f"]],
+                                                model, grid, f_min=float(exp["f_min"]))
     elif etype == "shift_harnack":
         x_t = solver.evolve_states(model, mu0.points, grid.s, grid.n_steps, grid.dt, noise)
         result = harnack.shift_coupling_verify(
@@ -495,7 +491,7 @@ def run(config_path: str, threads: int = 1, refine: bool = False) -> int:
             fine_metrics, fine_ok = _run_experiment(runs[1], fine_dir, threads)
             refinement = {"dt": fine["sim"]["dt"], "metrics": fine_metrics, "ok": fine_ok}
             ok = ok and fine_ok
-    except NumericalBlowupError as err:
+    except (NumericalBlowupError, FloatingPointError) as err:  # the latter: a W_theta cost
         print(f"numerical abort: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

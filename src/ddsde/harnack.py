@@ -37,7 +37,7 @@ invertible.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -170,8 +170,7 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
             r_pen = np.exp(log_r)
             y = x_next
         else:
-            y = em_step(model, t_k, y, nu_k, dt, dw - h * dt)
-            check_finite(y, noise.step0 + k + 1, model.state_radius)
+            y = em_step(model, t_k, y, nu_k, dt, dw - h * dt, noise.step0 + k + 1)
         log_r += (h * dw).sum(axis=1) - 0.5 * (h * h).sum(axis=1) * dt
 
         if record_series:
@@ -231,13 +230,17 @@ class CouplingResult(_Judged):
     weight_entropy_se: float
     phi_bound: float           # phi(s, T) * W2(mu0, nu0)^2
     ess: float                 # (sum R)^2 / sum R^2; nan when every R^2 underflows
-    clip_fraction: float | None = None
-    ess_warning: str | None = None   # set when ess is below M/10 or undefined
-    success: bool = field(init=False)
+    ess_warning: str | None    # set when ess is below M/10 or undefined
+    clip_fraction: float | None
 
-    def __post_init__(self, checks: tuple[Check, ...]) -> None:
-        super().__post_init__(checks)
-        self.success = self.ok
+
+def _ess(r: np.ndarray) -> tuple[float, str | None]:
+    """(sum R)^2 / sum R^2 of the weights r (nan if every R^2 underflows), and its warning."""
+    r_sq = (r * r).sum()
+    ess = float(r.sum() ** 2 / r_sq) if r_sq > 0 else math.nan
+    warning = ("effective sample size undefined: every weight underflowed" if math.isnan(ess)
+               else f"effective sample size {ess:.1f} < M/10" if ess < len(r) / 10 else None)
+    return ess, warning
 
 
 def coupled_girsanov(sample: CoupledSample, model: CoefficientModel, grid: TimeGrid,
@@ -257,14 +260,10 @@ def coupled_girsanov(sample: CoupledSample, model: CoefficientModel, grid: TimeG
     phi_bound = _coupling_phi(model, grid) * sample.w2_sq_initial
     martingale = Check(weight_mean - 1.0, _se(r), identity=True)
     entropy_bound = Check(phi_bound - entropy, _se(r_log_r))
-    r_sq = (r * r).sum()
-    ess = float(r.sum() ** 2 / r_sq) if r_sq > 0 else math.nan  # every weight underflowed
     gap_q = float(np.mean(sample.r_penultimate * sample.gap_sq_penultimate))
     clip = None if weight_clip is None else float(np.mean(np.abs(sample.log_r) > weight_clip))
-    warning = ("effective sample size undefined: every weight underflowed" if math.isnan(ess)
-               else f"effective sample size {ess:.1f} < M/10" if ess < len(r) / 10 else None)
     return CouplingResult((martingale, entropy_bound), gap_q, weight_mean, martingale.se,
-                          entropy, entropy_bound.se, phi_bound, ess, clip, warning)
+                          entropy, entropy_bound.se, phi_bound, *_ess(r), clip)
 
 
 @dataclass
@@ -279,12 +278,12 @@ class _Inequality(_Judged):
     slack_se: float   # paired: of the difference of the two sides' psi
 
     @classmethod
-    def judge(cls, lhs: float, rhs: float, lhs_psi: np.ndarray, rhs_psi: np.ndarray, **extra):
+    def judge(cls, lhs: float, rhs: float, lhs_psi: np.ndarray, rhs_psi: np.ndarray, *extra):
         """The result for sides with these psi; the slack's psi overwrites rhs_psi."""
         lhs_se, rhs_se = _se(lhs_psi), _se(rhs_psi)
         rhs_psi -= lhs_psi
         slack = Check(rhs - lhs, _se(rhs_psi))
-        return cls((slack,), lhs, rhs, slack.value, lhs_se, rhs_se, slack.se, **extra)
+        return cls((slack,), lhs, rhs, slack.value, lhs_se, rhs_se, slack.se, *extra)
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +294,23 @@ class _Inequality(_Judged):
 class LogHarnackResult(_Inequality):  # lhs = E[R_T log f(X_T)], rhs = log E f(X_T) + phi w2_sq
     phi: float        # phi(s, T)
     w2_sq: float      # W2(mu0, nu0)^2
+    ess: float        # of the weights R_T, as in ``CouplingResult``
+    ess_warning: str | None
 
     @property
     def log_mean_f(self) -> float:  # the rhs without the phi term, for sharp-constant oracles
         return self.rhs - self.phi * self.w2_sq
 
 
-def coupled_pairs_from_measures(mu0: EmpiricalMeasure,
-                                nu0: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """(N, d) initial pairs realizing the exact W2 coupling of two equal-size laws."""
-    return mu0.points, nu0.points[transport_plan(mu0, nu0, theta=2.0).permutation]
+def coupled_pairs_from_measures(model: CoefficientModel, mu0: EmpiricalMeasure,
+                                nu0: EmpiricalMeasure, step: int) -> tuple:
+    """(x0, y0, plan): (N, d) initial pairs realizing the exact W2 plan of two equal-size
+    laws, each checked first as the states of global step ``step``, before their W2
+    costs can overflow."""
+    for law in (mu0, nu0):
+        check_finite(law.points, step, model.state_radius)
+    plan = transport_plan(mu0, nu0, theta=2.0)
+    return mu0.points, nu0.points[plan.permutation], plan
 
 
 def verify_log_harnack(sample: CoupledSample, f, model: CoefficientModel, grid: TimeGrid,
@@ -327,11 +333,12 @@ def verify_log_harnack(sample: CoupledSample, f, model: CoefficientModel, grid: 
             f"test function dips to {fx.min():.3g} < f_min={f_min}; "
             "log-Harnack needs f bounded away from zero",
             int(np.argmax(fx < f_min)), grid.n_steps)
-    lhs_psi, mean_f = np.exp(sample.log_r) * np.log(fx), float(np.mean(fx))
+    r = np.exp(sample.log_r)
+    lhs_psi, mean_f = r * np.log(fx), float(np.mean(fx))
     phi_value = _coupling_phi(model, grid)
     rhs = math.log(mean_f) + phi_value * sample.w2_sq_initial
     return LogHarnackResult.judge(float(np.mean(lhs_psi)), rhs, lhs_psi, fx / mean_f,
-                                  phi=phi_value, w2_sq=sample.w2_sq_initial)
+                                  phi_value, sample.w2_sq_initial, *_ess(r))
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +447,9 @@ def shift_coupling_verify(model: CoefficientModel, f, v, x_terminal: np.ndarray,
     closed form for the constant lambda and gradient bound of model metadata.
 
     Raises:
-        NumericalBlowupError: if f(X_T) or f(X_T + v) is not positive, naming
-            the first such sample and the grid's last step.
+        NumericalBlowupError: if f(X_T) or f(X_T + v) is not positive, or in the
+            power form f(X_T + v)^p or (E f)^p is not finite, naming the first
+            such sample and the grid's last step.
     """
     _require_additive(model)
     if not log_form and p <= 1:
@@ -458,11 +466,15 @@ def shift_coupling_verify(model: CoefficientModel, f, v, x_terminal: np.ndarray,
         lhs_psi, mean_fv = np.log(fx), float(np.mean(fxv))
         lhs, rhs, rhs_psi = float(np.mean(lhs_psi)), math.log(mean_fv) + constant, fxv / mean_fv
     else:
-        mean_f, rhs_psi = float(np.mean(fx)), fxv ** p
-        lhs_psi = p * mean_f ** (p - 1.0) * fx
-        lhs, rhs = mean_f ** p, float(np.mean(rhs_psi)) * constant
+        mean_f = float(np.mean(fx))
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            rhs_psi, lhs = fxv ** p, float(np.float64(mean_f) ** p)
+        if not (np.isfinite(rhs_psi).all() and math.isfinite(lhs)):
+            raise NumericalBlowupError(f"f(X_T + v)^p or (E f)^p overflows at p = {p:g}",
+                                       int(np.argmax(~np.isfinite(rhs_psi))), grid.n_steps)
+        lhs_psi, rhs = p * mean_f ** (p - 1.0) * fx, float(np.mean(rhs_psi)) * constant
         rhs_psi *= constant
-    return ShiftHarnackResult.judge(lhs, rhs, lhs_psi, rhs_psi, constant=constant)
+    return ShiftHarnackResult.judge(lhs, rhs, lhs_psi, rhs_psi, constant)
 
 
 @dataclass

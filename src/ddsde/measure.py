@@ -150,12 +150,18 @@ def _scipy_extension(package: str, name: str):
         return importlib.import_module(full_name)
 
 
-def _cost_matrix(d: np.ndarray, theta: float) -> np.ndarray:
-    """Distances d raised to the power theta, in place."""
+def theta_cost(d: np.ndarray, theta: float) -> np.ndarray:
+    """Distances d raised to the power theta, in place (no other code raises one); for theta
+    not 1 or 2, FloatingPointError if a positive distance's power leaves the normal range."""
     if theta == 2.0:
         d *= d
     elif theta != 1.0:
-        d **= theta
+        positive, double = d > 0, np.finfo(np.float64)
+        with np.errstate(over="ignore", under="ignore"):
+            d **= theta
+        if not (double.tiny <= np.min(d, where=positive, initial=np.inf) and d.max() <= double.max):
+            raise FloatingPointError(
+                f"the W_theta cost |x - y|^theta under- or overflows at theta = {theta:g}")
     return d
 
 
@@ -198,16 +204,16 @@ def transport_plan(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
         iy = np.argsort(y[:, 0], kind="stable")
         perm = np.empty(len(ix), dtype=np.intp)
         perm[ix] = iy
-        cost = float(np.mean(np.abs(x[ix, 0] - y[iy, 0]) ** theta))
+        cost = float(np.mean(theta_cost(np.abs(x[ix, 0] - y[iy, 0]), theta)))
         return TransportPlan(cost=cost, theta=theta, permutation=perm)
-    c = _cost_matrix(_scipy_extension("spatial", "_distance_pybind").cdist_euclidean(x, y), theta)
+    c = theta_cost(_scipy_extension("spatial", "_distance_pybind").cdist_euclidean(x, y), theta)
     if theta == 2.0:
         _reduce_by_gaussian_potentials(c, x, y)
     rows, cols = _scipy_extension("optimize", "_lsap").linear_sum_assignment(c)
     sq = sum((x[rows, j] - y[cols, j]) ** 2 for j in range(mu.dim))
     perm = np.empty(len(rows), dtype=np.intp)
     perm[rows] = cols
-    return TransportPlan(cost=float(_cost_matrix(np.sqrt(sq), theta).mean()), theta=theta,
+    return TransportPlan(cost=float(theta_cost(np.sqrt(sq), theta).mean()), theta=theta,
                          permutation=perm)
 
 

@@ -147,13 +147,14 @@ def check_finite(states: np.ndarray, step: int, radius: float | None = None) -> 
 
 
 def em_step(model, t: float, states: np.ndarray, mu: EmpiricalMeasure,
-            dt: float, dw: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama step of every trajectory against the measure mu."""
+            dt: float, dw: np.ndarray, step: int) -> np.ndarray:
+    """One Euler-Maruyama step of every trajectory against mu, checked as global ``step``."""
     drift, sigma = model.coefficients(t, states, mu)
     new = drift * dt  # one fresh array, summed into in place: addition commutes bitwise
     del drift  # before the sigma product allocates
     new += states
     new += apply_sigma(sigma, dw)
+    check_finite(new, step, model.state_radius)
     return new
 
 
@@ -177,8 +178,7 @@ def em_path(model, states: np.ndarray, t0: float, dt: float, n_steps: int,
     for k, dw in enumerate(increments(noise, states.shape[0], n_steps, np.sqrt(dt))):
         t_k = t0 + k * dt
         mu_k = EmpiricalMeasure(states) if law is None else law.measure_at(k)
-        new = em_step(model, t_k, states, mu_k, dt, dw)
-        check_finite(new, noise.step0 + k + 1, model.state_radius)
+        new = em_step(model, t_k, states, mu_k, dt, dw, noise.step0 + k + 1)
         yield t_k, states, mu_k, dw, new
         states = new
 

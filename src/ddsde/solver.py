@@ -19,12 +19,11 @@ from itertools import islice
 
 import numpy as np
 
-from .harnack import Check, _Judged
-from .measure import EmpiricalMeasure, transport_plan, wasserstein
+from .harnack import Check, _Judged, coupled_pairs_from_measures
+from .measure import EmpiricalMeasure, theta_cost, transport_plan, wasserstein
 from .models import CoefficientModel
 from .rng import NoiseSpec
-from .sde import (LawCurve, NumericalBlowupError, TimeGrid, check_finite, em_path, em_step,
-                  euler_maruyama)
+from .sde import LawCurve, NumericalBlowupError, TimeGrid, em_path, em_step, euler_maruyama
 
 
 @dataclass
@@ -70,9 +69,9 @@ PAIRING_CHUNK = 64  # nodes per _pairing_cost chunk; bounds its temporaries
 def _pairing_cost(x: np.ndarray, y: np.ndarray, theta: float) -> np.ndarray:
     """mean_i |x_i - y_i|^theta along the particle axis (the index pairing) at each
     node of (n_nodes, N, d) stacks; each node's mean is its own, so chunks change no bit."""
-    return np.concatenate([
-        np.mean(np.linalg.norm(x[k:k + PAIRING_CHUNK] - y[k:k + PAIRING_CHUNK], axis=-1)
-                ** theta, axis=-1) for k in range(0, len(x), PAIRING_CHUNK)])
+    return np.concatenate([np.mean(theta_cost(np.linalg.norm(
+        x[k:k + PAIRING_CHUNK] - y[k:k + PAIRING_CHUNK], axis=-1), theta), axis=-1)
+        for k in range(0, len(x), PAIRING_CHUNK)])
 
 
 def _sup_wasserstein(a: LawCurve, b: LawCurve, theta: float) -> float:
@@ -269,19 +268,15 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
     fit_window = _fit_window(grid, fit_window)
     nodes = _w2_nodes(grid, fit_window)
     times = grid.nodes[nodes]
-    for law in (mu0, nu0):  # before their W2 costs can overflow
-        check_finite(law.points, noise.step0, model.state_radius)
-    plan = transport_plan(mu0, nu0, theta=2.0)  # node 0's W2 is this plan's cost
-    y = nu0.points[plan.permutation]
+    x0, y, plan = coupled_pairs_from_measures(model, mu0, nu0, noise.step0)  # W2 at node 0
 
     kept = set(nodes.tolist())
-    xs, ys = [mu0.points], [y]
+    xs, ys = [x0], [y]
     dt = grid.dt
-    steps = em_path(model, mu0.points, grid.s, dt, grid.n_steps, noise)
+    steps = em_path(model, x0, grid.s, dt, grid.n_steps, noise)
     for k, (t_k, _, _, dw, x) in enumerate(steps, start=1):
         # Y steps on X's increments: the synchronous coupling.
-        y = em_step(model, t_k, y, EmpiricalMeasure(y), dt, dw)
-        check_finite(y, noise.step0 + k, model.state_radius)
+        y = em_step(model, t_k, y, EmpiricalMeasure(y), dt, dw, noise.step0 + k)
         if k in kept:
             xs.append(x)
             ys.append(y)

@@ -180,8 +180,8 @@ def test_criterion_07_log_harnack():
     grid = TimeGrid(0.0, 1.0, 1000)
     mu0 = EmpiricalMeasure.point_mass([0.0], 5000)
     nu0 = EmpiricalMeasure.point_mass([1.0], 5000)
-    sample = simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0), grid,
-                              NoiseSpec(seed=32, dim=1))
+    x0, y0, _ = coupled_pairs_from_measures(model, mu0, nu0, 0)
+    sample = simulate_coupled(model, x0, y0, grid, NoiseSpec(seed=32, dim=1))
     slacks = {}
     for name in sorted(TEST_FUNCTIONS):  # one sample serves every test function
         res = verify_log_harnack(sample, TEST_FUNCTIONS[name], model, grid)
@@ -193,8 +193,8 @@ def test_criterion_07_log_harnack():
     bgrid = TimeGrid(0.0, 1.0, 200)
     m = 40_000
     u, x0_val, y0_val = 1.0, 0.0, 1.0
-    pairs = coupled_pairs_from_measures(EmpiricalMeasure.point_mass([x0_val], m),
-                                        EmpiricalMeasure.point_mass([y0_val], m))
+    pairs = coupled_pairs_from_measures(brown, EmpiricalMeasure.point_mass([x0_val], m),
+                                        EmpiricalMeasure.point_mass([y0_val], m), 0)[:2]
     res = verify_log_harnack(
         simulate_coupled(brown, *pairs, bgrid, NoiseSpec(seed=33, dim=1)),
         lambda x: np.exp(u * x[:, 0]), brown, bgrid,

@@ -251,9 +251,30 @@ def test_invariant_search_starts_from_sim_init(tmp_path):
      {"n_particles": 16, "dt": 0.01, "t_end": 0.2, "seed": 1},
      {"type": "log_harnack", "f": "const", "f_min": 5.0},
      "< f_min=5.0; log-Harnack needs f bounded away from zero (trajectory 0, step 20)"),
+    # (1 + tanh)^2000 overflows near 2; the constant, 1.33, is finite.
+    ({"name": "linear_meanfield", "a": 1.0, "c": 0.25, "sigma": 1.0},
+     {"n_particles": 2000, "dt": 0.01, "t_end": 1.0, "seed": 3,
+      "init": {"kind": "point", "value": 0.5}},
+     {"type": "shift_harnack", "f": "one_plus_tanh", "v": 0.5, "p": 2000},
+     "f(X_T + v)^p or (E f)^p overflows at p = 2000 (trajectory 0, step 100)"),
+    # Picard's W_theta costs |x - y|^theta: at theta = 100 a distance below 8.4e-4
+    # underflows, at 1e300 every distance other than 1 under- or overflows, and at
+    # 700 the Landau distances above 2.76 overflow; each used to read a delta of 0.0.
+    *[({"name": name, **params},
+       {"n_particles": 16, "dt": 0.01, "t_end": 0.1, "seed": 1, "theta": theta},
+       {"type": "picard", "max_iter": 3, "tol": 1e-3},
+       f"|x - y|^theta under- or overflows at theta = {theta:g}")
+      for name, params, theta in [
+          ("linear_meanfield", {"a": 1.0, "c": 0.5, "sigma": 1.0}, 100.0),
+          ("linear_meanfield", {"a": 1.0, "c": 0.5, "sigma": 1.0}, 1e300),
+          ("landau", {"gamma": 0.0}, 700.0),
+          ("landau", {"gamma": 0.0}, 1e300)]],
 ], ids=["radius_guard", "squared_distance_overflow", "contract_init2_overflow",
         "couple_init2_overflow", "log_harnack_init2_overflow", "moment_overflow",
-        "shift_harnack_f_not_positive", "log_harnack_f_below_f_min"])
+        "shift_harnack_f_not_positive", "log_harnack_f_below_f_min",
+        "shift_harnack_power_overflow", "picard_theta_100", "picard_theta_1e300",
+        "picard_landau_theta_700", "picard_landau_theta_1e300"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_numerical_abort_exits_three(tmp_path, capsys, model, sim, experiment, named):
     cfg = {"model": model, "sim": sim, "experiment": experiment,
            "output": {"directory": str(tmp_path / "out")}}
@@ -262,6 +283,27 @@ def test_numerical_abort_exits_three(tmp_path, capsys, model, sim, experiment, n
     err = capsys.readouterr().err
     assert err.startswith("numerical abort: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_harnack_reports_an_empty_weight_sample(tmp_path):
+    # At a shift of 40 every Girsanov weight underflows: lhs reads 0 over an empty
+    # sample, and the report says so, as couple's does on the same run.  Neither
+    # verdict reads the ESS: log_harnack still passes, couple fails its martingale check.
+    cfg = {"model": {"name": "linear_meanfield", "a": 1.0, "c": 0.25, "sigma": 1.0},
+           "sim": {"n_particles": 256, "dt": 0.01, "t_end": 0.1, "seed": 3,
+                   "init": {"kind": "point", "value": 0.0}},
+           "experiment": {"type": "log_harnack", "shift": 40.0}}
+    reports = {}
+    for etype, code in (("log_harnack", EXIT_OK), ("couple", EXIT_VERIFY)):
+        cfg["experiment"]["type"] = etype
+        cfg["output"] = {"directory": str(tmp_path / etype)}
+        assert main(["run", write_config(tmp_path, cfg, f"{etype}.json")]) == code
+        reports[etype] = json.loads((tmp_path / etype / "report.json").read_text())["metrics"]
+    for metrics in reports.values():
+        assert metrics["ess"] is None
+        assert metrics["ess_warning"] == "effective sample size undefined: every weight underflowed"
+    assert reports["log_harnack"]["lhs"] == 0.0
 
 
 def test_export_stopped_by_a_numerical_abort_leaves_no_manifest(tmp_path):
@@ -931,8 +973,8 @@ def test_docs_verdicts_name_the_result_types_that_decide_them():
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
 def test_docs_metrics_keys_match_each_bundled_report(tmp_path, monkeypatch, name):
     """At golden size (at most 64 particles, a step of at least 0.01) each bundled
-    config writes every metrics key documented for its experiment, bar those
-    marked "only ...", and no undocumented one."""
+    config writes every metrics key documented for its experiment, an unset one
+    as null, and no undocumented one."""
     cfg = json.loads((CONFIG_DIR / name).read_text())
     cfg["sim"]["n_particles"] = min(cfg["sim"]["n_particles"], 64)
     cfg["sim"]["dt"] = max(cfg["sim"]["dt"], 0.01)
@@ -941,8 +983,7 @@ def test_docs_metrics_keys_match_each_bundled_report(tmp_path, monkeypatch, name
     written = set(json.loads((tmp_path / "report.json").read_text())["metrics"])
     cell = _doc_table("| experiment      | metrics keys")[cfg["experiment"]["type"]][0]
     documented = set(_doc_names(cell))
-    assert written <= documented
-    assert documented - set(re.findall(r"`(\w+)` \(only ", cell)) <= written
+    assert written == documented
 
 
 def test_landau_contract_config_runs(tmp_path, monkeypatch):
@@ -1027,7 +1068,7 @@ def test_small_couple_config(tmp_path):
     assert main(["run", cfg_path]) == EXIT_OK
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     for key in ("terminal_gap_q", "weight_mean", "weight_mean_se", "weight_entropy",
-                "weight_entropy_se", "phi_bound", "ess", "success"):
+                "weight_entropy_se", "phi_bound", "ess", "ess_warning", "clip_fraction"):
         assert key in report["metrics"]
     header = (tmp_path / "out" / "couple.csv").read_text().splitlines()[0]
     assert header == "t,gap_q,weight_mean,weight_entropy"

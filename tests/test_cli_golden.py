@@ -44,7 +44,13 @@ place of a standard-normal ensemble drawn on a substream of its own; the run
 still exits 2 at this size.  The two picard report pins were re-recorded again
 when the report lost ``delta_ratios`` and ``geometric_applicable``, which no
 verdict read: each new report equals the old one with the two keys deleted,
-and every CSV kept its bytes.
+and every CSV kept its bytes.  The ``couple_linear.json`` report pin was
+re-recorded when the couple report lost ``success`` (a copy of the report's
+``ok``) and began to write ``clip_fraction`` and ``ess_warning`` as null when
+unset, where it had left them out; the ``log_harnack_linear.json`` report pin
+when that report gained the Girsanov weights' ``ess`` and ``ess_warning``, so
+that a sample whose weights all underflowed says so.  Each new report equals the
+old one with those keys changed, and both couple CSVs kept their bytes.
 """
 
 import hashlib
@@ -94,7 +100,7 @@ PINS = {
     },
     "couple_linear.json": {
         "exit": 0,
-        "report": "08d31f7a94292c67",
+        "report": "593e2b86e0e10d12",
         "couple.csv": "938df017bf3dc144",
         "refined/couple.csv": "85092da71b14fc14",
     },
@@ -110,7 +116,7 @@ PINS = {
     },
     "log_harnack_linear.json": {
         "exit": 0,
-        "report": "5173ec7cb7f1bc84",
+        "report": "f882dddbd9f4fd56",
     },
     "picard_linear.json": {
         "exit": 0,

@@ -44,7 +44,8 @@ def girsanov(model, pairs, grid, noise, weight_clip=None):
 
 
 def log_harnack_sample(model, mu0, nu0, grid, noise):
-    return simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0), grid, noise)
+    x0, y0, _ = coupled_pairs_from_measures(model, mu0, nu0, noise.step0)
+    return simulate_coupled(model, x0, y0, grid, noise)
 
 
 def terminal_states(model, mu0, grid, noise):
@@ -114,7 +115,7 @@ class TestCoupledGirsanov:
         assert res.weight_entropy == 0.0
         assert res.terminal_gap_q == 0.0
         assert res.phi_bound == 0.0
-        assert res.ok and res.success is True and res.ess_warning is None
+        assert res.ok and res.ess_warning is None
 
     def test_martingale_and_entropy_bound(self):
         m = 3000
@@ -149,7 +150,7 @@ class TestCoupledGirsanov:
         res = self.from_log_weights(np.full(20, -1000.0))
         assert math.isnan(res.ess)
         assert res.ess_warning == "effective sample size undefined: every weight underflowed"
-        assert not res.ok and res.success is False
+        assert not res.ok
 
     def test_gap_shrinks_when_dt_halves(self):
         x0, y0 = delta_pairs(0.0, 1.0, 2000)
@@ -583,11 +584,13 @@ class TestHarnackCorollaries:
 
 
 class TestCoupledPairs:
+    MODEL = linear_meanfield_model(1.0, 0.0, 1.0, dim=2)
+
     def test_exact_pairing_small(self):
         rng = np.random.default_rng(3)
         mu = EmpiricalMeasure(rng.normal(size=(32, 2)))
         nu = EmpiricalMeasure(rng.normal(size=(32, 2)) + 1.0)
-        x0, y0 = coupled_pairs_from_measures(mu, nu)
+        x0, y0, _ = coupled_pairs_from_measures(self.MODEL, mu, nu, 0)
         paired = float(np.mean(np.sum((x0 - y0) ** 2, axis=1)))
         assert paired == pytest.approx(wasserstein(mu, nu, theta=2.0) ** 2, rel=1e-9)
 
@@ -597,7 +600,7 @@ class TestCoupledPairs:
         rng = np.random.default_rng(5)
         mu = EmpiricalMeasure(rng.normal(size=(600, 2)))
         nu = EmpiricalMeasure(rng.normal(size=(600, 2)) * [2.0, 0.5] + 1.0)
-        x0, y0 = coupled_pairs_from_measures(mu, nu)
+        x0, y0, _ = coupled_pairs_from_measures(self.MODEL, mu, nu, 0)
         paired = float(np.mean(np.sum((x0 - y0) ** 2, axis=1)))
         assert paired == pytest.approx(wasserstein(mu, nu, theta=2.0) ** 2, rel=1e-9)
 

@@ -5,7 +5,7 @@ from scipy.spatial.distance import cdist
 
 from ddsde.measure import (
     EmpiricalMeasure,
-    _cost_matrix,
+    theta_cost,
     transport_plan,
     wasserstein,
     write_csv,
@@ -94,10 +94,25 @@ class TestWasserstein:
 
     @pytest.mark.parametrize("theta", [1.0, 1.5, 2.0])
     def test_cost_matrix_bitwise(self, theta):
+        # theta_cost keeps the bits of a plain ``** theta``, on the assignment's
+        # cost matrix and on the 1-D cost of the sorted pairs, in d = 3 and d = 1.
         rng = np.random.default_rng(31)
-        x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 3))
-        want = cdist(x, y) if theta == 1.0 else cdist(x, y) ** theta
-        assert _cost_matrix(cdist(x, y), theta).tobytes() == want.tobytes()
+        for d in (3, 1):
+            x, y = rng.normal(size=(40, d)), rng.normal(size=(40, d))
+            want = cdist(x, y) if theta == 1.0 else cdist(x, y) ** theta
+            assert theta_cost(cdist(x, y), theta).tobytes() == want.tobytes()
+            gaps = np.abs(np.sort(x[:, 0]) - np.sort(y[:, 0]))
+            assert theta_cost(gaps.copy(), theta).tobytes() == (gaps ** theta).tobytes()
+        plan = transport_plan(EmpiricalMeasure(x), EmpiricalMeasure(y), theta=theta)
+        assert plan.cost == float(np.mean(gaps ** theta))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_theta_cost_rejects_a_power_out_of_the_double_range(self):
+        # Zero distances (a node the iterates share) pass at any theta.
+        assert theta_cost(np.array([0.0, 0.5]), 100.0).tolist() == [0.0, 0.5 ** 100]
+        for d in (1e-4, 1e4):  # 1e-400 and 1e400
+            with pytest.raises(FloatingPointError, match="theta = 100"):
+                theta_cost(np.array([0.0, 0.5, d]), 100.0)
 
     def test_plan_permutation_realizes_w2(self):
         rng = np.random.default_rng(13)

@@ -254,6 +254,6 @@ def test_em_step_evaluates_a_joint_model_once():
 
     model = make_model(unused, unused, joint=joint)
     x = np.array([[1.0], [2.0]])
-    new = em_step(model, 0.5, x, EmpiricalMeasure(x), 0.1, np.array([[0.2], [-0.2]]))
+    new = em_step(model, 0.5, x, EmpiricalMeasure(x), 0.1, np.array([[0.2], [-0.2]]), 1)
     assert calls == [0.5]
     assert np.array_equal(new, x - 0.1 * x + np.array([[0.2], [-0.2]]))

@@ -185,11 +185,12 @@ class TestPrunedSup:
     def test_chunked_pairing_cost_is_the_one_shot_cost(self, theta):
         rng = np.random.default_rng(46)
         n_nodes = 2 * solver.PAIRING_CHUNK + 3  # a remainder chunk of 3 nodes
-        x = rng.standard_cauchy((n_nodes, 40, 3))
-        y = rng.normal(size=(n_nodes, 40, 3))
-        one_shot = np.mean(np.linalg.norm(x - y, axis=-1) ** theta, axis=-1)
-        assert solver._pairing_cost(x, y, theta).tobytes() == one_shot.tobytes()
-        assert solver._pairing_cost(x[5:6], y[5:6], theta)[0] == one_shot[5]
+        for d in (3, 1):
+            x = rng.standard_cauchy((n_nodes, 40, d))
+            y = rng.normal(size=(n_nodes, 40, d))
+            one_shot = np.mean(np.linalg.norm(x - y, axis=-1) ** theta, axis=-1)
+            assert solver._pairing_cost(x, y, theta).tobytes() == one_shot.tobytes()
+            assert solver._pairing_cost(x[5:6], y[5:6], theta)[0] == one_shot[5]
 
 
 class TestParticle:

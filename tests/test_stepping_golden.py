@@ -14,6 +14,7 @@ pairs log R_T moved by at most 1.1e-14 (4.3e-14 relative) and the penultimate
 squared gap by at most 4.1e-14 relative.  ``coupled_x_terminal`` kept its bits.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -68,7 +69,8 @@ def stepping_digests() -> dict:
     mu0 = EmpiricalMeasure(0.3 + normal_block(NoiseSpec(seed=7, dim=1), np.arange(64), 0))
     nu0 = mu0.shifted([0.8])
     law = LawCurve.constant(nu0, grid)
-    coupled = simulate_coupled(model, *coupled_pairs_from_measures(mu0, nu0), grid, noise)
+    x0, y0, _ = coupled_pairs_from_measures(model, mu0, nu0, noise.step0)
+    coupled = simulate_coupled(model, x0, y0, grid, noise)
     f, grad_f = IBP_FUNCTIONS["linear"]
     ibp_x0 = np.tile(mu0.points, (8, 1))[:500]  # 500 paths: the 64-point law, tiled
     ibp = verify_ibp(f, grad_f, [1.0], *ibp_weights(model, [1.0], ibp_x0, grid, noise))
@@ -111,3 +113,21 @@ def test_blowup_names_the_global_step(run):
         run(_exploding_model(), mu0, grid, NoiseSpec(seed=3, dim=1).with_step_offset(100))
     assert err.value.step > 100
     assert f"step {err.value.step}" in str(err.value)
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, x0, y0, g, n: estimate_contraction(m, EmpiricalMeasure(x0),
+                                                 EmpiricalMeasure(y0), g, n),
+    lambda m, x0, y0, g, n: simulate_coupled(m, x0, y0, g, n),
+], ids=["contract_synchronous_y", "couple_girsanov_y"])
+def test_second_process_blowup_names_the_global_step(run):
+    # X = W stays below the guard of 3; Y, from 2 on the same increments (pulled
+    # back towards X in the Girsanov coupling), leaves it first, and so before the
+    # couple's nu-flow does.  The (trajectory, step) is the one the stepping
+    # loops reported when each checked its own Y after the step.
+    model = dataclasses.replace(linear_meanfield_model(0.0, 0.0, 1.0, dim=1), state_radius=3.0)
+    x0, y0 = np.zeros((2, 1)), np.full((2, 1), 2.0)
+    noise = NoiseSpec(seed=5, dim=1).with_step_offset(100)
+    with pytest.raises(NumericalBlowupError, match="radius guard 3.0") as err:
+        run(model, x0, y0, TimeGrid(0.0, 10.0, 100), noise)
+    assert (err.value.trajectory, err.value.step) == (1, 103)
