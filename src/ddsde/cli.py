@@ -35,8 +35,6 @@ EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
 
-MAX_COUNT = np.iinfo(np.intp).max  # largest particle or step count an index can hold
-
 _INIT_TAG = 0x1517
 
 
@@ -169,8 +167,8 @@ def validate_config(cfg: dict) -> Run:
         raise ConfigError("sim block needs dt > 0 and 0 <= t_start < t_end")
     if sim["n_particles"] < 2 or sim.get("theta", 2.0) < 1:
         raise ConfigError("sim block needs n_particles >= 2 and theta >= 1")
-    if not sim["n_particles"] <= MAX_COUNT:
-        raise ConfigError(f"sim block needs at most {MAX_COUNT} particles, "
+    if not sim["n_particles"] <= solver.MAX_COUNT:
+        raise ConfigError(f"sim block needs at most {solver.MAX_COUNT} particles, "
                           f"got {sim['n_particles']:g}")
 
     exp = cfg["experiment"]
@@ -332,10 +330,10 @@ def build_init(init_cfg: dict | None, dim: int, n: int, noise: NoiseSpec,
 
 
 def _step_count(span: float, dt: float, where: str) -> int:
-    steps = span / dt
-    if not steps <= MAX_COUNT:  # also rejects inf and nan
-        raise ConfigError(f"{where} needs at most {MAX_COUNT} steps, got {steps:g}")
-    return max(1, round(steps))
+    try:
+        return solver.step_count(span, dt)
+    except ValueError as err:
+        raise ConfigError(f"{where} {err}") from None
 
 
 # ---------------------------------------------------------------------------

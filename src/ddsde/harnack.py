@@ -118,12 +118,12 @@ def _require_coupling_model(model: CoefficientModel) -> None:
         )
 
 
-def _sigma_solver(model, t, states, mu, v):
-    """sigma(t, states, mu)^{-1} v, for a shared (d, d) or a per-path (M, d, d) sigma;
-    a model's precomputed inverse spares evaluating sigma."""
+def _sigma_solver(model, t, states, v):
+    """sigma(t, states)^{-1} v against the states' own law, for a shared (d, d) or a
+    per-path (M, d, d) sigma; a model's precomputed inverse spares evaluating sigma."""
     if model.sigma_inverse is not None:
         return apply_sigma(model.sigma_inverse(t), v)
-    sigma = np.asarray(model.diffusion(t, states, mu), dtype=np.float64)
+    sigma = np.asarray(model.diffusion(t, states, states), dtype=np.float64)
     return np.linalg.solve(sigma, v[..., None])[..., 0]
 
 
@@ -162,9 +162,9 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
             "weight_entropy": np.zeros(grid.n_nodes),
         }
 
-    for k, (t_k, x, mu_k, dw, x_next) in enumerate(em_path(model, x0, grid.s, dt, n, noise)):
-        nu_k = mu_k if nu_flow is None else next(nu_flow)[2]
-        h = _sigma_solver(model, t_k, x, mu_k, y - x) / xi(t_k)
+    for k, (t_k, x, dw, x_next) in enumerate(em_path(model, x0, grid.s, dt, n, noise)):
+        nu_k = x if nu_flow is None else next(nu_flow)[1]
+        h = _sigma_solver(model, t_k, x, y - x) / xi(t_k)
         if k == n - 1:
             gap_sq_pen = np.sum((x - y) ** 2, axis=1)
             r_pen = np.exp(log_r)
@@ -191,13 +191,15 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
 
 
 def _se(psi: np.ndarray) -> float:
-    """sd(psi, ddof=1)/sqrt(M), the SE of the mean of a per-sample influence array psi."""
-    return float(np.std(psi, ddof=1) / np.sqrt(len(psi))) if len(psi) > 1 else 0.0
+    """sd(psi, ddof=1)/sqrt(M), the SE of the mean of a per-sample influence array psi, from psi
+    over a power of two near max|psi|: exact barring underflow, and no square overflows."""
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(psi), initial=0.0)))[1] - 1)
+    return float(np.std(psi / scale, ddof=1)) * scale / math.sqrt(len(psi)) if len(psi) > 1 else 0.0
 
 
 class Check(NamedTuple):
     """An estimate, its SE and its verdict: a slack passes at -VERDICT_SIGMAS se or above, a
-    residual within VERDICT_SIGMAS se of 0, se floored at 1e-15 so that rounding noise passes."""
+    residual within VERDICT_SIGMAS se of 0 (se floored at 1e-15); a non-finite value or se fails."""
 
     value: float   # an inequality's slack rhs - lhs, or an identity's residual lhs - rhs
     se: float
@@ -205,8 +207,9 @@ class Check(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return (abs(self.value) <= VERDICT_SIGMAS * max(self.se, 1e-15) if self.identity
-                else self.value >= -VERDICT_SIGMAS * self.se)
+        return math.isfinite(self.value) and math.isfinite(self.se) and (
+            abs(self.value) <= VERDICT_SIGMAS * max(self.se, 1e-15) if self.identity
+            else self.value >= -VERDICT_SIGMAS * self.se)
 
 
 @dataclass
@@ -300,6 +303,9 @@ class LogHarnackResult(_Inequality):  # lhs = E[R_T log f(X_T)], rhs = log E f(X
     @property
     def log_mean_f(self) -> float:  # the rhs without the phi term, for sharp-constant oracles
         return self.rhs - self.phi * self.w2_sq
+
+    def __post_init__(self, checks: tuple[Check, ...]) -> None:  # a nan ess (no weight) fails
+        super().__post_init__((*checks, Check(self.ess, 0.0)))
 
 
 def coupled_pairs_from_measures(model: CoefficientModel, mu0: EmpiricalMeasure,
@@ -490,7 +496,7 @@ def ibp_weights(model: CoefficientModel, v, states: np.ndarray, grid: TimeGrid,
                 noise: NoiseSpec) -> tuple[np.ndarray, np.ndarray]:
     """X_T and the integration-by-parts weight of each path started at ``states``.
 
-    weight = sum_k <sigma^{-1}(v - (t_k - s) grad_v b(t_k, X_k, mu_k)), dW_k> / (t-s),
+    weight = sum_k <sigma^{-1}(v - (t_k - s) grad_v b(t_k, X_k, X_k)), dW_k> / (t-s),
     with the left-point (Ito) discretization of the stochastic integral.
     The weight is the epsilon-derivative of the Girsanov density of the
     interpolating shift X + eps (r-s) v/(t-s); at b = 0 it reduces to <v, W_T>/T.
@@ -502,14 +508,13 @@ def ibp_weights(model: CoefficientModel, v, states: np.ndarray, grid: TimeGrid,
         raise ValueError(f"{model.name}: needs sigma_inverse for IBP")
     v = np.asarray(v, dtype=np.float64)
     weight, term = np.zeros(states.shape[0]), np.empty(states.shape[0])
-    for t_k, x, mu_k, dw, states in em_path(model, states, grid.s, grid.dt, grid.n_steps,
-                                            noise):
-        direction = (t_k - grid.s) * model.grad_b(t_k, x, mu_k, v)
+    for t_k, x, dw, states in em_path(model, states, grid.s, grid.dt, grid.n_steps, noise):
+        direction = (t_k - grid.s) * model.grad_b(t_k, x, x, v)
         np.subtract(v[None, :], direction, out=direction)
         direction = apply_sigma(model.sigma_inverse(t_k), direction)
         direction *= dw
         weight += direction.sum(axis=1, out=term)
-        del x, mu_k, dw, direction  # lets em_path free X_k and its increments before the next step
+        del x, dw, direction  # lets em_path free X_k and its increments before the next step
     weight /= (grid.t_end - grid.s)
     return states, weight
 

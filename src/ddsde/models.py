@@ -57,10 +57,10 @@ class ModelBounds:
 class CoefficientModel:
     """Drift/diffusion pair with structural flags and analytic metadata.
 
-    drift(t, X, mu) maps (float, (M, d), EmpiricalMeasure) -> (M, d);
-    diffusion(t, X, mu) -> (M, d, d), or (d, d) when shared by all
-    trajectories.  Flags must be truthful.  ``joint``, where set, returns
-    both from one evaluation; ``coefficients`` uses it.
+    drift(t, X, z) maps (float, (M, d), (N, d)) -> (M, d), where z holds
+    the law's N points; diffusion(t, X, z) -> (M, d, d), or (d, d) when
+    shared by all trajectories.  Flags must be truthful.  ``joint``, where
+    set, returns both from one evaluation; ``coefficients`` uses it.
     """
 
     name: str
@@ -72,16 +72,16 @@ class CoefficientModel:
     distribution_free_sigma: bool
     bounds: ModelBounds = field(default_factory=ModelBounds)
     params: dict = field(default_factory=dict)
-    grad_b: Callable | None = None     # (t, X, mu, v) -> (M, d), x-gradient in direction v
+    grad_b: Callable | None = None     # (t, X, z, v) -> (M, d), x-gradient in direction v
     sigma_inverse: Callable | None = None  # t -> (d, d), additive models only
     state_radius: float | None = None  # abort guard for locally-Lipschitz drifts
-    joint: Callable | None = None      # (t, X, mu) -> (drift, diffusion)
+    joint: Callable | None = None      # (t, X, z) -> (drift, diffusion)
 
-    def coefficients(self, t, x, mu) -> tuple[np.ndarray, np.ndarray]:
-        """(drift, diffusion) at (t, x, mu)."""
+    def coefficients(self, t, x, z) -> tuple[np.ndarray, np.ndarray]:
+        """(drift, diffusion) at (t, x) against the law whose (N, d) points are z."""
         if self.joint is not None:
-            return self.joint(t, x, mu)
-        return self.drift(t, x, mu), self.diffusion(t, x, mu)
+            return self.joint(t, x, z)
+        return self.drift(t, x, z), self.diffusion(t, x, z)
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +132,10 @@ def _landau_coefficients_pairwise(x: np.ndarray, z: np.ndarray, alpha: float, be
     Each row panel P of the drift weights |x_i - alpha z_j|^gamma adds
     P [z | 1] into G, whose last column is the row sum of the weights, and
     likewise for the diffusion weights |x_i - beta z_j|^(gamma/2) into G'.  At
-    alpha = beta those are the square roots of the drift weights.  Against
-    the ensemble's own law at alpha = beta = 1 the weights are symmetric, so
-    a panel starts at its diagonal and, transposed, also serves the rows
-    below it.
+    alpha = beta those are the square roots of the drift weights.  When
+    ``z is x`` the caller passed the states as their own law; there, at
+    alpha = beta = 1, the weights are symmetric, so a panel starts at its
+    diagonal and, transposed, also serves the rows below it.
     """
     m, n = len(x), len(z)
     rows = -(-m // PANELS) or 1
@@ -163,10 +163,10 @@ def _landau_coefficients_pairwise(x: np.ndarray, z: np.ndarray, alpha: float, be
 
 def landau_model(gamma: float, alpha: float, beta: float,
                  state_radius: float | None = None) -> CoefficientModel:
-    """Landau-type model: drift and diffusion are kernel convolutions.
+    """Landau-type model: drift and diffusion convolve kernels with the law's (N, d) points z.
 
-    drift(t, x, mu)     = (1/N) sum_i b0(x - alpha z_i)
-    diffusion(t, x, mu) = (1/N) sum_i sigma0(x - beta z_i)
+    drift(t, x, z)     = (1/N) sum_i b0(x - alpha z_i)
+    diffusion(t, x, z) = (1/N) sum_i sigma0(x - beta z_i)
 
     At gamma = 0 both kernels are linear in x, so the convolution collapses
     to a single kernel evaluation at the mean-shifted point.  For gamma > 0
@@ -190,21 +190,21 @@ def landau_model(gamma: float, alpha: float, beta: float,
         state_radius = 1e3
 
     if gamma == 0.0:
-        def drift(t, x, mu):
-            return landau_b0(x - alpha * mu.mean(), 0.0)
+        def drift(t, x, z):
+            return landau_b0(x - alpha * z.mean(axis=0), 0.0)
 
-        def diffusion(t, x, mu):
-            return landau_sigma0(x - beta * mu.mean(), 0.0)
+        def diffusion(t, x, z):
+            return landau_sigma0(x - beta * z.mean(axis=0), 0.0)
         joint = None
     else:
-        def joint(t, x, mu):
-            return _landau_coefficients_pairwise(x, mu.points, alpha, beta, gamma)
+        def joint(t, x, z):
+            return _landau_coefficients_pairwise(x, z, alpha, beta, gamma)
 
-        def drift(t, x, mu):
-            return joint(t, x, mu)[0]
+        def drift(t, x, z):
+            return joint(t, x, z)[0]
 
-        def diffusion(t, x, mu):
-            return joint(t, x, mu)[1]
+        def diffusion(t, x, z):
+            return joint(t, x, z)[1]
 
     if gamma == 0.0:
         k0, b0c, c0 = -2.0, 2.0, 2.0
@@ -247,7 +247,7 @@ def _as_sigma_matrix(sigma_const, dim: int | None) -> tuple[np.ndarray, int]:
 
 def linear_meanfield_model(a_coef: float, c_coef: float, sigma_const,
                            dim: int | None = None) -> CoefficientModel:
-    """drift(t, x, mu) = -a x + c mean(mu); constant additive diffusion.
+    """drift(t, x, z) = -a x + c mean(z), z the law's (N, d) points; constant additive sigma.
 
     The ensemble mean obeys m' = (c - a) m, and with c = 0 each coordinate
     is an Ornstein-Uhlenbeck process; both give exact oracles for tests.
@@ -258,13 +258,13 @@ def linear_meanfield_model(a_coef: float, c_coef: float, sigma_const,
     sigma_inv = np.linalg.inv(sigma) if invertible else None
     lam = float(np.linalg.norm(sigma_inv, 2)) if invertible else None
 
-    def drift(t, x, mu):
-        return -a_coef * x + c_coef * mu.mean()
+    def drift(t, x, z):
+        return -a_coef * x + c_coef * z.mean(axis=0)
 
-    def diffusion(t, x, mu):
+    def diffusion(t, x, z):
         return sigma
 
-    def grad_b(t, x, mu, v):
+    def grad_b(t, x, z, v):
         return np.broadcast_to(-a_coef * np.asarray(v, dtype=np.float64), x.shape).copy()
 
     bounds = ModelBounds(

@@ -2,9 +2,9 @@
 
 A ``LawCurve`` holds one empirical measure per grid node, node-major; it is
 the only container of stored paths.  ``euler_maruyama`` fills one, either as
-the interacting particle system (each step reads the ensemble's own measure)
+the interacting particle system (each step reads the ensemble's own points)
 or as one Picard step against a frozen law curve, whose lookup is piecewise
-constant in time (node k uses the measure stored at node k).  All stepping is
+constant in time (node k uses the points stored at node k).  All stepping is
 driven by the counter-based streams in :mod:`ddsde.rng`, so a stored curve is
 a pure function of (model, law, init, grid, seed).
 """
@@ -146,10 +146,10 @@ def check_finite(states: np.ndarray, step: int, radius: float | None = None) -> 
     raise NumericalBlowupError(message, int(np.argmax(out)), step)
 
 
-def em_step(model, t: float, states: np.ndarray, mu: EmpiricalMeasure,
+def em_step(model, t: float, states: np.ndarray, law: np.ndarray,
             dt: float, dw: np.ndarray, step: int) -> np.ndarray:
-    """One Euler-Maruyama step of every trajectory against mu, checked as global ``step``."""
-    drift, sigma = model.coefficients(t, states, mu)
+    """Euler-Maruyama step against ``law``, the law's (N, d) points, checked as global ``step``."""
+    drift, sigma = model.coefficients(t, states, law)
     new = drift * dt  # one fresh array, summed into in place: addition commutes bitwise
     del drift  # before the sigma product allocates
     new += states
@@ -160,11 +160,11 @@ def em_step(model, t: float, states: np.ndarray, mu: EmpiricalMeasure,
 
 def em_path(model, states: np.ndarray, t0: float, dt: float, n_steps: int,
             noise: NoiseSpec, law=None):
-    """Yield ``(t_k, x_k, mu_k, dw_k, x_{k+1})`` for each Euler-Maruyama step k.
+    """Yield ``(t_k, x_k, dw_k, x_{k+1})`` for each Euler-Maruyama step k.
 
-    mu_k is ``law.measure_at(k)`` against a frozen law curve, and the
-    ensemble's own empirical measure when ``law`` is None.  Trajectory m
-    consumes the increments of stream m; ``states`` is never written to.
+    Step k's law is the (N, d) points x_k when ``law`` is None (the ensemble's
+    own law), and node k of the frozen law curve's states otherwise.
+    Trajectory m consumes the increments of stream m; ``states`` is never written to.
 
     Raises:
         ValueError: if ``states`` is not an (M, noise.dim) array.
@@ -177,9 +177,9 @@ def em_path(model, states: np.ndarray, t0: float, dt: float, n_steps: int,
     check_finite(states, noise.step0, model.state_radius)
     for k, dw in enumerate(increments(noise, states.shape[0], n_steps, np.sqrt(dt))):
         t_k = t0 + k * dt
-        mu_k = EmpiricalMeasure(states) if law is None else law.measure_at(k)
-        new = em_step(model, t_k, states, mu_k, dt, dw, noise.step0 + k + 1)
-        yield t_k, states, mu_k, dw, new
+        law_k = states if law is None else law.states[k]
+        new = em_step(model, t_k, states, law_k, dt, dw, noise.step0 + k + 1)
+        yield t_k, states, dw, new
         states = new
 
 
@@ -187,8 +187,8 @@ def euler_maruyama(model, states, grid: TimeGrid, noise: NoiseSpec, law=None) ->
     """Run ``em_path`` over ``grid`` from the (N, d) ``states`` and store every node.
 
     With ``law`` None this is the interacting particle system: each step reads
-    the ensemble's own empirical measure, so it needs N >= 2.  A ``law``
-    covering ``grid`` is one Picard step: step k reads its measure at node k.
+    the ensemble's own law, so it needs N >= 2.  A ``law`` covering ``grid``
+    is one Picard step: step k reads its states at node k.
     Stepping and blow-up reports are those of ``em_path``.  The returned
     curve's states are C-contiguous and read-only.
     """

@@ -64,6 +64,7 @@ PRUNE_SLACK = 1e-9
 
 
 PAIRING_CHUNK = 64  # nodes per _pairing_cost chunk; bounds its temporaries
+MAX_COUNT = np.iinfo(np.intp).max  # largest particle or step count an index can hold
 
 
 def _pairing_cost(x: np.ndarray, y: np.ndarray, theta: float) -> np.ndarray:
@@ -125,6 +126,14 @@ def picard_solve(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGrid,
             break
     return PicardReport(iterates=iterates, deltas=deltas, converged=converged,
                         iterations_used=len(deltas))
+
+
+def step_count(span: float, dt: float) -> int:
+    """The whole number of ``dt`` steps nearest ``span``, at least 1."""
+    steps = span / dt
+    if not steps <= MAX_COUNT:  # also rejects inf and nan
+        raise ValueError(f"needs at most {MAX_COUNT} steps, got {steps:g}")
+    return max(1, round(steps))
 
 
 def window_steps(grid: TimeGrid, windows: int) -> int:
@@ -272,11 +281,10 @@ def estimate_contraction(model: CoefficientModel, mu0: EmpiricalMeasure,
 
     kept = set(nodes.tolist())
     xs, ys = [x0], [y]
-    dt = grid.dt
-    steps = em_path(model, x0, grid.s, dt, grid.n_steps, noise)
-    for k, (t_k, _, _, dw, x) in enumerate(steps, start=1):
-        # Y steps on X's increments: the synchronous coupling.
-        y = em_step(model, t_k, y, EmpiricalMeasure(y), dt, dw, noise.step0 + k)
+    steps = em_path(model, x0, grid.s, grid.dt, grid.n_steps, noise)
+    for k, (t_k, _, dw, x) in enumerate(steps, start=1):
+        # Y steps on X's increments, against its own law: the synchronous coupling.
+        y = em_step(model, t_k, y, y, grid.dt, dw, noise.step0 + k)
         if k in kept:
             xs.append(x)
             ys.append(y)
@@ -321,8 +329,7 @@ def find_invariant(model: CoefficientModel, states: np.ndarray, grid_step: float
     ``InvariantResult`` fails a residual above tol.
     """
     _require_dissipative(model)
-    burn_steps = max(1, round(burn_in / grid_step))
-    check_steps = max(1, round(check_horizon / grid_step))
+    burn_steps, check_steps = step_count(burn_in, grid_step), step_count(check_horizon, grid_step)
 
     # One stream: burn-in, check, and on doubling burn-in and check again.
     steps = em_path(model, states, 0.0, grid_step, 2 * (burn_steps + check_steps), noise)

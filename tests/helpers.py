@@ -43,7 +43,7 @@ def landau_a(x: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def verify_flags(model, n_probes: int = 8, seed: int = 0) -> None:
-    """Probe a model's declared-True structural flags at random (t, x, mu); raise on a lie.
+    """Probe a model's declared-True structural flags at random (t, x, z); raise on a lie.
 
     A False flag is a no-guarantee marker and cannot be falsified by finitely
     many probes (e.g. an averaged singular kernel is generically full rank),
@@ -52,18 +52,18 @@ def verify_flags(model, n_probes: int = 8, seed: int = 0) -> None:
     rng = np.random.default_rng(seed)
     d = model.dim
 
-    def probe_sigma(t, x, mu):
-        s = np.asarray(model.diffusion(t, x, mu), dtype=np.float64)
+    def probe_sigma(t, x, z):
+        s = np.asarray(model.diffusion(t, x, z), dtype=np.float64)
         return s if s.ndim == 3 else np.broadcast_to(s, (x.shape[0],) + s.shape)
 
     for _ in range(n_probes):
         t = float(rng.uniform(0.0, 1.0))
         x = rng.normal(size=(2, d))
-        mu = EmpiricalMeasure(rng.normal(size=(5, d)))
-        mu2 = EmpiricalMeasure(rng.normal(size=(5, d)))
-        s_x0 = probe_sigma(t, x, mu)[0]
-        s_x1 = probe_sigma(t, x, mu)[1]
-        s_mu2 = probe_sigma(t, x, mu2)[0]
+        z = rng.normal(size=(5, d))  # the points of a law
+        z2 = rng.normal(size=(5, d))
+        s_x0 = probe_sigma(t, x, z)[0]
+        s_x1 = probe_sigma(t, x, z)[1]
+        s_mu2 = probe_sigma(t, x, z2)[0]
         if model.additive_noise and not (
             np.allclose(s_x0, s_x1, atol=1e-12) and np.allclose(s_x0, s_mu2, atol=1e-12)
         ):

@@ -288,14 +288,14 @@ def test_numerical_abort_exits_three(tmp_path, capsys, model, sim, experiment, n
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_log_harnack_reports_an_empty_weight_sample(tmp_path):
     # At a shift of 40 every Girsanov weight underflows: lhs reads 0 over an empty
-    # sample, and the report says so, as couple's does on the same run.  Neither
-    # verdict reads the ESS: log_harnack still passes, couple fails its martingale check.
+    # sample, and the report says so, as couple's does on the same run.  Both fail:
+    # log_harnack on its undefined ESS, couple on its martingale check.
     cfg = {"model": {"name": "linear_meanfield", "a": 1.0, "c": 0.25, "sigma": 1.0},
            "sim": {"n_particles": 256, "dt": 0.01, "t_end": 0.1, "seed": 3,
                    "init": {"kind": "point", "value": 0.0}},
            "experiment": {"type": "log_harnack", "shift": 40.0}}
     reports = {}
-    for etype, code in (("log_harnack", EXIT_OK), ("couple", EXIT_VERIFY)):
+    for etype, code in (("log_harnack", EXIT_VERIFY), ("couple", EXIT_VERIFY)):
         cfg["experiment"]["type"] = etype
         cfg["output"] = {"directory": str(tmp_path / etype)}
         assert main(["run", write_config(tmp_path, cfg, f"{etype}.json")]) == code
@@ -304,6 +304,52 @@ def test_log_harnack_reports_an_empty_weight_sample(tmp_path):
         assert metrics["ess"] is None
         assert metrics["ess_warning"] == "effective sample size undefined: every weight underflowed"
     assert reports["log_harnack"]["lhs"] == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_shift_harnack_reports_the_se_of_a_large_finite_psi(tmp_path):
+    # At p = 1000, f(X_T + v)^p reaches 1.9e297: finite, but its squares overflow
+    # a plain standard deviation.  The SE is reported, finite, and the run passes.
+    cfg = {"model": {"name": "linear_meanfield", "a": 1.0, "c": 0.25, "sigma": 1.0},
+           "sim": {"n_particles": 2000, "dt": 0.01, "t_end": 1.0, "seed": 3,
+                   "init": {"kind": "point", "value": 0.5}},
+           "experiment": {"type": "shift_harnack", "f": "one_plus_tanh", "v": 0.5, "p": 1000},
+           "output": {"directory": str(tmp_path / "out")}}
+    assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+    metrics = json.loads((tmp_path / "out" / "report.json").read_text())["metrics"]
+    assert 1e296 < metrics["rhs_se"] < 1e298
+    assert 1e296 < metrics["slack_se"] < 1e298
+
+
+# Each experiment a particle run serves, at 200 steps and at 400: a contract fit
+# window from t = 0.3625 holds 128 and 256 nodes, both strided to 64 and the
+# last, and one Picard iteration from a point law solves one node.
+PER_STEP_EXPERIMENTS = {
+    "simulate": {"type": "simulate"},
+    "picard": {"type": "picard", "max_iter": 1, "tol": 100.0},
+    "contract": {"type": "contract", "fit_window": [0.3625, 2.0]},
+    "couple": {"type": "couple", "shift": 0.5},
+    "ibp": {"type": "ibp"},
+    "invariant": {"type": "invariant", "burn_in": 0.5, "check_horizon": 0.25, "tol": 10.0},
+}
+
+
+@pytest.mark.parametrize("etype", sorted(PER_STEP_EXPERIMENTS))
+def test_a_particle_run_builds_no_measure_per_step(tmp_path, monkeypatch, etype):
+    built = []
+    post_init = EmpiricalMeasure.__post_init__
+    monkeypatch.setattr(EmpiricalMeasure, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    counts = []
+    for n_steps in (200, 400):
+        cfg = small_simulate_config(tmp_path / str(n_steps),
+                                    experiment=PER_STEP_EXPERIMENTS[etype])
+        cfg["model"].update(a=1.0, c=0.0, sigma=1.0)
+        cfg["sim"].update(n_particles=16, dt=1.0 / n_steps)
+        built.clear()
+        assert main(["run", write_config(tmp_path, cfg)]) == EXIT_OK
+        counts.append(len(built))
+    assert counts[0] == counts[1]
 
 
 def test_export_stopped_by_a_numerical_abort_leaves_no_manifest(tmp_path):
@@ -626,7 +672,7 @@ print(sorted(m for m in lazy if m in sys.modules))
 pts = measure.EmpiricalMeasure(np.arange(8.0).reshape(4, 2))
 print(measure.wasserstein(pts, pts.shifted([1.0, 0.0])))
 x = np.arange(12.0).reshape(4, 3)
-models.landau_model(0.5, 1.0, 1.0).drift(0.0, x, measure.EmpiricalMeasure(x))
+models.landau_model(0.5, 1.0, 1.0).drift(0.0, x, x)
 print(sorted(m for m in lazy if m in sys.modules))
 print(sorted(m for m in sys.modules if m in ("scipy.optimize._lsap", "scipy.spatial._distance_pybind")))
 solver = sys.modules["scipy.optimize._lsap"].linear_sum_assignment

@@ -7,8 +7,10 @@ import pytest
 from ddsde.harnack import (
     IBP_FUNCTIONS,
     TEST_FUNCTIONS,
+    Check,
     CoupledSample,
     _gradient_cost_integral,
+    _se,
     coupled_girsanov,
     coupled_pairs_from_measures,
     density_bound_rhs,
@@ -266,6 +268,15 @@ class TestLogHarnack:
         res = verify_log_harnack(shared, TEST_FUNCTIONS[name], self.model, self.grid)
         assert res.slack >= -3.0 * res.slack_se
 
+    def test_a_sample_with_no_weight_fails(self):
+        # Every weight underflows: lhs reads 0 and the slack is positive, but the ESS
+        # is undefined, so the sample certifies nothing.
+        m = 20
+        sample = CoupledSample(np.zeros((m, 1)), np.full(m, -1000.0), np.zeros(m), np.ones(m), 1.0)
+        res = verify_log_harnack(sample, TEST_FUNCTIONS["one_plus_tanh"], self.model, self.grid)
+        assert res.lhs == 0.0 and res.slack > 0.0 and math.isnan(res.ess)
+        assert not res.ok
+
     def test_function_touching_zero_rejected(self):
         with pytest.raises(NumericalBlowupError, match="f_min"):
             verify_log_harnack(self.sample(256), lambda x: np.maximum(x[:, 0], 0.0),
@@ -491,6 +502,22 @@ class TestPairedStandardErrors:
         psi = grad_f(x_t)[:, 0] - f(x_t) * weight
         assert res.z_score == pytest.approx((res.lhs - res.rhs) / mean_se(psi)[1],
                                             rel=1e-12, abs=0.0)
+
+
+    def test_se_of_a_large_finite_psi(self):
+        # _se scales psi by a power of two: an SE that does not overflow keeps the bits of
+        # sd(psi, ddof=1)/sqrt(M), and a psi whose squares overflow still has its SE.
+        psi = np.random.default_rng(5).lognormal(size=500)
+        assert _se(psi) == float(np.std(psi, ddof=1) / np.sqrt(len(psi)))
+        assert _se(psi * 2.0 ** 900) == _se(psi) * 2.0 ** 900
+
+
+class TestCheck:
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_a_value_or_se_that_is_not_finite_fails(self, identity):
+        assert Check(0.0, 1.0, identity).ok
+        for value, se in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+            assert not Check(value, se, identity).ok
 
 
 class TestDensityBounds:

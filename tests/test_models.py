@@ -56,25 +56,24 @@ class TestLandauKernel:
 class TestLandauModel:
     def test_drift_at_dirac(self):
         model = landau_model(0.0, 1.0, 0.0)
-        mu = EmpiricalMeasure.point_mass([0.0, 0.0, 0.0], 4)
-        d = model.drift(0.0, np.array([[1.0, 0.0, 0.0]]), mu)
+        z = EmpiricalMeasure.point_mass([0.0, 0.0, 0.0], 4).points
+        d = model.drift(0.0, np.array([[1.0, 0.0, 0.0]]), z)
         assert np.allclose(d, [[-2.0, 0.0, 0.0]])
 
     def test_alpha_zero_ignores_law(self):
         model = landau_model(0.0, 0.0, 0.0)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 3))
-        mu1 = EmpiricalMeasure(rng.normal(size=(6, 3)))
-        mu2 = EmpiricalMeasure(rng.normal(size=(6, 3)))
-        assert np.array_equal(model.drift(0.0, x, mu1), model.drift(0.0, x, mu2))
-        assert np.allclose(model.drift(0.0, x, mu1), landau_b0(x, 0.0))
+        z1 = rng.normal(size=(6, 3))
+        z2 = rng.normal(size=(6, 3))
+        assert np.array_equal(model.drift(0.0, x, z1), model.drift(0.0, x, z2))
+        assert np.allclose(model.drift(0.0, x, z1), landau_b0(x, 0.0))
 
     def test_diffusion_two_point_average(self):
         model = landau_model(0.0, 1.0, 1.0)
         z = np.array([0.3, -0.7, 1.1])
-        mu = EmpiricalMeasure(np.stack([z, -z]))
         x = np.array([[0.5, 0.2, -0.4]])
-        got = model.diffusion(0.0, x, mu)[0]
+        got = model.diffusion(0.0, x, np.stack([z, -z]))[0]
         want = 0.5 * (landau_sigma0(x[0] - z, 0.0) + landau_sigma0(x[0] + z, 0.0))
         assert np.allclose(got, want, atol=1e-12)
 
@@ -89,11 +88,10 @@ class TestLandauModel:
         for x, zs, alpha, beta in (small, (x_big, x_big[:200], 1.0, 0.5),
                                    (x_big[:0], x_big[:5], 1.0, 1.0)):
             model = landau_model(gamma, alpha, beta)
-            mu = EmpiricalMeasure(zs)
-            drift = model.drift(0.0, x, mu)
+            drift = model.drift(0.0, x, zs)
             want = np.mean([landau_b0(x - alpha * z, gamma) for z in zs], axis=0)
             assert np.allclose(drift, want, atol=1e-12)
-            sig = model.diffusion(0.0, x, mu)
+            sig = model.diffusion(0.0, x, zs)
             want_s = np.mean([landau_sigma0(x - beta * z, gamma) for z in zs], axis=0)
             assert np.allclose(sig, want_s, atol=1e-12)
 
@@ -101,11 +99,10 @@ class TestLandauModel:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(6, 3))
         z = rng.normal(size=(9, 3))
-        mu = EmpiricalMeasure(z)
         model = landau_model(0.0, 1.0, 1.0)
         drift, sigma = _landau_coefficients_pairwise(x, z, 1.0, 1.0, 0.0)
-        assert np.allclose(model.drift(0.0, x, mu), drift, atol=1e-12)
-        assert np.allclose(model.diffusion(0.0, x, mu), sigma, atol=1e-12)
+        assert np.allclose(model.drift(0.0, x, z), drift, atol=1e-12)
+        assert np.allclose(model.diffusion(0.0, x, z), sigma, atol=1e-12)
 
     def test_drift_lipschitz_probe(self):
         # gamma = 0 drift has observed Lipschitz constant <= 2 (1 + |alpha|).
@@ -117,7 +114,7 @@ class TestLandauModel:
             x, y = rng.normal(size=(2, 1, 3))
             mu = EmpiricalMeasure(rng.normal(size=(8, 3)))
             nu = EmpiricalMeasure(rng.normal(size=(8, 3)))
-            num = np.linalg.norm(model.drift(0.0, x, mu) - model.drift(0.0, y, nu))
+            num = np.linalg.norm(model.drift(0.0, x, mu.points) - model.drift(0.0, y, nu.points))
             den = np.linalg.norm(x - y) + wasserstein(mu, nu, theta=2.0)
             worst = max(worst, num / den)
         assert worst <= 2.0 * (1.0 + alpha) + 1e-9
@@ -129,10 +126,10 @@ class TestLandauModel:
         rng = np.random.default_rng(8)
         for _ in range(40):
             x, y = rng.normal(size=(2, 3))
-            mu = EmpiricalMeasure(rng.normal(size=(6, 3)))
-            nu = EmpiricalMeasure(rng.normal(size=(6, 3)))
-            db = (model.drift(0.0, x[None], mu) - model.drift(0.0, y[None], nu))[0]
-            ds = (model.diffusion(0.0, x[None], mu) - model.diffusion(0.0, y[None], nu))[0]
+            z = rng.normal(size=(6, 3))
+            w = rng.normal(size=(6, 3))
+            db = (model.drift(0.0, x[None], z) - model.drift(0.0, y[None], w))[0]
+            ds = (model.diffusion(0.0, x[None], z) - model.diffusion(0.0, y[None], w))[0]
             lhs = 2.0 * db @ (x - y) + np.sum(ds * ds)
             assert lhs <= -2.0 * np.sum((x - y) ** 2) + 1e-9
 
@@ -174,13 +171,13 @@ class TestLandauJointCoefficients:
         x = rng.normal(size=(n, 3))
         rows = np.r_[0:n:64, 63:n:64] if n == 512 else np.arange(n)
         model = landau_model(gamma, alpha, beta)
-        laws = [EmpiricalMeasure(rng.normal(size=(n, 3)))]  # a frozen law
+        laws = [rng.normal(size=(n, 3))]  # a frozen law
         if not alpha == beta == 1.0:  # the own law there: see the next test
-            laws.append(EmpiricalMeasure(x))
-        for mu in laws:
-            want = landau_reference(x[rows], mu.points, alpha, beta, gamma)
-            for got in (model.coefficients(0.0, x, mu),
-                        (model.drift(0.0, x, mu), model.diffusion(0.0, x, mu))):
+            laws.append(x)
+        for z in laws:
+            want = landau_reference(x[rows], z, alpha, beta, gamma)
+            for got in (model.coefficients(0.0, x, z),
+                        (model.drift(0.0, x, z), model.diffusion(0.0, x, z))):
                 assert_within_1e15([a[rows] for a in got], want)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 37, 61])
@@ -188,11 +185,10 @@ class TestLandauJointCoefficients:
     def test_self_interaction_matches_direct_sum(self, n, gamma):
         x = np.random.default_rng(n).normal(size=(n, 3))
         model = landau_model(gamma, 1.0, 1.0)
-        mu = EmpiricalMeasure(x)
-        assert mu.points is x  # how the particle system builds its law
         want = landau_reference(x, x, 1.0, 1.0, gamma)
-        for got in (model.coefficients(0.0, x, mu),
-                    (model.drift(0.0, x, mu), model.diffusion(0.0, x, mu))):
+        # x as its own law, as the particle system passes it: the mirrored panels
+        for got in (model.coefficients(0.0, x, x),
+                    (model.drift(0.0, x, x), model.diffusion(0.0, x, x))):
             assert_within_1e15(got, want)
 
     @pytest.mark.parametrize("alpha, beta, frozen", [
@@ -202,11 +198,11 @@ class TestLandauJointCoefficients:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(n, 3))
         model = landau_model(0.5, alpha, beta)
-        mu = EmpiricalMeasure(rng.normal(size=(n, 3)) if frozen else x)
-        model.coefficients(0.0, x[:16], EmpiricalMeasure(x[:16]))  # loads the kernel
+        z = rng.normal(size=(n, 3)) if frozen else x
+        model.coefficients(0.0, x[:16], x[:16])  # loads the kernel
         tracemalloc.start()
         try:
-            model.coefficients(0.0, x, mu)
+            model.coefficients(0.0, x, z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -216,10 +212,10 @@ class TestLandauJointCoefficients:
 class TestLinearMeanfield:
     def test_coefficients(self):
         model = linear_meanfield_model(2.0, 1.0, 0.5, dim=2)
-        mu = EmpiricalMeasure(np.array([[1.0, 1.0], [3.0, 3.0]]))
+        z = np.array([[1.0, 1.0], [3.0, 3.0]])
         x = np.array([[1.0, 0.0]])
-        assert np.allclose(model.drift(0.0, x, mu), [[-2.0 + 2.0, 2.0]])
-        assert np.allclose(model.diffusion(0.0, x, mu), 0.5 * np.eye(2))
+        assert np.allclose(model.drift(0.0, x, z), [[-2.0 + 2.0, 2.0]])
+        assert np.allclose(model.diffusion(0.0, x, z), 0.5 * np.eye(2))
         assert model.additive_noise and model.invertible_sigma
 
     def test_degenerate_sigma_not_invertible(self):
@@ -230,9 +226,8 @@ class TestLinearMeanfield:
     def test_all_zero_coefficients_keep_states(self):
         model = linear_meanfield_model(0.0, 0.0, 0.0, dim=1)
         x = np.array([[2.0], [-1.0]])
-        mu = EmpiricalMeasure(x)
-        assert np.all(model.drift(0.0, x, mu) == 0.0)
-        assert np.all(model.diffusion(0.0, x, mu) == 0.0)
+        assert np.all(model.drift(0.0, x, x) == 0.0)
+        assert np.all(model.diffusion(0.0, x, x) == 0.0)
 
     def test_bounds(self):
         model = linear_meanfield_model(1.0, 0.25, 1.0, dim=1)
@@ -246,8 +241,7 @@ class TestLinearMeanfield:
     def test_grad_b_direction(self):
         model = linear_meanfield_model(2.0, 0.5, 1.0, dim=2)
         x = np.zeros((3, 2))
-        mu = EmpiricalMeasure(x)
-        g = model.grad_b(0.0, x, mu, np.array([1.0, -1.0]))
+        g = model.grad_b(0.0, x, x, np.array([1.0, -1.0]))
         assert np.allclose(g, np.tile([-2.0, 2.0], (3, 1)))
 
 
@@ -281,7 +275,7 @@ class TestVerifyFlags:
         lying = CoefficientModel(
             name="liar", dim=2,
             drift=lambda t, x, mu: -x,
-            diffusion=lambda t, x, mu: np.eye(2) * (1.0 + mu.mean()[0] ** 2),
+            diffusion=lambda t, x, z: np.eye(2) * (1.0 + z.mean(axis=0)[0] ** 2),
             additive_noise=True, invertible_sigma=True, distribution_free_sigma=True,
             bounds=ModelBounds(),
         )

@@ -213,6 +213,28 @@ def test_particle_system_stores_em_path_nodes_node_major(dim):
     assert law.states.tobytes() == np.stack(streamed).tobytes()
 
 
+def test_em_path_steps_against_plain_points():
+    # Step k's law is x_k itself, or node k of a frozen law curve's states, as an array.
+    laws = []
+
+    def drift(t, x, z):
+        laws.append(z)
+        return -x
+
+    model = make_model(drift, lambda t, x, z: np.ones((1, 1)))
+    grid = TimeGrid(0.0, 0.3, 3)
+    noise = NoiseSpec(seed=47, dim=1)
+    steps = list(em_path(model, np.zeros((4, 1)), grid.s, grid.dt, grid.n_steps, noise))
+    assert [len(step) for step in steps] == [4] * grid.n_steps
+    assert all(z is x for z, (_, x, _, _) in zip(laws, steps))
+    frozen = LawCurve(grid, np.arange(16.0).reshape(4, 4, 1))
+    laws.clear()
+    for _ in em_path(model, np.zeros((4, 1)), grid.s, grid.dt, grid.n_steps, noise, frozen):
+        pass
+    assert all(type(z) is np.ndarray for z in laws)
+    assert np.array_equal(np.stack(laws), frozen.states[:-1])
+
+
 def test_law_grid_mismatch_rejected():
     model = linear_meanfield_model(1.0, 0.0, 1.0, dim=1)
     noise = NoiseSpec(seed=1, dim=1)
@@ -254,6 +276,6 @@ def test_em_step_evaluates_a_joint_model_once():
 
     model = make_model(unused, unused, joint=joint)
     x = np.array([[1.0], [2.0]])
-    new = em_step(model, 0.5, x, EmpiricalMeasure(x), 0.1, np.array([[0.2], [-0.2]]), 1)
+    new = em_step(model, 0.5, x, x, 0.1, np.array([[0.2], [-0.2]]), 1)
     assert calls == [0.5]
     assert np.array_equal(new, x - 0.1 * x + np.array([[0.2], [-0.2]]))
