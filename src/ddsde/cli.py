@@ -28,7 +28,7 @@ import numpy as np
 from . import harnack, models, solver
 from .measure import EmpiricalMeasure, write_csv
 from .rng import NoiseSpec, normal_block
-from .sde import MAX_STATE, LawCurve, NumericalBlowupError, TimeGrid, check_finite, em_path
+from .sde import MAX_STATE, NumericalBlowupError, TimeGrid, check_finite, em_path, export_law
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -351,8 +351,8 @@ def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
         steps = em_path(model, mu0.points, grid.s, grid.dt, grid.n_steps, noise)
         nodes = chain([mu0.points], (x for *_, x in steps))  # only the current states are kept
         if exp["export_law"]:
-            nodes = LawCurve.export(os.path.join(out_dir, "law_curve"), grid, nodes,
-                                    float(sim.get("theta", 2.0)), run.config["model"])
+            nodes = export_law(os.path.join(out_dir, "law_curve"), grid, nodes,
+                               float(sim.get("theta", 2.0)), run.config["model"])
         curve = solver.moment_curve(nodes, p)
         write_csv(os.path.join(out_dir, "simulate.csv"),
                   np.column_stack([grid.nodes, curve.per_node]), f"t,moment_p{p:g}")
@@ -412,21 +412,24 @@ def _run_experiment(run: Run, out_dir: str, threads: int) -> tuple[dict, bool]:
 def _run_bounds(quantity: str, params: dict, model, t_end: float) -> tuple[dict, bool]:
     a = {"s": 0.0, "t": t_end, "T": t_end, "p": 2.0, "kappa1": 0.0, "kappa2": 0.0,
          "gamma_t": 0.0, "moment_term": 0.0, "grad_b": 0.0, "d": model.dim, **params}
-    if quantity == "cc":
-        value = models.contraction_exponent_cc(a["alpha"], a["beta"])
-    elif quantity == "tn":
-        value = models.contraction_exponent_tn(a["K0"], a["B0"], a["C0"], a["alpha"], a["beta"])
-    elif quantity == "phi":
-        value = harnack.phi(a["s"], a["t"], a["lambda"], a["kappa1"], a["kappa2"])
-    elif quantity == "power":
-        value = harnack.power_harnack_constant(
-            a["p"], a["s"], a["t"], a["moment_term"], horizon=a["T"], lambda_=a["lambda"],
-            kappa1=a["kappa1"], kappa2=a["kappa2"], gamma_t=a["gamma_t"])
-    elif quantity == "p_threshold":
-        value = harnack.power_harnack_threshold(a["lambda"], a["gamma_t"])
-    else:  # ET1, ET2, ET3; validate_config admits no other quantity
-        value = harnack.density_bound_rhs(quantity, a["p"], a["s"], a["t"], a["lambda"],
-                                          a["grad_b"], int(a["d"]))
+    try:
+        if quantity == "cc":
+            value = models.contraction_exponent_cc(a["alpha"], a["beta"])
+        elif quantity == "tn":
+            value = models.contraction_exponent_tn(a["K0"], a["B0"], a["C0"], a["alpha"], a["beta"])
+        elif quantity == "phi":
+            value = harnack.phi(a["s"], a["t"], a["lambda"], a["kappa1"], a["kappa2"])
+        elif quantity == "power":
+            value = harnack.power_harnack_constant(
+                a["p"], a["s"], a["t"], a["moment_term"], horizon=a["T"], lambda_=a["lambda"],
+                kappa1=a["kappa1"], kappa2=a["kappa2"], gamma_t=a["gamma_t"])
+        elif quantity == "p_threshold":
+            value = harnack.power_harnack_threshold(a["lambda"], a["gamma_t"])
+        else:  # ET1, ET2, ET3; validate_config admits no other quantity
+            value = harnack.density_bound_rhs(quantity, a["p"], a["s"], a["t"], a["lambda"],
+                                              a["grad_b"], int(a["d"]))
+    except OverflowError:  # float ** and math.exp raise past the double range
+        value = math.inf
     if not math.isfinite(value):
         raise OverflowError(f"{quantity} is {value} at these params")
     return {"quantity": quantity, "value": value}, True

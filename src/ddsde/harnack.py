@@ -193,8 +193,13 @@ def simulate_coupled(model: CoefficientModel, x0: np.ndarray, y0: np.ndarray,
 def _se(psi: np.ndarray) -> float:
     """sd(psi, ddof=1)/sqrt(M), the SE of the mean of a per-sample influence array psi, from psi
     over a power of two near max|psi|: exact barring underflow, and no square overflows."""
+    if len(psi) < 2:
+        return 0.0
     scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(psi), initial=0.0)))[1] - 1)
-    return float(np.std(psi / scale, ddof=1)) * scale / math.sqrt(len(psi)) if len(psi) > 1 else 0.0
+    dev = psi / scale  # np.std(ddof=1)'s steps, in place on the one scaled copy
+    dev -= dev.mean()
+    dev *= dev
+    return math.sqrt(float(dev.sum()) / (len(psi) - 1)) * scale / math.sqrt(len(psi))
 
 
 class Check(NamedTuple):
@@ -425,17 +430,17 @@ def shift_harnack_constant(model: CoefficientModel, v: np.ndarray, p: float,
     if lam is None or gb is None:
         raise ValueError(f"{model.name}: bounds need lambda_ and B0 for shift estimates")
     span = t - s
-    integral = _gradient_cost_integral(lam, gb, span)
     vsq = float(v @ v)
-    if log_form:
-        constant = vsq * integral / (2.0 * span ** 2)
-    else:
-        sp = math.sqrt(p)
-        try:
+    try:  # float ** and math.exp raise past the double range
+        integral = _gradient_cost_integral(lam, gb, span)
+        if log_form:
+            constant = vsq * integral / (2.0 * span ** 2)
+        else:
+            sp = math.sqrt(p)
             constant = math.exp(p * sp * vsq * integral
                                 / (2.0 * (p - 1.0) * (sp + 1.0) * span ** 2))
-        except OverflowError:
-            constant = math.inf
+    except OverflowError:
+        constant = math.inf
     if not math.isfinite(constant):
         raise OverflowError(f"the shift Harnack constant overflows at |v|^2 = {vsq:g}")
     return constant

@@ -1,10 +1,11 @@
-"""Euler-Maruyama stepping on a fixed time grid, and the law curve it stores.
+"""Euler-Maruyama stepping on a fixed time grid, and the law curves it stores.
 
-A ``LawCurve`` holds one empirical measure per grid node, node-major; it is
-the only container of stored paths.  ``euler_maruyama`` fills one, either as
-the interacting particle system (each step reads the ensemble's own points)
-or as one Picard step against a frozen law curve, whose lookup is piecewise
-constant in time (node k uses the points stored at node k).  All stepping is
+A law curve is an (n_nodes, N, d) array: node k holds the N points of the
+empirical measure at grid node k.  ``euler_maruyama`` fills a read-only,
+C-contiguous one, either as the interacting particle system (each step reads
+the ensemble's own points) or as one Picard step against a frozen law curve,
+whose lookup is piecewise constant in time (step k reads the points at node
+k); ``export_law`` writes one to CSV files node by node.  All stepping is
 driven by the counter-based streams in :mod:`ddsde.rng`, so a stored curve is
 a pure function of (model, law, init, grid, seed).
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import EmpiricalMeasure, write_csv
+from .measure import write_csv
 from .rng import NoiseSpec, increments
 
 
@@ -69,56 +70,20 @@ class TimeGrid:
         return self.s + np.arange(self.n_nodes) * self.dt
 
 
-@dataclass(frozen=True)
-class LawCurve:
-    """A time grid with one empirical measure per node (a stored law curve)."""
-
-    grid: TimeGrid
-    states: np.ndarray  # (n_nodes, N, d)
-
-    def __post_init__(self):
-        if self.states.ndim != 3:
-            raise ValueError(f"states must be (n_nodes, N, d), got {self.states.shape}")
-        if self.states.shape[0] != self.grid.n_nodes:
-            raise ValueError(
-                f"law curve has {self.states.shape[0]} nodes, grid has {self.grid.n_nodes}"
-            )
-
-    def measure_at(self, k: int) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states[k])
-
-    def require_grid(self, grid: TimeGrid) -> None:
-        g = self.grid
-        if g.n_steps != grid.n_steps or not (
-            np.isclose(g.s, grid.s, atol=1e-12) and np.isclose(g.t_end, grid.t_end, atol=1e-12)
-        ):
-            raise ValueError(f"law curve grid {g} does not cover simulation grid {grid}")
-
-    @classmethod
-    def constant(cls, mu0: EmpiricalMeasure, grid: TimeGrid) -> "LawCurve":
-        states = np.broadcast_to(mu0.points, (grid.n_nodes,) + mu0.points.shape)
-        return cls(grid=grid, states=states)
-
-    @staticmethod
-    def export(directory, grid: TimeGrid, nodes, theta: float, model_echo: dict):
-        """Yield each (N, d) state of ``nodes`` once its CSV point file is written;
-        the manifest follows the last, so a run stopped early leaves none."""
-        os.makedirs(directory, exist_ok=True)
-        files = []
-        for k, x in enumerate(nodes):
-            files.append(f"node_{k:05d}.csv")
-            write_csv(os.path.join(directory, files[-1]), x)
-            yield x
-        manifest = {
-            "grid": {"s": grid.s, "t_end": grid.t_end, "n_steps": grid.n_steps},
-            "theta": theta,
-            "n_points": x.shape[0],
-            "dim": x.shape[1],
-            "model": model_echo,
-            "files": files,
-        }
-        with open(os.path.join(directory, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+def export_law(directory, grid: TimeGrid, nodes, theta: float, model_echo: dict):
+    """Yield each (N, d) state of ``nodes`` once its CSV point file is written;
+    the manifest follows the last, so a run stopped early leaves none."""
+    os.makedirs(directory, exist_ok=True)
+    files = []
+    for k, x in enumerate(nodes):
+        files.append(f"node_{k:05d}.csv")
+        write_csv(os.path.join(directory, files[-1]), x)
+        yield x
+    manifest = {"grid": {"s": grid.s, "t_end": grid.t_end, "n_steps": grid.n_steps},
+                "theta": theta, "n_points": x.shape[0], "dim": x.shape[1],
+                "model": model_echo, "files": files}
+    with open(os.path.join(directory, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 def apply_sigma(sigma: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -163,7 +128,7 @@ def em_path(model, states: np.ndarray, t0: float, dt: float, n_steps: int,
     """Yield ``(t_k, x_k, dw_k, x_{k+1})`` for each Euler-Maruyama step k.
 
     Step k's law is the (N, d) points x_k when ``law`` is None (the ensemble's
-    own law), and node k of the frozen law curve's states otherwise.
+    own law), and ``law[k]``, node k of a frozen (n_nodes, N, d) law curve, otherwise.
     Trajectory m consumes the increments of stream m; ``states`` is never written to.
 
     Raises:
@@ -177,24 +142,25 @@ def em_path(model, states: np.ndarray, t0: float, dt: float, n_steps: int,
     check_finite(states, noise.step0, model.state_radius)
     for k, dw in enumerate(increments(noise, states.shape[0], n_steps, np.sqrt(dt))):
         t_k = t0 + k * dt
-        law_k = states if law is None else law.states[k]
+        law_k = states if law is None else law[k]
         new = em_step(model, t_k, states, law_k, dt, dw, noise.step0 + k + 1)
         yield t_k, states, dw, new
         states = new
 
 
-def euler_maruyama(model, states, grid: TimeGrid, noise: NoiseSpec, law=None) -> LawCurve:
+def euler_maruyama(model, states, grid: TimeGrid, noise: NoiseSpec, law=None) -> np.ndarray:
     """Run ``em_path`` over ``grid`` from the (N, d) ``states`` and store every node.
 
     With ``law`` None this is the interacting particle system: each step reads
-    the ensemble's own law, so it needs N >= 2.  A ``law`` covering ``grid``
-    is one Picard step: step k reads its states at node k.
+    the ensemble's own law, so it needs N >= 2.  A law curve with one node per
+    grid node is one Picard step: step k reads its points at node k.
     Stepping and blow-up reports are those of ``em_path``.  The returned
-    curve's states are C-contiguous and read-only.
+    (n_nodes, N, d) law curve is C-contiguous and read-only.
     """
     states = np.asarray(states, dtype=np.float64)
     if law is not None:
-        law.require_grid(grid)
+        if len(law) != grid.n_nodes:
+            raise ValueError(f"law curve has {len(law)} nodes, grid {grid} has {grid.n_nodes}")
     elif len(states) < 2:
         raise ValueError(f"particle system needs N >= 2, got {len(states)}")
     nodes = np.empty((grid.n_nodes, len(states), noise.dim))
@@ -203,4 +169,4 @@ def euler_maruyama(model, states, grid: TimeGrid, noise: NoiseSpec, law=None) ->
         nodes[k] = new
     nodes[0] = states  # after em_path has checked the shape
     nodes.flags.writeable = False  # law curves are immutable once built
-    return LawCurve(grid=grid, states=nodes)
+    return nodes

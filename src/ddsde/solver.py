@@ -1,12 +1,12 @@
 """Solution schemes for the distribution-dependent SDE.
 
-Two routes to the law curve t -> mu_t, both stored as an ``sde.LawCurve``:
-Picard iteration in distribution (``picard_solve``: solve classical SDEs
-against the previous iterate's frozen law) and the interacting particle
-system (``sde.euler_maruyama`` with ``law=None``: each particle reads the
-ensemble's own empirical measure).  On top of these sit the
-synchronous-coupling contraction estimator and the invariant-measure
-fixed-point search.  ``PicardResult``, ``ContractResult`` and
+Two routes to the law curve t -> mu_t: Picard iteration in distribution
+(``picard_solve``: solve classical SDEs against the previous iterate's frozen
+law, each iterate an (n_nodes, N, d) array) and the interacting particle
+system (``sde.euler_maruyama`` with ``law=None``, or the streaming
+``sde.em_path``: each particle reads the ensemble's own empirical measure).
+On top of these sit the synchronous-coupling contraction estimator and the
+invariant-measure fixed-point search.  ``PicardResult``, ``ContractResult`` and
 ``InvariantResult`` give the verdicts of the three, each an exact ``Check``.
 """
 
@@ -23,14 +23,14 @@ from .harnack import Check, _Judged, coupled_pairs_from_measures
 from .measure import EmpiricalMeasure, theta_cost, transport_plan, wasserstein
 from .models import CoefficientModel
 from .rng import NoiseSpec
-from .sde import LawCurve, NumericalBlowupError, TimeGrid, em_path, em_step, euler_maruyama
+from .sde import NumericalBlowupError, TimeGrid, em_path, em_step, euler_maruyama
 
 
 @dataclass
 class PicardReport:
     """Trace of the iteration in distribution."""
 
-    iterates: list[LawCurve]
+    iterates: list[np.ndarray]   # (n_nodes, N, d) law curves; iterate 0 a broadcast view
     deltas: list[float]          # sup-over-time W_theta between successive iterates
     converged: bool
     iterations_used: int
@@ -54,7 +54,7 @@ class PicardResult(_Judged):
         last = reports[-1]
         return cls((check,), len(reports), check.ok, last.deltas,
                    [r.iterations_used for r in reports],
-                   last.iterates[-1].states[-1].mean(axis=0).tolist())
+                   last.iterates[-1][-1].mean(axis=0).tolist())
 
 
 # The pruning bounds come from numpy norms, the solver's cost from its own
@@ -75,8 +75,8 @@ def _pairing_cost(x: np.ndarray, y: np.ndarray, theta: float) -> np.ndarray:
         for k in range(0, len(x), PAIRING_CHUNK)])
 
 
-def _sup_wasserstein(a: LawCurve, b: LawCurve, theta: float) -> float:
-    """max_k of exact W_theta(a_k, b_k), solving as few nodes as possible.
+def _sup_wasserstein(a: np.ndarray, b: np.ndarray, theta: float) -> float:
+    """max_k of exact W_theta(a[k], b[k]) over (n_nodes, N, d) curves, solving few nodes.
 
     Any pairing's cost bounds W_theta^theta from above.  Successive Picard
     iterates share initial points and noise, so the index pairing is a cheap
@@ -84,15 +84,15 @@ def _sup_wasserstein(a: LawCurve, b: LawCurve, theta: float) -> float:
     beat the best exact cost found, and a node is skipped when its cost under
     the last exact permutation cannot beat that cost either.
     """
-    index_cost = _pairing_cost(a.states, b.states, theta)
+    index_cost = _pairing_cost(a, b, theta)
     best_cost, best, perm = -np.inf, 0.0, None
     for k in np.argsort(-index_cost, kind="stable"):
         if index_cost[k] * (1.0 + PRUNE_SLACK) <= best_cost:
             break
-        if perm is not None and _pairing_cost(a.states[k:k + 1], b.states[k:k + 1, perm],
+        if perm is not None and _pairing_cost(a[k:k + 1], b[k:k + 1, perm],
                                               theta)[0] * (1.0 + PRUNE_SLACK) <= best_cost:
             continue
-        plan = transport_plan(a.measure_at(k), b.measure_at(k), theta=theta)
+        plan = transport_plan(EmpiricalMeasure(a[k]), EmpiricalMeasure(b[k]), theta=theta)
         perm = plan.permutation
         if plan.cost > best_cost:
             best_cost, best = plan.cost, plan.distance
@@ -114,7 +114,7 @@ def picard_solve(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGrid,
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    iterates = [LawCurve.constant(mu0, grid)]
+    iterates = [np.broadcast_to(mu0.points, (grid.n_nodes,) + mu0.points.shape)]
     deltas: list[float] = []
     converged = False
     for _ in range(max_iter):
@@ -168,7 +168,7 @@ def picard_chain(model: CoefficientModel, mu0: EmpiricalMeasure, grid: TimeGrid,
         rep = picard_solve(model, mu, sub, noise.with_step_offset(noise.step0 + j * steps),
                            max_iter=max_iter, tol=tol, theta=theta)
         reports.append(rep)
-        mu = rep.iterates[-1].measure_at(steps)
+        mu = EmpiricalMeasure(rep.iterates[-1][-1])
     return reports
 
 
@@ -372,8 +372,8 @@ class MomentCurve:
 def moment_curve(nodes, p: float) -> MomentCurve:
     """Per-node p-th radial moments and the expected pathwise supremum.
 
-    ``nodes`` yields the (M, d) states node by node (``LawCurve.states`` is
-    one such iterable); between nodes only the running maximum is kept.
+    ``nodes`` yields the (M, d) states node by node (a stored (n_nodes, M, d)
+    law curve is one such iterable); between nodes only the running maximum is kept.
 
     Raises:
         NumericalBlowupError: if a moment overflows, naming the trajectory and

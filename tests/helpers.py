@@ -7,7 +7,7 @@ import numpy as np
 
 from ddsde.measure import EmpiricalMeasure
 from ddsde.models import landau_sigma0
-from ddsde.sde import LawCurve, TimeGrid, euler_maruyama
+from ddsde.sde import TimeGrid, euler_maruyama
 
 
 def brute_force_wasserstein(x: np.ndarray, y: np.ndarray, theta: float) -> float:
@@ -89,7 +89,7 @@ def moment(mu: EmpiricalMeasure, p: float) -> float:
 
 
 def synchronous_pair(model, law_x, law_y, init_x, init_y,
-                     grid: TimeGrid, noise) -> tuple[LawCurve, LawCurve]:
+                     grid: TimeGrid, noise) -> tuple[np.ndarray, np.ndarray]:
     """Two runs driven by identical increments per (trajectory, step).
 
     Marginally each run is ``euler_maruyama`` against its own law curve; the

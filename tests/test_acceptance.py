@@ -92,15 +92,15 @@ def test_criterion_03_picard_particle_oracle_agreement():
         grid = TimeGrid(0.0, 1.0, n_steps)
         noise = NoiseSpec(seed=23, dim=1)
         law_p = euler_maruyama(model, mu0.points, grid, noise)
-        m_part, se_part = mean_se(law_p.states[-1, :, 0])
+        m_part, se_part = mean_se(law_p[-1, :, 0])
         tol = max(3 * se_part, 5 * grid.dt)
         assert abs(m_part - target) < tol
         rep = picard_solve(model, mu0, grid, noise, max_iter=10, tol=1e-4)
         assert rep.converged
-        terminal = rep.iterates[-1].measure_at(grid.n_steps)
+        terminal = EmpiricalMeasure(rep.iterates[-1][grid.n_steps])
         m_pic, se_pic = mean_se(terminal.points[:, 0])
         assert abs(m_pic - target) < max(3 * se_pic, 5 * grid.dt)
-        w2 = wasserstein(law_p.measure_at(grid.n_steps), terminal, theta=2.0)
+        w2 = wasserstein(EmpiricalMeasure(law_p[grid.n_steps]), terminal, theta=2.0)
         assert w2 <= 0.05
         lines.append(f"dt={grid.dt:g}: particle {m_part:.4f}, picard {m_pic:.4f}, W2 {w2:.3g}")
     report(3, f"target e^-1={target:.4f}; " + "; ".join(lines))

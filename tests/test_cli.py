@@ -483,7 +483,7 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
      "need t > s"),
     ({"type": "bounds", "quantity": "power",
       "params": {"p": 4.0, "lambda": 1.0, "kappa1": 0.0, "kappa2": 0.0, "moment_term": 1e6}},
-     {}, {}, "math range error"),
+     {}, {}, "power is inf at these params"),
     ({"type": "bounds", "quantity": "cc", "params": {"alpha": "x", "beta": 1.0}}, {}, {},
      "experiment.params.alpha"),
     ({"type": "bounds", "quantity": "cc", "params": {"alpha": [1.0], "beta": 1.0}}, {}, {},
@@ -553,6 +553,21 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
     *[({"type": "bounds", "quantity": quantity, "params": {"lambda": 1.0, "d": d}}, {}, {},
        f"the dimension d must be >= 1, got {d}")
       for quantity in ("ET1", "ET2", "ET3") for d in (0, -3)],
+    # Float ** and math.exp raise OverflowError past the double range; each reads as inf.
+    ({"type": "bounds", "quantity": "phi",
+      "params": {"lambda": 1.0, "kappa1": 0.0, "kappa2": 1e200}}, {}, {},
+     "phi is inf at these params"),
+    *[({"type": "bounds", "quantity": quantity, "params": {"lambda": 1.0, "grad_b": 1e300}},
+       {}, {}, f"{quantity} is inf at these params") for quantity in ("ET1", "ET2", "ET3")],
+    ({"type": "bounds", "quantity": "tn", "params": dict.fromkeys(
+        ("K0", "B0", "C0", "alpha", "beta"), 1e308)}, {}, {}, "tn is inf at these params"),
+    ({"type": "bounds", "quantity": "cc", "params": {"alpha": 1.0, "beta": 1e200}}, {}, {},
+     "cc is inf at these params"),
+    ({"type": "bounds", "quantity": "power",
+      "params": {"p": 4.0, "lambda": 1.0, "kappa1": 1e3, "kappa2": 0.0, "moment_term": 1.0}},
+     {}, {}, "power is inf at these params"),
+    *[({"type": "shift_harnack", "log_form": log_form}, {}, {"a": 1e300},
+       "the shift Harnack constant overflows at |v|^2 = 0.25") for log_form in (False, True)],
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -581,7 +596,10 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "n_particles_unallocatable", "init_csv_empty", "init_csv_blank",
         "landau_state_radius_zero", "landau_state_radius_negative", "bounds_et1_d_zero",
         "bounds_et1_d_negative", "bounds_et2_d_zero", "bounds_et2_d_negative",
-        "bounds_et3_d_zero", "bounds_et3_d_negative"])
+        "bounds_et3_d_zero", "bounds_et3_d_negative", "bounds_phi_kappa2_overflow",
+        "bounds_et1_grad_b_overflow", "bounds_et2_grad_b_overflow", "bounds_et3_grad_b_overflow",
+        "bounds_tn_overflow", "bounds_cc_beta_overflow", "bounds_power_kappa1_overflow",
+        "shift_harnack_gradient_overflow", "shift_harnack_log_form_gradient_overflow"])
 @pytest.mark.filterwarnings("error")  # a warning printed before the error line fails
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,

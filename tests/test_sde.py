@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from ddsde.measure import EmpiricalMeasure
 from ddsde.models import CoefficientModel, ModelBounds, landau_model, linear_meanfield_model
 from ddsde.rng import NoiseSpec
 from ddsde.sde import (
-    LawCurve,
     NumericalBlowupError,
     TimeGrid,
     apply_sigma,
@@ -28,7 +26,7 @@ def make_model(drift, diffusion, dim=1, **kwargs):
 
 
 def constant_law(point, n, grid):
-    return LawCurve.constant(EmpiricalMeasure.point_mass(point, n), grid)
+    return np.broadcast_to(np.asarray(point, dtype=np.float64), (grid.n_nodes, n, len(point)))
 
 
 def test_grid_nodes_exact():
@@ -52,7 +50,7 @@ def test_zero_coefficients_keep_paths_constant():
     noise = NoiseSpec(seed=1, dim=1)
     ens = euler_maruyama(model, np.full((4, 1), 2.5), grid, noise,
                          law=constant_law([0.0], 4, grid))
-    assert np.all(ens.states == 2.5)
+    assert np.all(ens == 2.5)
 
 
 def test_deterministic_ode_first_order_convergence():
@@ -64,7 +62,7 @@ def test_deterministic_ode_first_order_convergence():
         grid = TimeGrid(0.0, 1.0, n_steps)
         ens = euler_maruyama(model, np.array([[1.0]]), grid, noise,
                              law=constant_law([0.0], 1, grid))
-        errs.append(abs(ens.states[-1, 0, 0] - np.exp(-1.0)))
+        errs.append(abs(ens[-1, 0, 0] - np.exp(-1.0)))
     assert errs[0] < 0.01
     assert 1.7 < errs[0] / errs[1] < 2.3
 
@@ -77,7 +75,7 @@ def test_brownian_terminal_variance():
     m = 10_000
     ens = euler_maruyama(model, np.zeros((m, 2)), grid, noise,
                          law=constant_law([0.0, 0.0], 4, grid))
-    var = ens.states[-1].var(axis=0)
+    var = ens[-1].var(axis=0)
     # se of the sample variance of a unit normal is about sqrt(2/M)
     assert np.all(np.abs(var - 1.0) < 3 * np.sqrt(2.0 / m))
 
@@ -90,7 +88,7 @@ def test_ensemble_is_pure_function_of_inputs():
     init = np.arange(16.0).reshape(8, 2)
     a = euler_maruyama(model, init, grid, noise, law=law)
     b = euler_maruyama(model, init, grid, noise, law=law)
-    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a, b)
 
 
 def test_flow_property_restart_is_bitwise():
@@ -105,9 +103,9 @@ def test_flow_property_restart_is_bitwise():
     ens1 = euler_maruyama(model, np.ones((4, 1)), first, noise,
                           law=constant_law([0.0], 4, first))
     second = TimeGrid(0.5, 1.0, 50)
-    ens2 = euler_maruyama(model, ens1.states[-1], second, noise.with_step_offset(50),
+    ens2 = euler_maruyama(model, ens1[-1], second, noise.with_step_offset(50),
                           law=constant_law([0.0], 4, second))
-    assert np.array_equal(ens.states[50:], ens2.states)
+    assert np.array_equal(ens[50:], ens2)
 
 
 def test_synchronous_pair_identical_inputs():
@@ -117,7 +115,7 @@ def test_synchronous_pair_identical_inputs():
     law = constant_law([0.0], 6, grid)
     init = np.linspace(-1, 1, 6)[:, None]
     ex, ey = synchronous_pair(model, law, law, init, init, grid, noise)
-    assert np.array_equal(ex.states, ey.states)
+    assert np.array_equal(ex, ey)
 
 
 def test_synchronous_pair_linear_gap_decays_deterministically():
@@ -129,7 +127,7 @@ def test_synchronous_pair_linear_gap_decays_deterministically():
     init_x = np.zeros((8, 1))
     init_y = np.ones((8, 1))
     ex, ey = synchronous_pair(model, law, law, init_x, init_y, grid, noise)
-    gap = np.abs(ex.states - ey.states)[-1, :, 0]
+    gap = np.abs(ex - ey)[-1, :, 0]
     assert np.allclose(gap, np.exp(-1.0), atol=2e-3)
 
 
@@ -143,7 +141,7 @@ def test_synchronous_pair_landau_maxwell_gap_exponent_within_bound():
     law_x = euler_maruyama(model, mu_pts, grid, noise.substream(1))
     law_y = euler_maruyama(model, nu_pts, grid, noise.substream(2))
     ex, ey = synchronous_pair(model, law_x, law_y, mu_pts, nu_pts, grid, noise)
-    gap_sq = ((ex.states - ey.states) ** 2).sum(axis=2).mean(axis=1)
+    gap_sq = ((ex - ey) ** 2).sum(axis=2).mean(axis=1)
     slope = fit_slope(grid.nodes, np.log(gap_sq))
     assert slope <= 8.0 + 0.5
 
@@ -183,7 +181,7 @@ def test_nearby_starts_stay_close_in_supremum():
         shift = np.zeros(3)
         shift[0] = eps0
         ex, ey = synchronous_pair(model, law, law, base, base + shift, grid, noise)
-        sup_gap = np.linalg.norm(ex.states - ey.states, axis=2).max(axis=0)
+        sup_gap = np.linalg.norm(ex - ey, axis=2).max(axis=0)
         exceed.append(float(np.mean(sup_gap >= 0.5)))
     assert exceed[-1] == 0.0
     assert exceed[0] >= exceed[1] >= exceed[2]
@@ -196,7 +194,7 @@ def test_paths_are_immutable():
     ens = euler_maruyama(model, np.zeros((4, 1)), grid, noise,
                          law=constant_law([0.0], 4, grid))
     with pytest.raises(ValueError):
-        ens.states[0, 0, 0] = 1.0
+        ens[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -206,15 +204,15 @@ def test_particle_system_stores_em_path_nodes_node_major(dim):
     noise = NoiseSpec(seed=46, dim=dim)
     init = np.linspace(-1.0, 1.0, 12 * dim).reshape(12, dim)
     law = euler_maruyama(model, init, grid, noise)
-    assert law.states.shape == (grid.n_nodes, 12, dim)
-    assert law.states.flags.c_contiguous and not law.states.flags.writeable
+    assert law.shape == (grid.n_nodes, 12, dim)
+    assert law.flags.c_contiguous and not law.flags.writeable
     streamed = [init] + [new for *_, new in em_path(model, init, grid.s, grid.dt,
                                                      grid.n_steps, noise)]
-    assert law.states.tobytes() == np.stack(streamed).tobytes()
+    assert law.tobytes() == np.stack(streamed).tobytes()
 
 
 def test_em_path_steps_against_plain_points():
-    # Step k's law is x_k itself, or node k of a frozen law curve's states, as an array.
+    # Step k's law is x_k itself, or node k of a frozen law curve, as an array.
     laws = []
 
     def drift(t, x, z):
@@ -227,12 +225,12 @@ def test_em_path_steps_against_plain_points():
     steps = list(em_path(model, np.zeros((4, 1)), grid.s, grid.dt, grid.n_steps, noise))
     assert [len(step) for step in steps] == [4] * grid.n_steps
     assert all(z is x for z, (_, x, _, _) in zip(laws, steps))
-    frozen = LawCurve(grid, np.arange(16.0).reshape(4, 4, 1))
+    frozen = np.arange(16.0).reshape(4, 4, 1)
     laws.clear()
     for _ in em_path(model, np.zeros((4, 1)), grid.s, grid.dt, grid.n_steps, noise, frozen):
         pass
     assert all(type(z) is np.ndarray for z in laws)
-    assert np.array_equal(np.stack(laws), frozen.states[:-1])
+    assert np.array_equal(np.stack(laws), frozen[:-1])
 
 
 def test_law_grid_mismatch_rejected():

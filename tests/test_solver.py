@@ -12,7 +12,7 @@ from ddsde import sde, solver
 from ddsde.measure import EmpiricalMeasure, wasserstein
 from ddsde.models import landau_model, linear_meanfield_model
 from ddsde.rng import NoiseSpec, normal_block
-from ddsde.sde import LawCurve, TimeGrid, euler_maruyama
+from ddsde.sde import TimeGrid, euler_maruyama
 from ddsde.solver import (
     ContractionEstimate,
     ContractResult,
@@ -46,7 +46,7 @@ class TestPicard:
         assert report.converged
         assert report.iterations_used == 2
         assert report.deltas[1] == 0.0
-        assert np.array_equal(report.iterates[1].states, report.iterates[2].states)
+        assert np.array_equal(report.iterates[1], report.iterates[2])
 
     def test_linear_mean_matches_ode(self):
         model = linear_meanfield_model(2.0, 1.0, 0.2, dim=1)
@@ -55,7 +55,7 @@ class TestPicard:
         report = picard_solve(model, mu0, grid, NoiseSpec(seed=3, dim=1),
                               max_iter=10, tol=1e-4)
         assert report.converged
-        terminal = report.iterates[-1].measure_at(grid.n_steps)
+        terminal = EmpiricalMeasure(report.iterates[-1][grid.n_steps])
         m, se = mean_se(terminal.points[:, 0])
         assert abs(m - np.exp(-1.0)) < max(3 * se, 5 * grid.dt)
 
@@ -144,12 +144,22 @@ class TestPicard:
             picard_solve(model, gaussian_measure(8, 1, seed=1),
                          TimeGrid(0.0, 0.1, 10), NoiseSpec(seed=1, dim=1), tol=0.0)
 
+    def test_iterate_zero_is_a_broadcast_view(self):
+        # The constant curve at mu0 is mu0's points seen at every node, not n_nodes copies.
+        mu0 = gaussian_measure(8, 1, seed=37)
+        grid = TimeGrid(0.0, 1.0, 1000)
+        report = picard_solve(linear_meanfield_model(1.0, 0.0, 1.0, dim=1), mu0, grid,
+                              NoiseSpec(seed=38, dim=1), max_iter=1)
+        first = report.iterates[0]
+        assert first.shape == (grid.n_nodes, 8, 1) and first.strides[0] == 0
+        assert np.shares_memory(first, mu0.points)
+
 
 def brute_force_deltas(report, theta):
     """sup over nodes of exact W_theta between successive iterates, node by node."""
     return [
-        max(wasserstein(cur.measure_at(k), prev.measure_at(k), theta=theta)
-            for k in range(cur.grid.n_nodes))
+        max(wasserstein(EmpiricalMeasure(cur[k]), EmpiricalMeasure(prev[k]), theta=theta)
+            for k in range(len(cur)))
         for prev, cur in zip(report.iterates, report.iterates[1:])
     ]
 
@@ -199,7 +209,7 @@ class TestParticle:
         mu0 = EmpiricalMeasure.point_mass([1.0], 2000)
         grid = TimeGrid(0.0, 1.0, 1000)
         law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=11, dim=1))
-        m, se = mean_se(law.states[-1, :, 0])
+        m, se = mean_se(law[-1, :, 0])
         assert abs(m - np.exp(-1.0)) < max(3 * se, 5 * grid.dt)
 
     def test_no_interaction_particles_uncorrelated(self):
@@ -207,8 +217,8 @@ class TestParticle:
         mu0 = gaussian_measure(2000, 3, seed=12)
         grid = TimeGrid(0.0, 0.5, 100)
         law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=13, dim=3))
-        first = law.states[-1, 0::2, 0]
-        second = law.states[-1, 1::2, 0]
+        first = law[-1, 0::2, 0]
+        second = law[-1, 1::2, 0]
         rho = np.corrcoef(first, second)[0, 1]
         assert abs(rho) < 3.0 / np.sqrt(len(first))
 
@@ -219,8 +229,8 @@ class TestParticle:
         noise = NoiseSpec(seed=14, dim=1)
         law_p = euler_maruyama(model, mu0.points, grid, noise)
         report = picard_solve(model, mu0, grid, noise, max_iter=10, tol=1e-4)
-        w2 = wasserstein(law_p.measure_at(grid.n_steps),
-                         report.iterates[-1].measure_at(grid.n_steps), theta=2.0)
+        w2 = wasserstein(EmpiricalMeasure(law_p[grid.n_steps]),
+                         EmpiricalMeasure(report.iterates[-1][grid.n_steps]), theta=2.0)
         assert w2 <= 0.05
 
     def test_agrees_with_picard_landau(self):
@@ -232,8 +242,8 @@ class TestParticle:
         law_p = euler_maruyama(model, mu0.points, grid, noise)
         report = picard_solve(model, mu0, grid, noise, max_iter=8, tol=1e-3)
         assert report.converged
-        w2 = wasserstein(law_p.measure_at(grid.n_steps),
-                         report.iterates[-1].measure_at(grid.n_steps), theta=2.0)
+        w2 = wasserstein(EmpiricalMeasure(law_p[grid.n_steps]),
+                         EmpiricalMeasure(report.iterates[-1][grid.n_steps]), theta=2.0)
         assert w2 <= 0.05
 
     def test_needs_two_particles(self):
@@ -253,8 +263,8 @@ class TestParticle:
         first = TimeGrid(0.0, 0.5, 100)
         law1 = euler_maruyama(model, mu0.points, first, noise)
         second = TimeGrid(0.5, 1.0, 100)
-        law2 = euler_maruyama(model, law1.states[-1], second, noise.with_step_offset(100))
-        assert np.array_equal(law_full.states[100:], law2.states)
+        law2 = euler_maruyama(model, law1[-1], second, noise.with_step_offset(100))
+        assert np.array_equal(law_full[100:], law2)
 
     def test_nonlinearity_witness(self):
         # The semigroup acts on measures: evolving the two-point mixture
@@ -273,10 +283,10 @@ class TestParticle:
             law_x = euler_maruyama(model, np.full((half, 1), -2.0), grid, noise.substream(1))
             law_y = euler_maruyama(model, np.full((half, 1), 2.0), grid, noise.substream(2))
             mixed_laws = EmpiricalMeasure(
-                np.concatenate([law_x.states[-1], law_y.states[-1]])
+                np.concatenate([law_x[-1], law_y[-1]])
             )
             w2_vals.append(
-                wasserstein(law_mix.measure_at(grid.n_steps), mixed_laws, theta=2.0)
+                wasserstein(EmpiricalMeasure(law_mix[grid.n_steps]), mixed_laws, theta=2.0)
             )
         m, se = mean_se(w2_vals)
         assert m > 5 * se
@@ -504,8 +514,7 @@ class TestVerdicts:
 
     @staticmethod
     def picard(last_deltas, tol=1e-3):
-        curve = LawCurve.constant(EmpiricalMeasure(np.array([[0.0], [2.0]])),
-                                  TimeGrid(0.0, 0.1, 2))
+        curve = np.broadcast_to(np.array([[0.0], [2.0]]), (3, 2, 1))
         reports = [PicardReport([curve, curve], [0.5, delta], delta <= tol, 2)
                    for delta in last_deltas]
         return PicardResult.judge(reports, tol)
@@ -531,20 +540,20 @@ class TestMomentCurve:
         law = euler_maruyama(model, mu0.points, grid, noise)
         steps = sde.em_path(model, mu0.points, grid.s, grid.dt, grid.n_steps, noise)
         streamed = moment_curve(itertools.chain([mu0.points], (x for *_, x in steps)), p)
-        stored = moment_curve(law.states, p)
-        paths = np.ascontiguousarray(law.states.transpose(1, 0, 2))  # (M, n_nodes, d)
+        stored = moment_curve(law, p)
+        paths = np.ascontiguousarray(law.transpose(1, 0, 2))  # (M, n_nodes, d)
         rp = np.linalg.norm(paths, axis=2) ** p  # the one-shot (M, n_nodes) estimate
         for curve in (streamed, stored):
             assert curve.per_node.tobytes() == rp.mean(axis=0).tobytes()
             assert curve.sup_moment == float(rp.max(axis=1).mean())
-            assert curve.terminal.tobytes() == law.states[-1].tobytes()
+            assert curve.terminal.tobytes() == law[-1].tobytes()
 
     def test_constant_paths(self):
         model = linear_meanfield_model(0.0, 0.0, 0.0, dim=2)
         mu0 = EmpiricalMeasure.point_mass([3.0, 4.0], 8)
         grid = TimeGrid(0.0, 1.0, 10)
         law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=31, dim=2))
-        curve = moment_curve(law.states, 2.0)
+        curve = moment_curve(law, 2.0)
         assert np.allclose(curve.per_node, 25.0)
         assert curve.sup_moment == pytest.approx(25.0)
 
@@ -553,7 +562,7 @@ class TestMomentCurve:
         mu0 = EmpiricalMeasure.point_mass([0.0, 0.0, 0.0], 4000)
         grid = TimeGrid(0.0, 1.0, 500)
         law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=32, dim=3))
-        curve = moment_curve(law.states, 2.0)
+        curve = moment_curve(law, 2.0)
         se = np.sqrt(6.0 / 4000)  # Var of chi^2_3 is 6
         assert abs(curve.per_node[-1] - 3.0) < 3 * se
 
@@ -563,19 +572,19 @@ class TestMomentCurve:
         for n_steps in (200, 400):
             grid = TimeGrid(0.0, 1.0, n_steps)
             law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=34, dim=3))
-            curve = moment_curve(law.states, 2.0)
+            curve = moment_curve(law, 2.0)
             assert np.isfinite(curve.per_node).all()
             assert curve.sup_moment < 50.0
 
 
-class TestLawCurve:
+class TestExportLaw:
     def test_export_and_load_roundtrip(self, tmp_path):
         model = linear_meanfield_model(1.0, 0.2, 0.5, dim=2)
         mu0 = gaussian_measure(16, 2, seed=35)
         grid = TimeGrid(0.0, 0.2, 4)
         law = euler_maruyama(model, mu0.points, grid, NoiseSpec(seed=36, dim=2))
         out = tmp_path / "law"
-        for _ in LawCurve.export(out, grid, law.states, 2.0, {"name": "linear_meanfield"}):
+        for _ in sde.export_law(out, grid, law, 2.0, {"name": "linear_meanfield"}):
             pass
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["grid"]["n_steps"] == 4
@@ -585,7 +594,7 @@ class TestLawCurve:
         # The documented format: the manifest's files in node order, one point per row.
         back = np.stack([np.loadtxt(out / name, delimiter=",", ndmin=2)
                          for name in manifest["files"]])
-        assert np.array_equal(back, law.states)
+        assert np.array_equal(back, law)
 
     def test_export_leaves_no_class_objects_behind(self, tmp_path):
         # np.savetxt defines a class on every call, which only the cyclic GC frees.
@@ -599,15 +608,10 @@ class TestLawCurve:
         gc.disable()
         try:
             before = classes()
-            for _ in LawCurve.export(tmp_path / "law", grid, nodes, 2.0, {}):
+            for _ in sde.export_law(tmp_path / "law", grid, nodes, 2.0, {}):
                 pass
             after = classes()
         finally:
             gc.enable()
         assert len(list((tmp_path / "law").glob("node_*.csv"))) == 1000
         assert after == before
-
-    def test_constant_curve_shares_memory(self):
-        mu0 = gaussian_measure(8, 1, seed=37)
-        law = LawCurve.constant(mu0, TimeGrid(0.0, 1.0, 1000))
-        assert law.states.base is not None  # broadcast view, not a copy

@@ -30,7 +30,7 @@ from ddsde.harnack import (
 from ddsde.measure import EmpiricalMeasure
 from ddsde.models import CoefficientModel, linear_meanfield_model
 from ddsde.rng import NoiseSpec, normal_block
-from ddsde.sde import LawCurve, NumericalBlowupError, TimeGrid, euler_maruyama
+from ddsde.sde import NumericalBlowupError, TimeGrid, euler_maruyama
 from ddsde.solver import estimate_contraction, evolve_states
 
 GOLDEN = {
@@ -57,9 +57,9 @@ def _digest(values) -> str:
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
-def _paths(law: LawCurve) -> np.ndarray:
+def _paths(law: np.ndarray) -> np.ndarray:
     """The node-major states as the (M, n_nodes, d) paths the digests were taken on."""
-    return law.states.transpose(1, 0, 2)
+    return law.transpose(1, 0, 2)
 
 
 def stepping_digests() -> dict:
@@ -68,7 +68,7 @@ def stepping_digests() -> dict:
     noise = NoiseSpec(seed=2024, dim=1)
     mu0 = EmpiricalMeasure(0.3 + normal_block(NoiseSpec(seed=7, dim=1), np.arange(64), 0))
     nu0 = mu0.shifted([0.8])
-    law = LawCurve.constant(nu0, grid)
+    law = np.broadcast_to(nu0.points, (grid.n_nodes,) + nu0.points.shape)
     x0, y0, _ = coupled_pairs_from_measures(model, mu0, nu0, noise.step0)
     coupled = simulate_coupled(model, x0, y0, grid, noise)
     f, grad_f = IBP_FUNCTIONS["linear"]
@@ -102,7 +102,8 @@ def _exploding_model() -> CoefficientModel:
 
 
 @pytest.mark.parametrize("run", [
-    lambda m, mu, g, n: euler_maruyama(m, mu.points, g, n, law=LawCurve.constant(mu, g)),
+    lambda m, mu, g, n: euler_maruyama(
+        m, mu.points, g, n, law=np.broadcast_to(mu.points, (g.n_nodes,) + mu.points.shape)),
     lambda m, mu, g, n: euler_maruyama(m, mu.points, g, n),
     lambda m, mu, g, n: evolve_states(m, mu.points, g.s, g.n_steps, g.dt, n),
 ], ids=["euler_maruyama", "particle_system", "evolve_states"])
