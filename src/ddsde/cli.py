@@ -230,6 +230,9 @@ def validate_config(cfg: dict) -> Run:
     try:
         if etype in ("couple", "log_harnack"):
             harnack._require_coupling_model(built)
+            b = built.bounds  # phi, as bounds evaluates it, so its overflow is caught here
+            _run_bounds("phi", {"lambda": b.lambda_, "kappa1": b.kappa1, "kappa2": b.kappa2,
+                                "s": grid.s}, built, grid.t_end)
         if etype in ("shift_harnack", "ibp"):
             harnack._require_additive(built)
         if etype == "shift_harnack":

@@ -305,10 +305,6 @@ class LogHarnackResult(_Inequality):  # lhs = E[R_T log f(X_T)], rhs = log E f(X
     ess: float        # of the weights R_T, as in ``CouplingResult``
     ess_warning: str | None
 
-    @property
-    def log_mean_f(self) -> float:  # the rhs without the phi term, for sharp-constant oracles
-        return self.rhs - self.phi * self.w2_sq
-
     def __post_init__(self, checks: tuple[Check, ...]) -> None:  # a nan ess (no weight) fails
         super().__post_init__((*checks, Check(self.ess, 0.0)))
 

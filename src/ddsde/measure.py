@@ -9,14 +9,13 @@ is solved on costs reduced by the Gaussian map's potentials, 2-5x sooner.
 
 from __future__ import annotations
 
-import importlib.util
+import importlib
 import os
 import sys
 import threading
 import types
 import warnings
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 import scipy
@@ -107,46 +106,30 @@ def _scipy_extension(package: str, name: str):
     numpy for scipy's array-API support (about 0.3 s and 17 MB); 3-D runs call
     one function each of ``scipy.optimize`` and ``scipy.spatial``, whose
     imports would also load ``scipy.sparse`` and ``scipy.linalg`` (about
-    20 MB).  The module is registered under its own name before it runs, as
-    importlib does, so a later ``import scipy.<package>`` reuses it.
+    20 MB).  Until ``scipy.<package>`` is imported, the module and the compiled
+    siblings its init imports (``_ufuncs``) load under a bare stub package whose
+    ``__path__`` is the real directory, so a later ``import scipy.<package>``
+    reuses them.  The stub is removed when the load ends; if the load raises
+    ImportError, the module is imported with its package.
 
-    A module whose init imports its compiled siblings (``_ufuncs``) needs a
-    parent package to find them.  If ``scipy.<package>`` is not imported yet,
-    a bare stub package whose ``__path__`` is the real directory stands in for
-    it during the load only, and is removed when the load ends.  If the load
-    raises ImportError, the module is removed too, and it is imported the
-    usual way, as it is when there is no compiled file.
+    importlib binds a submodule to its parent only when it loads it, so the
+    siblings loaded under the stub are not attributes of a ``scipy.special``
+    imported later: ``hasattr(scipy.special, "_gufuncs")`` is False, while
+    ``from scipy.special import _gufuncs`` works.  Neither ddsde nor scipy
+    outside its tests reads them as attributes.
     """
-    full_name = f"scipy.{package}.{name}"
+    full_name, parent = f"scipy.{package}.{name}", f"scipy.{package}"
     with _EXTENSION_LOCK:
-        module = sys.modules.get(full_name)
-        if module is not None:
-            return module
-        directory = os.path.join(os.path.dirname(scipy.__file__), package)
-        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full_name)
-        if spec is None:
+        if full_name in sys.modules or parent in sys.modules:
             return importlib.import_module(full_name)
-        parent = f"scipy.{package}"
-        stub = None
-        # The siblings loaded under the stub (_ufuncs_cxx, _special_ufuncs,
-        # _gufuncs, _ellip_harm_2) stay in sys.modules but are not attributes
-        # of a scipy.special imported later, since importlib binds a submodule
-        # to its parent only when it loads it: hasattr(scipy.special,
-        # "_gufuncs") is False, while "from scipy.special import _gufuncs"
-        # works.  Neither ddsde nor scipy outside its tests reads them as
-        # attributes.
-        if parent not in sys.modules:
-            stub = sys.modules[parent] = types.ModuleType(parent)
-            stub.__path__ = [directory]
+        stub = sys.modules[parent] = types.ModuleType(parent)
+        stub.__path__ = [os.path.join(os.path.dirname(scipy.__file__), package)]
         try:
-            module = sys.modules[full_name] = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-        except ImportError:  # an import the stub parent cannot satisfy
-            sys.modules.pop(full_name, None)
+            return importlib.import_module(full_name)
+        except ImportError:  # no compiled file, or an import the stub cannot satisfy
+            pass
         finally:
-            if stub is not None:
-                sys.modules.pop(parent, None)
+            sys.modules.pop(parent, None)
         return importlib.import_module(full_name)
 
 

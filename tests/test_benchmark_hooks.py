@@ -23,6 +23,10 @@ CONFIGS = {
     "couple": {"model": LINEAR, "sim": {"n_particles": 1000, "dt": 0.01, "t_end": 1.0, "seed": 4,
                                         "init": {"kind": "point", "value": 0.0}},
                "experiment": {"type": "couple", "shift": 1.0}},
+    # 3-D exact assignments, the transport of the maxwell_transport workload.
+    "contract": {"model": {"name": "landau", "gamma": 0.0, "alpha": 0.1, "beta": 0.0},
+                 "sim": {"n_particles": 16, "dt": 0.01, "t_end": 0.2, "seed": 5},
+                 "experiment": {"type": "contract", "shift": 1.0}},
 }
 
 
@@ -37,7 +41,8 @@ def test_traced_runs_fill_the_counters_the_benchmark_reads(tmp_path, capsys):
             assert cli.run(str(path)) == cli.EXIT_OK, capsys.readouterr().err
     assert sde.em_step is original
     for name in ("sde.particle_steps", "solver.picard.iterations", "harnack.weighted_paths",
-                 "measure.transport.sort1d.calls"):
+                 "measure.transport.sort1d.calls", "measure.transport.assign.calls",
+                 "measure.cost_matrix_bytes"):
         assert tracer.counts[name] > 0, name
     mu0 = cli.build_init({"kind": "gaussian", "mean": 0.5}, 1, 8, NoiseSpec(seed=5, dim=1))
     assert mu0.mean().shape == (1,)

@@ -568,6 +568,11 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
      {}, {}, "power is inf at these params"),
     *[({"type": "shift_harnack", "log_form": log_form}, {}, {"a": 1e300},
        "the shift Harnack constant overflows at |v|^2 = 0.25") for log_form in (False, True)],
+    # The coupling constant phi overflows; it is checked before the first step.
+    *[(experiment, {}, {"a": 1e3, "c": 400.0}, "phi is inf at these params")
+      for experiment in ({"type": "couple", "shift": 1.0}, {"type": "log_harnack", "f": "const"})],
+    ({"type": "bounds", "quantity": "cc", "params": [1.0, 1.0]}, {}, {},
+     "bounds params must be an object, got [1.0, 1.0]"),
 ], ids=["log_harnack_f", "shift_harnack_f", "ibp_f", "dt_string",
         "bounds_missing_param", "couple_missing_bound", "landau_gamma_range",
         "linear_a_string", "landau_state_radius_string",
@@ -599,7 +604,8 @@ MALFORMED_CSV = {"text.csv": "a,b\n", "nan.csv": "0.5\nnan\n",
         "bounds_et3_d_zero", "bounds_et3_d_negative", "bounds_phi_kappa2_overflow",
         "bounds_et1_grad_b_overflow", "bounds_et2_grad_b_overflow", "bounds_et3_grad_b_overflow",
         "bounds_tn_overflow", "bounds_cc_beta_overflow", "bounds_power_kappa1_overflow",
-        "shift_harnack_gradient_overflow", "shift_harnack_log_form_gradient_overflow"])
+        "shift_harnack_gradient_overflow", "shift_harnack_log_form_gradient_overflow",
+        "couple_phi_overflow", "log_harnack_phi_overflow", "bounds_params_not_object"])
 @pytest.mark.filterwarnings("error")  # a warning printed before the error line fails
 def test_malformed_config_exits_one_without_traceback(tmp_path, capsys, monkeypatch,
                                                       experiment, sim_update, model_update,
@@ -644,6 +650,18 @@ def test_number_beyond_float64_exits_one_as_invalid_json(tmp_path, capsys, sim_u
     assert err.startswith(f"error: invalid JSON in {cfg_path}: ") and err.count("\n") == 1
     assert "is not a JSON number within the float64 range" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body, named", [
+    ([{"model": {"name": "linear_meanfield"}}], "config must be a JSON object"),
+    (None, "cannot read config"),
+], ids=["top_level_list", "unreadable_path"])
+def test_unusable_config_file_exits_one(tmp_path, capsys, body, named):
+    # A None body leaves the config path a directory, which open() cannot read.
+    cfg_path = tmp_path if body is None else write_config(tmp_path, body)
+    assert main(["run", str(cfg_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
 def test_a_64_bit_seed_parses(tmp_path):
@@ -743,7 +761,8 @@ print(module is getattr(parent, {name!r}), hasattr(parent, "__file__"))
 
 def test_scipy_extension_failed_load_leaves_no_stub():
     # A compiled module whose init fails under the stub parent is dropped with the
-    # stub before the package import, which then loads both for real.
+    # stub before the package import, which then loads both for real: the first
+    # import runs under the stub, the second without it.
     script = LOAD_MEASURE_ALONE + """
 import types
 from importlib.machinery import ExtensionFileLoader
@@ -758,7 +777,7 @@ ExtensionFileLoader.exec_module = exec_module
 def import_module(name):
     print("scipy.special" in sys.modules, "scipy.special._ufuncs" in sys.modules)
     return importlib.import_module(name)
-measure.importlib = types.SimpleNamespace(util=importlib.util, import_module=import_module)
+measure.importlib = types.SimpleNamespace(import_module=import_module)
 module = measure._scipy_extension("special", "_ufuncs")
 import scipy.special
 print(failed, module is sys.modules["scipy.special._ufuncs"], scipy.special.ndtri is module.ndtri)
@@ -766,7 +785,7 @@ print(failed, module is sys.modules["scipy.special._ufuncs"], scipy.special.ndtr
     result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-2:] == ["False False", "[True] True True"]
+    assert result.stdout.splitlines() == ["True False", "False False", "[True] True True"]
 
 
 def test_noise_reuses_an_imported_scipy_special():
@@ -914,17 +933,19 @@ def test_each_run_builds_its_model_and_reads_its_law_once(tmp_path, monkeypatch,
 
 
 def test_bounds_experiment(tmp_path):
-    cfg = {
-        "model": {"name": "landau", "gamma": 0.0, "alpha": 1.0, "beta": 1.0},
-        "sim": {"n_particles": 2, "dt": 0.01, "t_end": 1.0, "seed": 1},
-        "experiment": {"type": "bounds", "quantity": "cc",
-                       "params": {"alpha": 1.0, "beta": 1.0}},
-        "output": {"directory": str(tmp_path / "out")},
-    }
-    cfg_path = write_config(tmp_path, cfg)
-    assert main(["run", cfg_path]) == EXIT_OK
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["metrics"]["value"] == 8.0
+    for quantity, params, value in [
+        ("cc", {"alpha": 1.0, "beta": 1.0}, 8.0),
+        ("p_threshold", {"lambda": 1.0, "gamma_t": 0.25}, 4.0),  # (1 + 4 lambda gamma_t)^2
+    ]:
+        cfg = {
+            "model": {"name": "landau", "gamma": 0.0, "alpha": 1.0, "beta": 1.0},
+            "sim": {"n_particles": 2, "dt": 0.01, "t_end": 1.0, "seed": 1},
+            "experiment": {"type": "bounds", "quantity": quantity, "params": params},
+            "output": {"directory": str(tmp_path / quantity)},
+        }
+        assert main(["run", write_config(tmp_path, cfg, name=f"{quantity}.json")]) == EXIT_OK
+        report = json.loads((tmp_path / quantity / "report.json").read_text())
+        assert report["metrics"]["value"] == value, quantity
 
 
 def test_list_models(capsys):
